@@ -5,9 +5,12 @@ Ring recovery: addition plus a handful of products
 A hidden ring exposes two oracles, one for + and one for *. Addition is an
 abelian group, so n queries recover it. Multiplication then costs far less
 than n^2: pick a generating set A of the additive group where each new
-generator at least doubles the subgroup reached, decompose every element
-into sums of generators, and bilinearity fills the whole table from the
-|A|^2 generator products. Total: n + (log2 n)^2.
+generator at least doubles the subgroup reached, and query the |A|^2
+generator products. The greedy closure reaches every element x as
+x = parent + g with g in A and the parent reached earlier, so distributivity
+fills the rest in that order: first the generator rows, a*x = a*parent + a*g,
+then every row, x*y = parent*y + g*y. Total: n + (log2 n)^2 queries, and
+O(n^2) work for the fill.
 """
 
 import math

@@ -13,7 +13,7 @@ class and returns the full table plus the number of queries spent:
   n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries;
 - ring multiplication over a known addition table: exactly |A|^2 queries
   for a greedy generating set A with |A| <= log2 n, everything else
-  rebuilt bilinearly.
+  rebuilt by distributivity along the order the generators reached it.
 
 Oracle answers that contradict the promised class raise NotInClassError,
 naming the query that broke the structure where one can be pinned down.
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import OpTable, check_axioms, identity_of, is_prime
+from .algebra import OpTable, check_axioms, distributive_laws_hold, identity_of, is_prime
 from .errors import NotInClassError, ValidationError
 from .oracle import Oracle, Transcript
 
@@ -76,8 +76,9 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
     0 < i < chain length. Those answers name every element of the enlarged
     subgroup, and all remaining products follow from the bookkeeping
     (s*b^i)(t*b^j) = (st)b^(i+j), folding b^chain-length back into H when
-    the exponents overflow. Each step costs exactly the number of elements
-    it adds, so the whole run telescopes to n queries.
+    the exponents overflow; one numpy gather writes all of a step's
+    products. Each step costs exactly the number of elements it adds, so
+    the whole run telescopes to n queries, and the fill to O(n^2) work.
     """
     n = oracle.n
     start = oracle.count
@@ -96,14 +97,14 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
         seen.add(nxt)
     k = len(chain)
     e = chain[-1]  # a^k * a = a forces a^k to be the identity
-    powers = [e] + chain[:-1]  # powers[i] = a^i, powers[0] = identity
-    for i in range(k):
-        for j in range(k):
-            table[powers[i], powers[j]] = powers[(i + j) % k]
+    powers = np.array([e] + chain[:-1], dtype=np.int64)  # powers[i] = a^i, powers[0] = identity
+    exps = np.arange(k)
+    table[powers[:, None], powers] = powers[(exps[:, None] + exps) % k]
 
     members = set(chain)
     tower = [k]
     step_queries = [k]
+    row = np.empty(n, dtype=np.int64)  # row[s] = position of s in the sorted subgroup
 
     while len(members) < n:
         step_start = oracle.count
@@ -118,53 +119,59 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
                 raise NotInClassError(f"coset chain of {b} exceeded {n} elements; not a group")
         k = len(bchain)  # first exponent whose power of b is back inside H
         b_back = bchain[-1]
-        bpow = {i: bchain[i - 1] for i in range(1, k)}  # b^i for 0 < i < k
+        bpow = bchain[:-1]  # bpow[i - 1] = b^i for 0 < i < k
 
-        # elem maps (subgroup element s, coset exponent i) to the element s*b^i
+        # elem[r, i] is the element base[r]*b^i
         base = sorted(members)
-        elem: dict[tuple[int, int], int] = {}
+        h = len(base)
+        elem = np.empty((h, k), dtype=np.int64)
+        elem[:, 0] = base
         used = set(members)
-        for s in base:
-            elem[(s, 0)] = s
-        for i in range(1, k):
-            elem[(e, i)] = bpow[i]
-            used.add(bpow[i])
-        for s in base:
+        used.update(bpow)
+        for r, s in enumerate(base):
             if s == e:
+                elem[r, 1:] = bpow
                 continue
             for i in range(1, k):
-                z = oracle.query(s, bpow[i])
+                z = oracle.query(s, bpow[i - 1])
                 if z in used:
-                    raise NotInClassError(f"query ({s}, {bpow[i]}) -> {z} collides with an element already placed")
+                    raise NotInClassError(f"query ({s}, {bpow[i - 1]}) -> {z} collides with an element already placed")
                 used.add(z)
-                elem[(s, i)] = z
+                elem[r, i] = z
 
-        items = list(elem.items())
-        for (s, i), xs in items:
-            for (t, j), yt in items:
-                st = int(table[s, t])
-                if i + j < k:
-                    z = elem[(st, i + j)]
-                else:
-                    z = elem[(int(table[st, b_back]), i + j - k)]
-                table[xs, yt] = z
+        # (s*b^i)(t*b^j) = (st)*b^(i+j): extend each row to exponents up to
+        # 2k - 2 by folding b^k = b_back into H, then gather the whole step
+        hs = elem[:, 0]
+        row[hs] = np.arange(h)
+        ext = np.concatenate((elem, elem[row[table[hs, b_back]], : k - 1]), axis=1)
+        st = row[table[hs[:, None], hs]]
+        exps = np.arange(k)
+        prod = ext[st[:, None, :, None], (exps[:, None] + exps)[None, :, None, :]]
+        flat = elem.ravel()
+        table[flat[:, None], flat] = prod.reshape(h * k, h * k)
 
-        members = set(used)
+        members = used
         tower.append(len(members))
         step_queries.append(oracle.count - step_start)
 
     if (table < 0).any():
         raise NotInClassError("subgroup tower closed before covering every element")
-    queries = oracle.count - start
-    assert queries == n, "tower accounting must telescope to n"
     return RecoveryResult(
         OpTable(table),
-        queries,
+        _spent(oracle, start, n, "abelian"),
         "abelian",
         trace=oracle.transcript[start:],
         tower=tuple(tower),
         step_queries=tuple(step_queries),
     )
+
+
+def _spent(oracle: Oracle, start: int, expected: int, method: str) -> int:
+    """Queries spent since ``start``; a schedule that fixes the count must match it."""
+    queries = oracle.count - start
+    if queries != expected:
+        raise NotInClassError(f"{method} spent {queries} queries where its schedule fixes {expected}; the oracle miscounted")
+    return queries
 
 
 def recover_abelian_prime(oracle: Oracle, n: Optional[int] = None) -> RecoveryResult:
@@ -217,8 +224,7 @@ def recover_abelian_prime(oracle: Oracle, n: Optional[int] = None) -> RecoveryRe
             raise NotInClassError("power chain failed to cover n - 2 distinct elements")
         powers = [e] + chain + [rest.pop()]  # the leftover must be gen^(n-1)
 
-    queries = oracle.count - start
-    assert queries == n - 2
+    queries = _spent(oracle, start, n - 2, "prime")
     return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "prime", trace=oracle.transcript[start:])
 
 
@@ -283,8 +289,7 @@ def recover_order11(oracle: Oracle) -> RecoveryResult:
     sb, sc, sd, sf = survivors[0]
     powers[sb], powers[sc], powers[sd], powers[sf] = b, c, d, f
 
-    queries = oracle.count - start
-    assert queries == 8
+    queries = _spent(oracle, start, 8, "eleven8")
     return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "eleven8", trace=oracle.transcript[start:])
 
 
@@ -349,36 +354,47 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
 # rings with a known addition table
 
 
-def _closure_decompositions(add: OpTable) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Greedy generating set of an abelian group plus one expression of every
+def _greedy_closure(add: OpTable) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    """Identity, greedy generating set, and the order in which the greedy
 
-    element as a sum of generators (with repetition). Each adjoined generator
-    at least doubles the closure, so at most log2 n generators come back.
+    closure reached every other element of an abelian group table. Each
+    generator g is the smallest element outside the closure so far; it
+    adjoins the cosets H + g, H + 2g, ... until a multiple of g falls back
+    into H, so the closure at least doubles and at most log2 n generators
+    come back. Every element x != identity appears once in the order as
+    ``(x, parent, a)`` with x = parent + gens[a], where the parent is the
+    identity or an element earlier in the order.
     """
     if not check_axioms(add, "abelian_group"):
         raise ValidationError("known addition table is not an abelian group")
     n = add.n
-    arr = add.entries
+    rows = add.entries.tolist()
     e = identity_of(add)
-    assert e is not None
-    decomp: dict[int, tuple[int, ...]] = {e: ()}
+    if e is None:
+        raise ValidationError("known addition table has no identity")
+    reached = {e}
     gens: list[int] = []
-    while len(decomp) < n:
-        g = min(x for x in range(n) if x not in decomp)
+    order: list[tuple[int, int, int]] = []
+    while len(reached) < n:
+        g = min(x for x in range(n) if x not in reached)
+        a = len(gens)
         gens.append(g)
-        base = dict(decomp)
+        base = frozenset(reached)
+        coset = list(base)  # H + (j - 1)g, starting from H itself
         gj, j = g, 1
         while gj not in base:
-            for h, dh in base.items():
-                decomp[int(arr[h, gj])] = dh + (g,) * j
-            gj, j = int(arr[gj, g]), j + 1
-        assert len(decomp) == len(base) * j
-    return gens, decomp
+            parents, coset = coset, [rows[p][g] for p in coset]
+            order.extend((x, p, a) for x, p in zip(coset, parents))
+            reached.update(coset)
+            gj, j = rows[gj][g], j + 1
+        if len(reached) != len(base) * j:
+            raise ValidationError("known addition table is not an abelian group: a closure step overlapped itself")
+    return e, gens, order
 
 
 def greedy_generating_set(add: OpTable) -> list[int]:
     """Generators of an abelian group table, greedily smallest-index first."""
-    gens, _ = _closure_decompositions(add)
+    _, gens, _ = _greedy_closure(add)
     return gens
 
 
@@ -386,45 +402,38 @@ def recover_ring_multiplication(add: OpTable, oracle: Oracle) -> RecoveryResult:
     """Recover a hidden multiplication that distributes over a known addition.
 
     Queries exactly the |A|^2 ordered pairs of a greedy generating set A of
-    the additive group, then expands every product bilinearly: with
-    x = sum of generators a_i and y = sum of b_j, x*y is the sum of all
-    queried a_i*b_j. A query-free spot-check confirms the rebuilt table
-    distributes over the given addition.
+    the additive group, then rebuilds the table along the order in which the
+    greedy closure reached each element x as x = parent + g with g in A.
+    Each generator row first, one column at a time:
+    a*x = a*parent + a*g, where a*g was queried. Then every full row:
+    x*y = parent*y + g*y, where g*y is in a generator row. Both recurrences
+    start from 0*y = y*0 = 0 at the additive identity 0, and the parent is
+    always filled first, so the fill is O(n^2). A query-free check confirms the rebuilt table distributes
+    over the given addition; any table that does is the unique bi-additive
+    extension of the queried products.
     """
     if add.n != oracle.n:
         raise ValidationError(f"addition table has n = {add.n}, oracle has n = {oracle.n}")
-    gens, decomp = _closure_decompositions(add)
+    e, gens, order = _greedy_closure(add)
     n = add.n
     arr = add.entries
-    e = identity_of(add)
     start = oracle.count
 
-    prod: dict[tuple[int, int], int] = {}
-    for ga in gens:
-        for gb in gens:
-            prod[(ga, gb)] = oracle.query(ga, gb)
-
+    # products[a, b] = gens[a] * gens[b], queried in row-major order
+    products = np.array([[oracle.query(ga, gb) for gb in gens] for ga in gens], dtype=np.int64)
+    grows = np.empty((len(gens), n), dtype=np.int64)  # grows[a, y] = gens[a] * y
+    grows[:, e] = e
+    for x, parent, a in order:
+        grows[:, x] = arr[grows[:, parent], products[:, a]]
     table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        dx = decomp[x]
-        for y in range(n):
-            acc = e
-            for gx in dx:
-                for gy in decomp[y]:
-                    acc = int(arr[acc, prod[(gx, gy)]])
-            table[x, y] = acc
+    table[e] = e
+    for x, parent, a in order:
+        table[x] = arr[table[parent], grows[a]]
 
-    if not _distributes(arr, table):
+    if not distributive_laws_hold(arr, table):
         raise NotInClassError("rebuilt multiplication does not distribute over the known addition")
-    queries = oracle.count - start
-    assert queries == len(gens) ** 2
+    queries = _spent(oracle, start, len(gens) ** 2, "ringmul")
     return RecoveryResult(OpTable(table), queries, "ringmul", trace=oracle.transcript[start:])
-
-
-def _distributes(add: np.ndarray, mul: np.ndarray) -> bool:
-    from .algebra import distributive_laws_hold
-
-    return distributive_laws_hold(add, mul)
 
 
 def recover_ring_full(oracle_add: Oracle, oracle_mul: Oracle) -> tuple[RecoveryResult, RecoveryResult]:

@@ -250,6 +250,25 @@ class TestRing:
         assert distributive_laws_hold(inst.truth.add.entries, res.table.entries)
 
 
+class TestLargeExact:
+    """Tables of order 32 to 256: exact results and exact query costs."""
+
+    @pytest.mark.parametrize("name", ["z32", "z64", "gf32", "gf64", "z4xgf9", "z2xgf16"])
+    def test_full_ring(self, name):
+        for seed in range(3):
+            inst = new_hidden_ring(name, seed)
+            oa, om = ring_oracles(inst)
+            add_res, mul_res = recover_ring_full(oa, om)
+            assert add_res.table == inst.truth.add and mul_res.table == inst.truth.mul, seed
+            assert add_res.queries_used == inst.truth.n == oa.count
+            assert mul_res.queries_used == len(greedy_generating_set(inst.truth.add)) ** 2 == om.count
+
+    @pytest.mark.parametrize("factors", abelian_invariant_factorizations(64) + [(256,), (16, 16), (2,) * 8])
+    def test_abelian(self, factors):
+        res, _ = run_abelian(factors, 5)
+        assert res.queries_used == res.table.n
+
+
 def test_query_budget_table():
     assert query_budget("abelian", 9) == 9
     assert query_budget("prime", 11) == 9
