@@ -8,8 +8,10 @@ Subcommands:
   sweep    batch recoveries over a family, one CSV row per run
 
 Exit codes: 0 success, 1 budget or verification failure (including oracle
-answers outside the promised class), 2 usage or validation errors, 3 a
-capability cap was hit.
+answers outside the promised class), 2 usage or validation errors (including
+unreadable or malformed input files), 3 a capability cap was hit. A reader
+that closes the output pipe early (``opquery sweep ... | head``) ends the
+command quietly with status 0.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -166,8 +169,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValidationError("choose exactly one of --group / --maxchain")
     if args.group is not None:
         name = args.group.strip().lower()
-        if not (name.startswith("z") and name[1:].isdigit()):
-            raise ValidationError(f"--group expects z<n>, got {args.group!r}")
+        if not (name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1):
+            raise ValidationError(f"--group expects z<n> with n >= 1, got {args.group!r}")
         canonical = algebra.build_abelian([int(name[1:])] if int(name[1:]) > 1 else [])
         label = name
     else:
@@ -176,7 +179,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     ops = treesearch.enumerate_orbit(canonical, cap=args.cap if args.cap else treesearch.ENUMERATION_CAP)
     depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget)
     worst, avg = treesearch.tree_stats(tree, ops)
-    assert worst == depth
+    if worst != depth:
+        print(f"verification failed: search reported optimum {depth} but its tree has depth {worst}", file=sys.stderr)
+        return 1
     payload = {
         "class": label,
         "x_size": len(ops),
@@ -310,6 +315,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotInClassError as exc:
         print(f"not in class: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:

@@ -23,7 +23,7 @@ from .algebra import (
     RingSpec,
     RingTables,
     StructureSpec,
-    canonical_ring,
+    build_ring,
     canonical_table,
     spec_from_dict,
     spec_to_dict,
@@ -116,7 +116,7 @@ def new_hidden(spec: StructureSpec, seed: int) -> HiddenInstance:
 def new_hidden_ring(spec: RingSpec | str, seed: int) -> HiddenRingInstance:
     if not isinstance(spec, RingSpec):
         spec = RingSpec(spec)
-    canonical = canonical_ring(spec)
+    canonical = build_ring(spec)
     perm = random_permutation(canonical.n, seed)
     return HiddenRingInstance(spec, seed, canonical, perm, canonical.relabel(perm))
 
@@ -173,16 +173,8 @@ AnyInstance = Union[HiddenInstance, HiddenRingInstance]
 
 def instance_to_dict(instance: AnyInstance) -> dict:
     """Test/debug export: spec, seed, canonical tables, and the secret permutation."""
-    if isinstance(instance, HiddenRingInstance):
-        return {
-            "kind": "ring",
-            "spec": spec_to_dict(instance.spec),
-            "seed": instance.seed,
-            "perm": list(instance.perm),
-            "canonical": instance.canonical.to_dict(),
-        }
     return {
-        "kind": "groupoid",
+        "kind": "ring" if isinstance(instance, HiddenRingInstance) else "groupoid",
         "spec": spec_to_dict(instance.spec),
         "seed": instance.seed,
         "perm": list(instance.perm),
@@ -191,13 +183,27 @@ def instance_to_dict(instance: AnyInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> AnyInstance:
-    spec = spec_from_dict(d["spec"])
-    seed = int(d["seed"])
-    perm = tuple(int(p) for p in d["perm"])
-    if d.get("kind") == "ring":
-        canonical = RingTables.from_dict(d["canonical"])
+    """Inverse of ``instance_to_dict``.
+
+    Malformed content raises ValidationError, and so do tables that are not
+    the canonical tables of the spec.
+    """
+    try:
+        spec = spec_from_dict(d["spec"])
+        seed = int(d["seed"])
+        perm = tuple(int(p) for p in d["perm"])
+        ring = d.get("kind") == "ring"
+        canonical = RingTables.from_dict(d["canonical"]) if ring else OpTable.from_dict(d["canonical"])
+    except ValidationError:
+        raise
+    except (AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
+    if ring != isinstance(spec, RingSpec):
+        raise ValidationError(f"instance kind {d.get('kind')!r} does not fit a {spec_to_dict(spec)['kind']} spec")
+    if canonical != (build_ring(spec) if ring else canonical_table(spec)):
+        raise ValidationError(f"instance tables are not the canonical tables of {spec_to_dict(spec)}")
+    if ring:
         return HiddenRingInstance(spec, seed, canonical, perm, canonical.relabel(perm))
-    canonical = OpTable.from_dict(d["canonical"])
     return HiddenInstance(spec, seed, canonical, perm, canonical.relabel(perm))
 
 
@@ -208,5 +214,10 @@ def save_instance(path: str, instance: AnyInstance) -> None:
 
 
 def load_instance(path: str) -> AnyInstance:
+    """Read an instance file; content that is not an instance raises ValidationError."""
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValidationError(f"{path}: not an instance file: {exc}") from exc
+    return instance_from_dict(d)

@@ -292,7 +292,8 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[
         if cached is not None:
             return cached
         cands = partitions(ids)
-        assert cands, "distinct tables always admit a splitting query"
+        if not cands:
+            raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
         widest = max(len(groups) for _, groups in cands)
         floor, reach = 0, 1
         while reach < len(ids):  # smallest d with widest^d >= |state|, in exact arithmetic
@@ -317,7 +318,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[
                 best, best_choice = value, (query, groups)
                 if best == floor:
                     break
-        assert best is not None and best_choice is not None
+        # cands is nonempty and the first query is never aborted, so best is set
         memo_value[ids] = best
         memo_choice[ids] = best_choice
         return best

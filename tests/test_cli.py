@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import opquery
 from opquery.cli import main
 
 
@@ -81,6 +85,32 @@ def test_recover_prime_on_composite_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"kind": "groupoid", "seed": 0, "perm": [0]}',  # no spec
+        "not json at all",
+        '[1, 2, 3]',
+        '{"spec": {"kind": "abelian", "factors": "x"}, "seed": 0, "perm": [0], "canonical": {"n": 1, "table": [[0]]}}',
+        # Z_2 stored under a max-chain spec
+        '{"spec": {"kind": "maxchain", "n": 2}, "seed": 0, "perm": [0, 1], "canonical": {"n": 2, "table": [[0, 1], [1, 0]]}}',
+        '{"kind": "ring", "spec": {"kind": "maxchain", "n": 1}, "seed": 0, "perm": [0], "canonical": {"n": 1, "add": [[0]], "mul": [[0]]}}',
+    ],
+)
+def test_recover_malformed_instance_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, _, err = run(capsys, "recover", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_recover_missing_instance_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "recover", "--in", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "No such file" in err and err.count("\n") == 1
+
+
 def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--abelian", "11")
     assert code == 0
@@ -125,6 +155,29 @@ def test_search_over_cap_is_capability_error(capsys):
 def test_search_budget_exceeded_is_capability_error(capsys):
     code, _, _ = run(capsys, "search", "--group", "z5", "--budget", "10")
     assert code == 3
+
+
+def test_search_rejects_group_of_order_zero(capsys):
+    code, _, err = run(capsys, "search", "--group", "z0")
+    assert code == 2
+    assert "n >= 1" in err
+
+
+def test_sweep_into_closed_pipe_exits_quietly():
+    # about 200 KB of rows, more than a pipe holds, so the writer sees EPIPE
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)))
+    argv = [sys.executable, "-m", "opquery.cli", "sweep", "--maxchain-upto", "3", "--reps", "3000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"n,method,seed,queries,bound,ok\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == 0
 
 
 def test_sweep_csv_sorted(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,11 @@ from opquery import (
     NotInClassError,
     OpTable,
     Oracle,
+    ValidationError,
     abelian_invariant_factorizations,
     build_abelian,
     build_max_chain,
+    build_ring,
     check_axioms,
     count_automorphisms,
     distributive_laws_hold,
@@ -26,7 +29,9 @@ from opquery import (
     oracle_for,
     random_permutation,
     recover_abelian,
+    recover_abelian_prime,
     recover_max_chain,
+    recover_order11,
     recover_ring_full,
     recover_ring_multiplication,
     replay_matches,
@@ -122,20 +127,39 @@ def test_invariant_factors_canonical(moduli):
 
 
 # ---------------------------------------------------------------------------
-# hostile oracles: a recovery either raises NotInClassError or returns an
-# in-class table that agrees with every answer it was given
+# law checks on generators agree with the full n^3 cube
 
 
-def _run_hostile(recover, truth: OpTable):
-    """The recovered table, or None when the run raised NotInClassError."""
-    oracle = Oracle(truth)
-    try:
-        res = recover(oracle)
-    except NotInClassError:
-        return None
-    assert res.trace == oracle.transcript
-    assert replay_matches(res.trace, res.table)
-    return res.table
+def _cube_associative(t: np.ndarray) -> bool:
+    return bool(np.array_equal(t[t], t[:, t]))
+
+
+def _cube_distributive(add: np.ndarray, mul: np.ndarray) -> bool:
+    left = np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]])
+    right = np.array_equal(mul[add], add[mul[:, None, :], mul[None, :, :]])
+    return bool(left and right)
+
+
+def _reference_axioms(t: np.ndarray, which: str) -> bool:
+    """Textbook definitions over the whole cube."""
+    if not _cube_associative(t):
+        return False
+    if which == "semigroup":
+        return True
+    n = t.shape[0]
+    idx = np.arange(n)
+    ids = [e for e in range(n) if (t[e] == idx).all() and (t[:, e] == idx).all()]
+    if not ids:
+        return False
+    e = ids[0]
+    if not all(((t[x] == e) & (t[:, x] == e)).any() for x in range(n)):
+        return False
+    return which == "group" or bool(np.array_equal(t, t.T))
+
+
+def _assert_axioms_match_reference(t: np.ndarray) -> None:
+    for which in ("semigroup", "group", "abelian_group"):
+        assert check_axioms(OpTable(t), which) == _reference_axioms(t, which), which
 
 
 def _random_table(rng: random.Random, n: int) -> np.ndarray:
@@ -149,22 +173,151 @@ def _corrupt(rng: random.Random, table: np.ndarray) -> np.ndarray:
     return out
 
 
-@given(st.integers(1, 12), st.sampled_from(["random", "isotope", "corrupted"]), seeds)
+def _swap(rng: random.Random, table: np.ndarray) -> np.ndarray:
+    out = table.copy()
+    n = out.shape[0]
+    a, b, c, d = (rng.randrange(n) for _ in range(4))
+    out[a, b], out[c, d] = out[c, d], out[a, b]
+    return out
+
+
+def _damage(rng: random.Random, table: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "corrupted":
+        return _corrupt(rng, table)
+    if kind == "swapped":
+        return _swap(rng, table)
+    return table
+
+
+@given(st.integers(1, 5), seeds)
+@settings(max_examples=400, deadline=None)
+def test_axiom_checks_match_cube_on_random_tables(n, seed):
+    _assert_axioms_match_reference(_random_table(random.Random(seed), n))
+
+
+@given(
+    st.one_of(factor_chains.map(AbelianSpec), st.integers(1, 24).map(MaxChainSpec)),
+    st.sampled_from(["intact", "corrupted", "swapped"]),
+    seeds,
+)
+@settings(max_examples=300, deadline=None)
+def test_axiom_checks_match_cube_on_damaged_tables(spec, kind, seed):
+    truth = new_hidden(spec, seed).truth.entries
+    _assert_axioms_match_reference(_damage(random.Random(seed), truth, kind))
+
+
+rings = st.sampled_from(["z4", "z6", "z8", "z2xz2", "gf4", "gf8", "gf9", "z2xgf4", "z3xz3", "z2xz4"])
+
+
+@given(rings, st.sampled_from(["intact", "corrupted", "swapped", "random", "additive"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_distributivity_check_matches_cube(name, kind, seed):
+    rng = random.Random(seed)
+    truth = new_hidden_ring(name, seed).truth
+    add = truth.add.entries
+    if kind == "random":
+        mul = _random_table(rng, truth.n)
+    elif kind == "additive":
+        mul = add  # the addition itself: a bi-additive table only by exception
+    else:
+        mul = _damage(rng, truth.mul.entries, kind)
+    assert distributive_laws_hold(add, mul) == _cube_distributive(add, mul)
+
+
+def test_distributivity_check_needs_associative_addition():
+    n = 3
+    idx = np.arange(n)
+    sub = (idx[:, None] - idx[None, :]) % n  # x - y: closed, not associative
+    assert not _cube_associative(sub)
+    with pytest.raises(ValidationError, match="associative"):
+        distributive_laws_hold(sub, build_ring("z3").mul.entries)
+
+
+# ---------------------------------------------------------------------------
+# hostile oracles: a recovery either raises NotInClassError or returns an
+# in-class table that agrees with every answer it was given
+
+
+def _run_hostile(recover, truth: OpTable):
+    """The recovered table, or None when the run raised NotInClassError."""
+    oracle = Oracle(truth)
+    try:
+        res = recover(oracle)
+    except NotInClassError:
+        return None
+    assert res.trace == oracle.transcript
+    assert res.queries_used == oracle.count
+    assert replay_matches(res.trace, res.table)
+    return res.table
+
+
+group_kinds = st.sampled_from(["random", "isotope", "corrupted", "swapped"])
+
+
+def _hostile_group_table(n: int, kind: str, seed: int) -> OpTable:
+    rng = random.Random(seed)
+    if kind == "random":
+        return OpTable(_random_table(rng, n))
+    if kind == "isotope":
+        # x*y = out[rows[x] + cols[y] mod n]: a quasigroup, a group only by luck
+        rows, cols, out = (np.array(rng.sample(range(n), n)) for _ in range(3))
+        return OpTable(out[build_abelian(AbelianSpec.from_cyclic([n])).entries[np.ix_(rows, cols)]])
+    factors = rng.choice(abelian_invariant_factorizations(n))
+    return OpTable(_damage(rng, new_hidden(AbelianSpec(factors), seed).truth.entries, kind))
+
+
+@given(st.integers(1, 12), group_kinds, seeds)
 @settings(max_examples=300, deadline=None)
 def test_hostile_abelian_oracle_has_two_outcomes(n, kind, seed):
+    table = _run_hostile(recover_abelian, _hostile_group_table(n, kind, seed))
+    if table is not None:
+        assert check_axioms(table, "abelian_group")
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), group_kinds, seeds)
+@settings(max_examples=300, deadline=None)
+def test_hostile_prime_oracle_has_two_outcomes(n, kind, seed):
+    # every group of prime order is cyclic, so a group table is in class
+    table = _run_hostile(lambda oracle: recover_abelian_prime(oracle, n), _hostile_group_table(n, kind, seed))
+    if table is not None:
+        assert check_axioms(table, "abelian_group")
+
+
+@given(group_kinds, seeds)
+@settings(max_examples=300, deadline=None)
+def test_hostile_order11_oracle_has_two_outcomes(kind, seed):
+    table = _run_hostile(recover_order11, _hostile_group_table(11, kind, seed))
+    if table is not None:
+        assert check_axioms(table, "abelian_group")
+
+
+def _is_max_table(t: np.ndarray) -> bool:
+    """True iff t is x*y = max(x, y) for some total order of the carrier."""
+    n = t.shape[0]
+    idx = np.arange(n)
+    rank = (t == idx[:, None]).sum(axis=1)  # x wins against rank[x] elements, itself included
+    if sorted(rank.tolist()) != list(range(1, n + 1)):
+        return False
+    return bool(np.array_equal(t, np.where(rank[:, None] >= rank[None, :], idx[:, None], idx[None, :])))
+
+
+@given(st.integers(1, 12), st.sampled_from(["random", "tournament", "corrupted", "swapped"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_hostile_max_chain_oracle_has_two_outcomes(n, kind, seed):
     rng = random.Random(seed)
     if kind == "random":
         t = _random_table(rng, n)
-    elif kind == "isotope":
-        # x*y = out[rows[x] + cols[y] mod n]: a quasigroup, a group only by luck
-        rows, cols, out = (np.array(rng.sample(range(n), n)) for _ in range(3))
-        t = out[build_abelian(AbelianSpec.from_cyclic([n])).entries[np.ix_(rows, cols)]]
+    elif kind == "tournament":
+        # each pair has a winner, but the wins need not follow any order
+        idx = np.arange(n)
+        upper = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(n)])
+        wins = np.where(idx[:, None] < idx[None, :], upper, ~upper.T)  # wins[x, y]: x beats y
+        t = np.where(wins, idx[:, None], idx[None, :])
     else:
-        factors = rng.choice(abelian_invariant_factorizations(n))
-        t = _corrupt(rng, new_hidden(AbelianSpec(factors), seed).truth.entries)
-    table = _run_hostile(recover_abelian, OpTable(t))
+        t = _damage(rng, new_hidden(MaxChainSpec(n), seed).truth.entries, kind)
+    table = _run_hostile(recover_max_chain, OpTable(t))
     if table is not None:
-        assert check_axioms(table, "abelian_group")
+        assert _is_max_table(table.entries)
 
 
 def _bilinear_expansion(add: np.ndarray, oracle: Oracle) -> np.ndarray:
