@@ -176,7 +176,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     else:
         canonical = algebra.build_max_chain(args.maxchain)
         label = f"maxchain{args.maxchain}"
-    ops = treesearch.enumerate_orbit(canonical, cap=args.cap if args.cap else treesearch.ENUMERATION_CAP)
+    ops = treesearch.enumerate_orbit(canonical, cap=args.cap)
     depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget)
     worst, avg = treesearch.tree_stats(tree, ops)
     if worst != depth:
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", metavar="zN", help="cyclic group, e.g. z4")
     p.add_argument("--maxchain", type=int, metavar="N")
     p.add_argument("--budget", type=int, default=treesearch.SEARCH_BUDGET, help="candidate set size cap")
-    p.add_argument("--cap", type=int, help="raise the enumeration cap")
+    p.add_argument("--cap", type=int, help="raise the brute force cap")
     p.add_argument("--render", action="store_true", help="print the tree as indented text")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=cmd_search)

@@ -22,11 +22,10 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import OpTable, is_cyclic_group, is_prime
+from .algebra import OpTable, _check_cap, _relabelings, is_cyclic_group, is_prime
 from .errors import CapabilityError, ValidationError
 
 SEARCH_BUDGET = 200  # default cap on |X| for exact search
-ENUMERATION_CAP = 8  # general relabeling enumeration is n! work
 CYCLIC_PRIME_ENUMERATION_CAP = 11
 
 
@@ -146,12 +145,23 @@ def iter_cyclic_prime_tables(p: int) -> Iterator[np.ndarray]:
             yield powers[(logs[:, None] + logs[None, :]) % p].astype(dtype)
 
 
-def enumerate_orbit(canonical: OpTable, cap: int = ENUMERATION_CAP) -> OperationSet:
-    """Every distinct relabeling of a table, as an OperationSet.
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, ascending.
 
-    General tables enumerate all n! permutations and dedupe, so n is capped;
-    cyclic groups of prime order skip the dedupe via the discrete-log
-    parameterization and stretch to n = 11 (about 4 million tables).
+    Same result as ``np.unique``, which would import ``numpy.ma`` on first
+    use and add about 1 MB to the resident set of a process.
+    """
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationSet:
+    """Every distinct relabeling of a table, as an OperationSet in byte order.
+
+    General tables run all n! permutations through the chunked kernel of
+    ``algebra`` and dedupe, so n is under the brute force cap; cyclic groups
+    of prime order skip the dedupe via the discrete-log parameterization and
+    stretch to n = 11 (about 4 million tables).
     """
     n = canonical.n
     if is_prime(n) and is_cyclic_group(canonical):
@@ -161,19 +171,20 @@ def enumerate_orbit(canonical: OpTable, cap: int = ENUMERATION_CAP) -> Operation
         flat = stack.reshape(stack.shape[0], -1)
         order = np.lexsort(flat.T[::-1])
         return OperationSet(stack[order], label=f"orbit n={n} cyclic prime", check_distinct=False)
-    if n > cap:
-        raise CapabilityError(f"orbit enumeration is n! work; cap is {cap}, got n = {n} (pass a larger cap to override)")
+    _check_cap(n, cap, "enumerate_orbit")
     dtype = _dtype_for(n)
-    seen: dict[bytes, np.ndarray] = {}
-    arr = canonical.entries
-    idx = np.arange(n)
-    for perm in permutations(range(n)):
-        p = np.array(perm)
-        inv = np.empty(n, dtype=np.int64)
-        inv[p] = idx
-        tab = p[arr[np.ix_(inv, inv)]].astype(dtype)
-        seen.setdefault(tab.tobytes(), tab)
-    stack = np.stack([seen[k] for k in sorted(seen)])
+    # one fixed-width key per table; np.void keys sort bytewise
+    key = np.dtype((np.void, n * n * np.dtype(dtype).itemsize))
+    seen = np.empty(0, dtype=key)  # distinct keys so far, ascending
+    fresh: list[np.ndarray] = []  # keys of the chunks since the last merge
+    for perms, images in _relabelings(canonical.entries[None].astype(dtype)):
+        fresh.append(images[0].reshape(len(perms), -1).view(key).ravel())
+        # merging once the fresh keys outnumber the kept ones holds memory to
+        # O(orbit + chunk) and the sorting to O(n! log n!)
+        if sum(map(len, fresh)) > len(seen):
+            seen = _sorted_distinct(np.concatenate([seen, *fresh]))
+            fresh = []
+    stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(dtype).reshape(-1, n, n)
     return OperationSet(stack, label=f"orbit n={n}", check_distinct=False)
 
 

@@ -1,5 +1,8 @@
 """Canonical table construction and axiom checks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from opquery import (
     count_automorphisms,
     count_ring_automorphisms,
     distributive_laws_hold,
+    enumerate_orbit,
     euler_phi,
     invariant_factors_from_cyclic,
     is_prime,
@@ -211,3 +215,29 @@ def test_are_isomorphic_finds_witness():
     assert w is not None
     assert a.relabel(w) == b
     assert are_isomorphic(a, build_abelian([2, 2])) is None
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_permutation_kernel_memory_is_bounded_by_its_chunk():
+    # all 8! relabelings at once would be 8! * 64 int64 entries, 21 MB
+    t = build_max_chain(8)
+    assert _peak_bytes(lambda: count_automorphisms(t)) < 2 * 2**20
+    # the orbit itself is 8! tables of 64 bytes, 2.6 MB; the dedupe holds a
+    # few copies of it (one dict entry per table used to peak at 23 MB)
+    orbit_bytes = math.factorial(8) * 64
+    assert _peak_bytes(lambda: enumerate_orbit(t)) < 4 * orbit_bytes
+
+
+def test_light_test_memory_is_quadratic_on_a_max_chain():
+    # every element of a max table is idempotent, so all n of them are
+    # generators; gathering them at once would take two n^3 int64 arrays
+    t = build_max_chain(256)
+    assert _peak_bytes(lambda: check_axioms(t, "semigroup")) < 4 * t.entries.nbytes

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from opquery import (
     build_ring,
     check_axioms,
     count_automorphisms,
+    count_ring_automorphisms,
     distributive_laws_hold,
+    enumerate_orbit,
     invariant_factors_from_cyclic,
     merge_sort_worst_case,
     new_hidden,
@@ -37,6 +40,7 @@ from opquery import (
     replay_matches,
     ring_oracles,
 )
+from opquery.algebra import are_isomorphic
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
@@ -231,6 +235,109 @@ def test_distributivity_check_needs_associative_addition():
     assert not _cube_associative(sub)
     with pytest.raises(ValidationError, match="associative"):
         distributive_laws_hold(sub, build_ring("z3").mul.entries)
+
+
+# ---------------------------------------------------------------------------
+# symmetry brute force: the chunked permutation kernel agrees with the loops
+# that tried one permutation at a time
+
+
+def _loop_count(*tables: np.ndarray) -> int:
+    """Relabelings fixing every table, one permutation at a time."""
+    count = 0
+    for perm in permutations(range(tables[0].shape[0])):
+        p = np.array(perm)
+        if all(np.array_equal(p[t], t[np.ix_(p, p)]) for t in tables):
+            count += 1
+    return count
+
+
+def _loop_isomorphism(a: np.ndarray, b: np.ndarray):
+    """The first permutation in lexicographic order carrying a onto b, or None."""
+    for perm in permutations(range(a.shape[0])):
+        p = np.array(perm)
+        if np.array_equal(p[a], b[np.ix_(p, p)]):
+            return tuple(perm)
+    return None
+
+
+def _loop_orbit(t: np.ndarray) -> np.ndarray:
+    """Every distinct relabeling, deduped on bytes and stacked in byte order."""
+    n = t.shape[0]
+    idx = np.arange(n)
+    seen: dict[bytes, np.ndarray] = {}
+    for perm in permutations(range(n)):
+        p = np.array(perm)
+        inv = np.empty(n, dtype=np.int64)
+        inv[p] = idx
+        tab = p[t[np.ix_(inv, inv)]].astype(np.int8)
+        seen.setdefault(tab.tobytes(), tab)
+    return np.stack([seen[k] for k in sorted(seen)])
+
+
+def _assert_kernel_matches_loops(a: np.ndarray, b: np.ndarray) -> None:
+    assert count_automorphisms(OpTable(a)) == _loop_count(a)
+    assert are_isomorphic(OpTable(a), OpTable(b)) == _loop_isomorphism(a, b)
+    orbit = enumerate_orbit(OpTable(a)).tables
+    reference = _loop_orbit(a)
+    assert orbit.dtype == reference.dtype
+    assert np.array_equal(orbit, reference)
+
+
+@given(st.integers(1, 5), seeds)
+@settings(max_examples=200, deadline=None)
+def test_symmetry_kernel_matches_loops_on_random_tables(n, seed):
+    rng = random.Random(seed)
+    a = _random_table(rng, n)
+    _assert_kernel_matches_loops(a, _random_table(rng, n))
+    _assert_kernel_matches_loops(a, OpTable(a).relabel(rng.sample(range(n), n)).entries)
+
+
+@given(
+    st.one_of(factor_chains.filter(lambda fs: math.prod(fs) <= 6).map(AbelianSpec), st.integers(1, 6).map(MaxChainSpec)),
+    st.sampled_from(["intact", "corrupted", "swapped"]),
+    seeds,
+)
+@settings(max_examples=60, deadline=None)
+def test_symmetry_kernel_matches_loops_on_structured_tables(spec, kind, seed):
+    rng = random.Random(seed)
+    a = _damage(rng, new_hidden(spec, seed).truth.entries, kind)
+    _assert_kernel_matches_loops(a, new_hidden(spec, seed + 1).truth.entries)
+
+
+@given(st.sampled_from(["z2", "z3", "z4", "z5", "z6", "gf4", "z2xz2", "z2xz3"]), seeds)
+@settings(max_examples=40, deadline=None)
+def test_ring_automorphism_kernel_matches_loop(name, seed):
+    ring = new_hidden_ring(name, seed).truth
+    assert count_ring_automorphisms(ring) == _loop_count(ring.add.entries, ring.mul.entries)
+
+
+def test_symmetry_kernel_on_the_trivial_table():
+    t = build_abelian([]).entries
+    assert _loop_count(t) == 1
+    _assert_kernel_matches_loops(t, t)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # n = 7: 5,040 permutations end in a partial chunk; Z_7 itself would
+        # take the discrete-log path, so it is corrupted into a non-group
+        (new_hidden(MaxChainSpec(7), 3).truth.entries, build_max_chain(7).entries),
+        (_corrupt(random.Random(7), build_abelian([7]).entries), build_abelian([7]).entries),
+        # n = 8: the largest size under the default cap
+        (new_hidden(AbelianSpec((2, 4)), 5).truth.entries, build_abelian([2, 4]).entries),
+        (new_hidden(AbelianSpec((2, 2, 2)), 6).truth.entries, new_hidden(AbelianSpec((2, 2, 2)), 7).truth.entries),
+    ],
+    ids=["maxchain7", "corrupted-z7", "z2xz4", "z2^3"],
+)
+def test_symmetry_kernel_matches_loops_across_chunks(a, b):
+    _assert_kernel_matches_loops(a, b)
+
+
+def test_ring_automorphism_kernel_matches_loop_at_n8():
+    ring = new_hidden_ring("gf8", 4).truth
+    assert count_ring_automorphisms(ring) == _loop_count(ring.add.entries, ring.mul.entries) == 3
 
 
 # ---------------------------------------------------------------------------
