@@ -54,7 +54,7 @@ from opquery import recover_abelian_prime
 for p in (5, 7, 11, 13):
     inst = new_hidden(AbelianSpec((p,)), seed=1)
     o = oracle_for(inst)
-    res = recover_abelian_prime(o, p)
+    res = recover_abelian_prime(o)
     assert res.table == inst.truth
     print(f"prime {p}: {res.queries_used} queries (= p - 2)")
 

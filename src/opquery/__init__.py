@@ -91,77 +91,3 @@ from .treesearch import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianSpec",
-    "BoundsReport",
-    "CapabilityError",
-    "HiddenInstance",
-    "HiddenRingInstance",
-    "Leaf",
-    "MaxChainSpec",
-    "METHODS",
-    "Node",
-    "NotInClassError",
-    "OpTable",
-    "OperationSet",
-    "Oracle",
-    "RecoveryResult",
-    "RingSpec",
-    "RingTables",
-    "StructureSpec",
-    "ValidationError",
-    "abelian_invariant_factorizations",
-    "abelian_lower_bound",
-    "average_query_lower_bound",
-    "bounds_for_abelian",
-    "bounds_for_max_chain",
-    "bounds_for_ring",
-    "build_abelian",
-    "build_gf",
-    "build_max_chain",
-    "build_ring",
-    "build_zn_ring",
-    "canonical_table",
-    "check_axioms",
-    "count_automorphisms",
-    "count_ring_automorphisms",
-    "distributive_laws_hold",
-    "enumerate_orbit",
-    "euler_phi",
-    "family_orbit_size",
-    "field_additive_automorphism_count",
-    "field_lower_bound",
-    "greedy_generating_set",
-    "invariant_factors_from_cyclic",
-    "is_prime",
-    "load_instance",
-    "load_transcript",
-    "max_chain_lower_bound",
-    "merge_sort_worst_case",
-    "minimal_worst_case",
-    "multiplication_orbit_size",
-    "new_hidden",
-    "new_hidden_ring",
-    "oracle_for",
-    "orbit_size",
-    "query_budget",
-    "random_permutation",
-    "recover_abelian",
-    "recover_abelian_prime",
-    "recover_max_chain",
-    "recover_order11",
-    "recover_ring_full",
-    "recover_ring_multiplication",
-    "render_tree",
-    "replay_matches",
-    "reports_to_csv",
-    "ring_oracles",
-    "save_instance",
-    "save_transcript",
-    "tree_from_dict",
-    "tree_stats",
-    "tree_to_dict",
-    "verify_query_tree",
-    "verify_recovery",
-]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -42,8 +43,7 @@ def _parse_spec(args: argparse.Namespace) -> algebra.StructureSpec:
     return algebra.RingSpec(args.ring)
 
 
-def _write_json(path: Optional[str], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(path: Optional[str], text: str) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -51,12 +51,18 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    spec = _parse_spec(args)
+def _write_json(path: Optional[str], payload: dict) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _new_instance(spec: algebra.StructureSpec, seed: int) -> oracle.AnyInstance:
     if isinstance(spec, algebra.RingSpec):
-        inst: oracle.AnyInstance = oracle.new_hidden_ring(spec, args.seed)
-    else:
-        inst = oracle.new_hidden(spec, args.seed)
+        return oracle.new_hidden_ring(spec, seed)
+    return oracle.new_hidden(spec, seed)
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    inst = _new_instance(_parse_spec(args), args.seed)
     if args.out:
         oracle.save_instance(args.out, inst)
     else:
@@ -64,75 +70,35 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _method_for_spec(spec: algebra.StructureSpec) -> str:
-    if isinstance(spec, algebra.MaxChainSpec):
-        return "maxchain"
-    if isinstance(spec, algebra.RingSpec):
-        return "ringfull"
-    return "abelian"
+def _default_method(spec: algebra.StructureSpec) -> recovery.Method:
+    return next(m for m in recovery.METHODS.values() if m.default and m.fits(spec))
 
 
-def _run_groupoid_method(method: str, inst: oracle.HiddenInstance) -> tuple[recovery.RecoveryResult, oracle.Oracle]:
-    o = oracle.oracle_for(inst)
-    spec = inst.spec
-    if method == "abelian":
-        if not isinstance(spec, algebra.AbelianSpec):
-            raise ValidationError(f"method abelian does not apply to {type(spec).__name__}")
-        return recovery.recover_abelian(o), o
-    if method == "prime":
-        if not isinstance(spec, algebra.AbelianSpec) or not algebra.is_prime(spec.n):
-            raise ValidationError("method prime needs an abelian instance of prime order")
-        return recovery.recover_abelian_prime(o, spec.n), o
-    if method == "eleven8":
-        if not isinstance(spec, algebra.AbelianSpec) or spec.n != 11:
-            raise ValidationError("method eleven8 needs an abelian instance with n = 11")
-        return recovery.recover_order11(o), o
-    if method == "maxchain":
-        if not isinstance(spec, algebra.MaxChainSpec):
-            raise ValidationError(f"method maxchain does not apply to {type(spec).__name__}")
-        return recovery.recover_max_chain(o), o
-    raise ValidationError(f"unknown method {method!r}; choose from {recovery.METHODS}")
+def _run_method(method: recovery.Method, inst: oracle.AnyInstance) -> tuple[tuple[recovery.Part, ...], bool, int, float]:
+    """Run a method on an instance: its parts, whether all of them match the truth, queries and budget."""
+    if not method.fits(inst.spec):
+        raise ValidationError(f"method {method.name} does not apply to {inst.spec}")
+    parts = method.run(inst)
+    ok = all(oracle.verify_recovery(o, result.table)[0] for result, o in parts)
+    queries = sum(result.queries_used for result, _ in parts)
+    return parts, ok, queries, recovery.query_budget(method.name, inst.spec.n)
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    if args.infile:
-        inst = oracle.load_instance(args.infile)
+    inst = oracle.load_instance(args.infile) if args.infile else _new_instance(_parse_spec(args), args.seed)
+    method = recovery.METHODS[args.method] if args.method else _default_method(inst.spec)
+    if args.trace and len(method.tables) > 1:
+        raise ValidationError(f"--trace writes one transcript, but method {method.name} queries {len(method.tables)} tables")
+
+    parts, ok, queries, budget = _run_method(method, inst)
+    if len(parts) == 1:
+        result = parts[0][0].to_dict()
     else:
-        spec = _parse_spec(args)
-        if isinstance(spec, algebra.RingSpec):
-            inst = oracle.new_hidden_ring(spec, args.seed)
-        else:
-            inst = oracle.new_hidden(spec, args.seed)
+        result = {table: res.to_dict() for table, (res, _) in zip(method.tables, parts)}
+    if args.trace:
+        oracle.save_transcript(args.trace, parts[0][0].trace or ())
 
-    method = args.method or _method_for_spec(inst.spec)
-    n = inst.truth.n if isinstance(inst, oracle.HiddenInstance) else inst.truth.add.n
-
-    if method in ("ringmul", "ringfull"):
-        if not isinstance(inst, oracle.HiddenRingInstance):
-            raise ValidationError(f"method {method} needs a ring instance")
-        o_add, o_mul = oracle.ring_oracles(inst)
-        if method == "ringmul":
-            result = recovery.recover_ring_multiplication(inst.truth.add, o_mul)
-            ok = result.table == inst.truth.mul
-            queries = result.queries_used
-            payload = result.to_dict()
-        else:
-            add_res, mul_res = recovery.recover_ring_full(o_add, o_mul)
-            ok = add_res.table == inst.truth.add and mul_res.table == inst.truth.mul
-            queries = add_res.queries_used + mul_res.queries_used
-            payload = {"add": add_res.to_dict(), "mul": mul_res.to_dict()}
-    else:
-        if isinstance(inst, oracle.HiddenRingInstance):
-            raise ValidationError(f"method {method} does not apply to a ring instance")
-        result, o = _run_groupoid_method(method, inst)
-        ok, _ = oracle.verify_recovery(o, result.table)
-        queries = result.queries_used
-        payload = result.to_dict()
-        if args.trace:
-            oracle.save_transcript(args.trace, result.trace or ())
-
-    budget = recovery.query_budget(method, n)
-    payload = {"ok": bool(ok), "queries_used": queries, "budget": budget, "method": method, "n": n, "result": payload}
+    payload = {"ok": ok, "queries_used": queries, "budget": budget, "method": method.name, "n": inst.spec.n, "result": result}
     _write_json(args.out, payload)
     if not ok:
         print("verification failed: recovered table differs from the hidden truth", file=sys.stderr)
@@ -145,20 +111,14 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = _parse_spec(args)
-    cap = args.cap
     if isinstance(spec, algebra.AbelianSpec):
-        rep = bounds.bounds_for_abelian(spec, cap)
+        rep = bounds.bounds_for_abelian(spec, args.cap)
     elif isinstance(spec, algebra.MaxChainSpec):
         rep = bounds.bounds_for_max_chain(spec.n)
     else:
-        rep = bounds.bounds_for_ring(spec, cap)
+        rep = bounds.bounds_for_ring(spec, args.cap)
     if args.format == "csv":
-        text = bounds.reports_to_csv([rep])
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args.out, bounds.reports_to_csv([rep]))
     else:
         _write_json(args.out, rep.to_dict())
     return 0
@@ -196,56 +156,32 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows: list[tuple[int, str, int, int, float, bool]] = []
-    all_ok = True
-
-    def run_groupoid(spec: algebra.StructureSpec, method: str, seed: int) -> None:
-        nonlocal all_ok
-        inst = oracle.new_hidden(spec, seed)
-        result, o = _run_groupoid_method(method, inst)
-        ok, _ = oracle.verify_recovery(o, result.table)
-        budget = recovery.query_budget(method, inst.truth.n)
-        ok = ok and result.queries_used <= budget + 1e-9
-        all_ok = all_ok and ok
-        rows.append((inst.truth.n, method, seed, result.queries_used, budget, ok))
-
-    seeds = range(args.seed, args.seed + args.reps)
+    specs: list[algebra.StructureSpec] = []
     if args.abelian_upto:
         for n in range(1, args.abelian_upto + 1):
-            for factors in algebra.abelian_invariant_factorizations(n):
-                for seed in seeds:
-                    run_groupoid(algebra.AbelianSpec(factors), "abelian", seed)
+            specs += map(algebra.AbelianSpec, algebra.abelian_invariant_factorizations(n))
     if args.maxchain_upto:
-        for n in range(1, args.maxchain_upto + 1):
-            for seed in seeds:
-                run_groupoid(algebra.MaxChainSpec(n), "maxchain", seed)
+        specs += [algebra.MaxChainSpec(n) for n in range(1, args.maxchain_upto + 1)]
     if args.rings:
-        for name in args.rings.split(","):
-            spec = algebra.RingSpec(name)
-            for seed in seeds:
-                inst = oracle.new_hidden_ring(spec, seed)
-                o_add, o_mul = oracle.ring_oracles(inst)
-                add_res, mul_res = recovery.recover_ring_full(o_add, o_mul)
-                queries = add_res.queries_used + mul_res.queries_used
-                budget = recovery.query_budget("ringfull", inst.truth.n)
-                ok = add_res.table == inst.truth.add and mul_res.table == inst.truth.mul and queries <= budget + 1e-9
-                all_ok = all_ok and ok
-                rows.append((inst.truth.n, "ringfull", seed, queries, budget, ok))
+        specs += [algebra.RingSpec(name) for name in args.rings.split(",")]
+
+    rows: list[tuple[int, str, int, int, float, bool]] = []
+    for spec in specs:
+        method = _default_method(spec)
+        for seed in range(args.seed, args.seed + args.reps):
+            _, ok, queries, budget = _run_method(method, _new_instance(spec, seed))
+            rows.append((spec.n, method.name, seed, queries, budget, ok and queries <= budget + 1e-9))
     if not rows:
         raise ValidationError("nothing to sweep; pass --abelian-upto, --maxchain-upto, or --rings")
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    out = args.out
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "method", "seed", "queries", "bound", "ok"])
-        for n, method, seed, queries, budget, ok in rows:
-            writer.writerow([n, method, seed, queries, format(budget, ".6g"), ok])
-    finally:
-        if out:
-            fh.close()
-    return 0 if all_ok else 1
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["n", "method", "seed", "queries", "bound", "ok"])
+    for n, method, seed, queries, budget, ok in rows:
+        writer.writerow([n, method, seed, queries, format(budget, ".6g"), ok])
+    _write(args.out, text.getvalue())
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:

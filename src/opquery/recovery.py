@@ -15,6 +15,9 @@ class and returns the full table plus the number of queries spent:
   for a greedy generating set A with |A| <= log2 n, everything else
   rebuilt by distributivity along the order the generators reached it.
 
+``METHODS`` registers each procedure under its name with the class it is
+promised, its budget and a runner on hidden instances.
+
 Oracle answers that contradict the promised class raise NotInClassError,
 naming the query that broke the structure where one can be pinned down.
 """
@@ -23,14 +26,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import OpTable, check_axioms, distributive_laws_hold, identity_of, is_prime
+from .algebra import (
+    AbelianSpec,
+    MaxChainSpec,
+    OpTable,
+    RingSpec,
+    StructureSpec,
+    check_axioms,
+    distributive_laws_hold,
+    identity_of,
+    is_prime,
+)
 from .errors import NotInClassError, ValidationError
-from .oracle import Oracle, Transcript
+from .oracle import AnyInstance, HiddenInstance, HiddenRingInstance, Oracle, Transcript, oracle_for, ring_oracles
 
 
 @dataclass
@@ -174,7 +188,7 @@ def _spent(oracle: Oracle, start: int, expected: int, method: str) -> int:
     return queries
 
 
-def recover_abelian_prime(oracle: Oracle, n: Optional[int] = None) -> RecoveryResult:
+def recover_abelian_prime(oracle: Oracle) -> RecoveryResult:
     """Recover a group of odd prime order with at most n - 2 queries.
 
     Every non-identity element generates, so one power chain suffices; and
@@ -185,10 +199,7 @@ def recover_abelian_prime(oracle: Oracle, n: Optional[int] = None) -> RecoveryRe
     the exponent n - 1 slot. n = 2 has no such slack and is handed to
     the n-query method.
     """
-    if n is None:
-        n = oracle.n
-    if n != oracle.n:
-        raise ValidationError(f"declared n = {n} but oracle has n = {oracle.n}")
+    n = oracle.n
     if not is_prime(n):
         raise ValidationError(f"method needs prime order, got n = {n}")
     if n == 2:
@@ -449,27 +460,72 @@ def recover_ring_full(oracle_add: Oracle, oracle_mul: Oracle) -> tuple[RecoveryR
 
 
 # ---------------------------------------------------------------------------
-# budgets
+# the method registry
 
-METHODS = ("abelian", "prime", "eleven8", "maxchain", "ringmul", "ringfull")
+Part = tuple[RecoveryResult, Oracle]
+
+
+@dataclass(frozen=True)
+class Method:
+    """One recovery procedure: the class it is promised, its budget and its runner.
+
+    The class is every spec of type ``kind`` whose order passes ``orders``;
+    ``query_budget`` reads ``budget``. ``run`` takes a hidden instance of the
+    class and returns one (result, oracle) part per hidden table it queries,
+    in the order ``tables`` names them. ``default`` marks the method a spec
+    of ``kind`` gets when none is asked for.
+    """
+
+    name: str
+    kind: type
+    budget: Callable[[int], float]
+    run: Callable[[AnyInstance], tuple[Part, ...]]
+    orders: Callable[[int], bool] = lambda n: n >= 1
+    tables: tuple[str, ...] = ("table",)
+    default: bool = False
+
+    def fits(self, spec: StructureSpec) -> bool:
+        return isinstance(spec, self.kind) and self.orders(spec.n)
+
+
+def _single(recover: Callable[[Oracle], RecoveryResult], instance: HiddenInstance) -> tuple[Part]:
+    oracle = oracle_for(instance)
+    return ((recover(oracle), oracle),)
+
+
+def _run_ringmul(instance: HiddenRingInstance) -> tuple[Part]:
+    _, oracle = ring_oracles(instance)
+    return ((recover_ring_multiplication(instance.truth.add, oracle), oracle),)
+
+
+def _run_ringfull(instance: HiddenRingInstance) -> tuple[Part, ...]:
+    oracles = ring_oracles(instance)
+    return tuple(zip(recover_ring_full(*oracles), oracles))
+
+
+# in the order of the --method choices
+METHODS: dict[str, Method] = {
+    m.name: m
+    for m in (
+        Method("abelian", AbelianSpec, lambda n: n, partial(_single, recover_abelian), default=True),
+        Method("prime", AbelianSpec, lambda n: n - 2 if n > 2 else n, partial(_single, recover_abelian_prime), orders=is_prime),
+        Method("eleven8", AbelianSpec, lambda n: 8, partial(_single, recover_order11), orders=lambda n: n == 11),
+        Method("maxchain", MaxChainSpec, merge_sort_worst_case, partial(_single, recover_max_chain), default=True),
+        Method("ringmul", RingSpec, lambda n: math.log2(n) ** 2, _run_ringmul, tables=("mul",)),
+        Method("ringfull", RingSpec, lambda n: n + math.log2(n) ** 2, _run_ringfull, tables=("add", "mul"), default=True),
+    )
+}
 
 
 def query_budget(method: str, n: int) -> float:
-    """The proved query budget each method promises on an in-class oracle of size n."""
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    if method == "abelian":
-        return float(n)
-    if method == "prime":
-        return float(n - 2 if n >= 3 else n)
-    if method == "eleven8":
-        if n != 11:
-            raise ValidationError("eleven8 applies to n = 11 only")
-        return 8.0
-    if method == "maxchain":
-        return float(merge_sort_worst_case(n))
-    if method == "ringmul":
-        return math.log2(n) ** 2 if n > 1 else 0.0
-    if method == "ringfull":
-        return n + math.log2(n) ** 2 if n > 1 else 1.0
-    raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
+    """The proved query budget a method promises on an in-class oracle of size n.
+
+    Raises ValidationError for an unknown method and for an n at which the
+    method's class has no member.
+    """
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
+    m = METHODS[method]
+    if not m.orders(n):
+        raise ValidationError(f"method {method} applies to no instance of order {n}")
+    return float(m.budget(n))

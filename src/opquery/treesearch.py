@@ -93,8 +93,9 @@ class OperationSet:
         if arr.shape[0] < 1:
             raise ValidationError("candidate set must be nonempty")
         if check_distinct:
-            flat = arr.reshape(arr.shape[0], -1)
-            if np.unique(flat, axis=0).shape[0] != arr.shape[0]:
+            # one fixed-width byte key per table, as in enumerate_orbit
+            keys = np.ascontiguousarray(arr).reshape(len(arr), -1).view(np.dtype((np.void, arr[0].nbytes))).ravel()
+            if len(_sorted_distinct(keys)) != len(arr):
                 raise ValidationError("candidate tables must be pairwise distinct")
         self._tables = arr
         self.label = label

@@ -80,14 +80,14 @@ def test_criterion_2_prime_order_budgets():
         for raw in ops.tables:
             truth = OpTable(raw)
             o = Oracle(truth)
-            res = recover_abelian_prime(o, p)
+            res = recover_abelian_prime(o)
             assert res.table == truth
             assert res.queries_used <= p - 2
     # large seeded sweep at p = 11
     for seed in range(100_000):
         inst = new_hidden(AbelianSpec((11,)), seed)
         o = oracle_for(inst)
-        res = recover_abelian_prime(o, 11)
+        res = recover_abelian_prime(o)
         assert res.table == inst.truth, seed
         assert res.queries_used <= 9, seed
     assert time.perf_counter() - t0 < 60.0

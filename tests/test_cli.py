@@ -1,6 +1,7 @@
 """Command line behavior: outputs, formats, and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -72,6 +73,47 @@ def test_recover_writes_trace(tmp_path, capsys):
     lines = [json.loads(l) for l in open(trace).read().strip().split("\n")]
     assert len(lines) == 6
     assert set(lines[0]) == {"x", "y", "z"}
+
+
+def test_recover_ringmul_writes_its_multiplication_trace(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    code, out, _ = run(capsys, "recover", "--ring", "gf9", "--seed", "1", "--method", "ringmul", "--trace", str(trace))
+    assert code == 0
+    d = json.loads(out)
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(lines) == d["queries_used"] > 0
+    table = d["result"]["table"]
+    assert all(table[q["x"]][q["y"]] == q["z"] for q in lines)
+
+
+def test_recover_ringfull_trace_is_usage_error(tmp_path, capsys):
+    # ringfull queries two tables and a transcript line cannot say which
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run(capsys, "recover", "--ring", "gf9", "--method", "ringfull", "--trace", str(trace))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.exists()
+
+
+# sha256 prefix and length of the stdout of each command, pinned so that
+# changes to the method plumbing cannot alter what the commands print
+GOLDEN = [
+    ("recover --abelian 2,4 --seed 3", "ab6360c047f68fbb", 1019),
+    ("recover --abelian 7 --seed 1 --method prime", "e72d35fbbf690ca5", 834),
+    ("recover --abelian 11 --seed 0 --method eleven8", "5339b8b3eb66f728", 1707),
+    ("recover --maxchain 6 --seed 2", "fd1b4f0398774b73", 684),
+    ("recover --ring gf8 --seed 1", "c4d5c4ed9a5d4e73", 2313),
+    ("recover --ring z2xgf4 --seed 2 --method ringmul", "234de1bcb8197f09", 1019),
+    ("sweep --abelian-upto 8 --maxchain-upto 5 --rings z4,gf4,z2xgf4 --reps 2", "e3f3599d7a41d3a5", 849),
+]
+
+
+@pytest.mark.parametrize("argv,digest,size", GOLDEN)
+def test_golden_stdout(capsys, argv, digest, size):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest()[:16], len(data)) == (digest, size)
 
 
 def test_recover_method_mismatch_is_usage_error(capsys):

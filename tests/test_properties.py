@@ -385,7 +385,7 @@ def test_hostile_abelian_oracle_has_two_outcomes(n, kind, seed):
 @settings(max_examples=300, deadline=None)
 def test_hostile_prime_oracle_has_two_outcomes(n, kind, seed):
     # every group of prime order is cyclic, so a group table is in class
-    table = _run_hostile(lambda oracle: recover_abelian_prime(oracle, n), _hostile_group_table(n, kind, seed))
+    table = _run_hostile(recover_abelian_prime, _hostile_group_table(n, kind, seed))
     if table is not None:
         assert check_axioms(table, "abelian_group")
 

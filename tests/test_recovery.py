@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opquery import (
+    METHODS,
     AbelianSpec,
     MaxChainSpec,
     NotInClassError,
@@ -89,7 +90,7 @@ class TestAbelianPrime:
         for perm in itertools.permutations(range(p)):
             truth = canonical.relabel(perm)
             o = Oracle(truth)
-            res = recover_abelian_prime(o, p)
+            res = recover_abelian_prime(o)
             assert res.table == truth
             assert res.queries_used == p - 2
             seen += 1
@@ -97,26 +98,21 @@ class TestAbelianPrime:
 
     def test_n2_falls_back(self):
         inst = new_hidden(AbelianSpec((2,)), 4)
-        res = recover_abelian_prime(oracle_for(inst), 2)
+        res = recover_abelian_prime(oracle_for(inst))
         assert res.table == inst.truth
         assert res.queries_used == 2
 
     def test_rejects_composite(self):
         inst = new_hidden(AbelianSpec((4,)), 0)
         with pytest.raises(ValidationError):
-            recover_abelian_prime(oracle_for(inst), 4)
-
-    def test_rejects_wrong_n(self):
-        inst = new_hidden(AbelianSpec((5,)), 0)
-        with pytest.raises(ValidationError):
-            recover_abelian_prime(oracle_for(inst), 7)
+            recover_abelian_prime(oracle_for(inst))
 
     def test_seeded_11_and_13(self):
         for p in (11, 13):
             for seed in range(50):
                 inst = new_hidden(AbelianSpec((p,)), seed)
                 o = oracle_for(inst)
-                res = recover_abelian_prime(o, p)
+                res = recover_abelian_prime(o)
                 assert res.table == inst.truth and res.queries_used == p - 2
 
 
@@ -277,7 +273,19 @@ def test_query_budget_table():
     assert query_budget("maxchain", 8) == 17
     assert query_budget("ringmul", 16) == 16.0
     assert query_budget("ringfull", 16) == 32.0
+    assert query_budget("ringmul", 1) == 0.0 and query_budget("ringfull", 1) == 1.0
+    assert query_budget("maxchain", 1) == 0.0
+    assert all(isinstance(query_budget(m, 11), float) for m in METHODS)
     with pytest.raises(ValidationError):
         query_budget("nope", 4)
-    with pytest.raises(ValidationError):
-        query_budget("eleven8", 10)
+    # each budget raises at every n where its method's class has no member
+    empty = [("eleven8", 10), ("prime", 9), ("prime", 1), ("prime", 0), ("abelian", 0), ("maxchain", 0), ("ringfull", 0)]
+    for method, n in empty:
+        with pytest.raises(ValidationError):
+            query_budget(method, n)
+
+
+def test_method_registry_keeps_its_order():
+    # the order of the --method choices
+    assert tuple(METHODS) == ("abelian", "prime", "eleven8", "maxchain", "ringmul", "ringfull")
+    assert [m.name for m in METHODS.values()] == list(METHODS)

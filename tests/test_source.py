@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import opquery
@@ -18,3 +19,30 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _opquery_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every opquery name a script reads: ``oq.<name>`` and ``from opquery... import <name>``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names if a.name.split(".")[0] == "opquery")
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "opquery":
+            names.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_names_used_by_bench_and_demos_resolve():
+    # the package's import block is its only list of public names; the
+    # benchmark and the demos must keep finding what they use there
+    root = Path(__file__).resolve().parent.parent
+    scripts = sorted(root.glob("bench/*.py")) + sorted(root.glob("demos/*.py"))
+    used = {(path.relative_to(root).as_posix(), module, name) for path in scripts for module, name in _opquery_names(path)}
+    assert {name for _, module, name in used if module == "opquery"} >= {"query_budget", "recover_abelian_prime", "Oracle"}
+    missing = [entry for entry in sorted(used) if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert missing == []

@@ -1,10 +1,14 @@
 """Query tree enumeration, verification, and exact minimax search."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opquery
 from opquery import (
     CapabilityError,
     Leaf,
@@ -65,6 +69,24 @@ def test_operation_set_validation():
         OperationSet(np.stack([t, t]))  # duplicates
     ops = OperationSet(t[None, :, :])
     assert len(ops) == 1 and ops.n == 3
+    # equal bytes in a non-contiguous view still count as duplicates
+    with pytest.raises(ValidationError):
+        OperationSet(np.stack([t, t.T])[:, ::-1])
+    assert len(OperationSet(np.stack([t, t[::-1]])[:, ::-1])) == 2
+
+
+def test_checked_operation_set_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 1 MB; the distinctness check must not
+    code = (
+        "import sys\n"
+        "from opquery import OperationSet, build_abelian, enumerate_orbit\n"
+        "OperationSet(enumerate_orbit(build_abelian([2, 2])).tables)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # --- hand-built reference trees -------------------------------------------
