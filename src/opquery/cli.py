@@ -62,11 +62,7 @@ def _new_instance(spec: algebra.StructureSpec, seed: int) -> oracle.AnyInstance:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    inst = _new_instance(_parse_spec(args), args.seed)
-    if args.out:
-        oracle.save_instance(args.out, inst)
-    else:
-        sys.stdout.write(json.dumps(oracle.instance_to_dict(inst), sort_keys=True) + "\n")
+    _write(args.out, oracle.instance_json(_new_instance(_parse_spec(args), args.seed)))
     return 0
 
 

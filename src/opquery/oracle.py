@@ -207,10 +207,14 @@ def instance_from_dict(d: dict) -> AnyInstance:
     return HiddenInstance(spec, seed, canonical, perm, canonical.relabel(perm))
 
 
+def instance_json(instance: AnyInstance) -> str:
+    """The one serialized form of an instance: sorted keys, compact separators, one line."""
+    return json.dumps(instance_to_dict(instance), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_instance(path: str, instance: AnyInstance) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(instance_json(instance))
 
 
 def load_instance(path: str) -> AnyInstance:

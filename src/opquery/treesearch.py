@@ -8,17 +8,18 @@ worst case cost = deepest leaf and average cost = mean leaf depth.
 
 ``minimal_worst_case`` finds the true optimum by memoized minimax over the
 reachable candidate subsets, pruned at the information floor (d more queries
-with at most b-way answers cannot split more than b^d candidates). Query
-candidates are scanned in lexicographic (x, y) order and ties keep the first
-winner, so the returned witness tree is canonical and runs reproduce bit
-identical results.
+with at most b-way answers cannot split more than b^d candidates). Each state
+counts every query's distinct answers with one numpy sort; answer blocks are
+built lazily in lexicographic (x, y) order, queries that repeat an earlier
+partition are skipped, and ties keep the first winner, so the returned
+witness tree is canonical and runs reproduce bit identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -273,29 +274,21 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[
     that splits the state, recurse on the answer blocks, and keep the
     lexicographically first query achieving the minimum. States prune
     against the information floor ceil(log_b |state|), b = widest split any
-    query offers there.
+    query offers there. One sort of the state's (k, n^2) answer matrix counts
+    the distinct answers of every query, which gives b and the splitting
+    queries; a query's blocks are grouped only when the scan reaches it, and
+    a query whose blocks equal an earlier query's (answer labels aside) is
+    skipped, since its children and value are the same and the earlier
+    query wins the tie.
     """
     m = len(ops)
     if m > budget:
         raise CapabilityError(f"|X| = {m} exceeds the search budget {budget} (pass a larger budget to override)")
     n = ops.n
-    tables = ops.tables
-    all_queries = [(x, y) for x in range(n) for y in range(n)]
+    answers = ops.tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
 
     memo_value: dict[tuple[int, ...], int] = {}
     memo_choice: dict[tuple[int, ...], tuple[tuple[int, int], dict[int, tuple[int, ...]]]] = {}
-
-    def partitions(ids: tuple[int, ...]):
-        rows = tables[np.asarray(ids)]
-        out = []
-        for x, y in all_queries:
-            groups: dict[int, list[int]] = {}
-            col = rows[:, x, y]
-            for op_id, z in zip(ids, col):
-                groups.setdefault(int(z), []).append(op_id)
-            if len(groups) > 1:
-                out.append(((x, y), {z: tuple(g) for z, g in groups.items()}))
-        return out
 
     def solve(ids: tuple[int, ...]) -> int:
         if len(ids) <= 1:
@@ -303,34 +296,39 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[
         cached = memo_value.get(ids)
         if cached is not None:
             return cached
-        cands = partitions(ids)
-        if not cands:
+        rows = answers[list(ids)]
+        ranked = np.sort(rows, axis=0)
+        widths = 1 + (ranked[1:] != ranked[:-1]).sum(axis=0)  # distinct answers per query
+        widest = int(widths.max())
+        if widest == 1:
             raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
-        widest = max(len(groups) for _, groups in cands)
         floor, reach = 0, 1
         while reach < len(ids):  # smallest d with widest^d >= |state|, in exact arithmetic
             reach *= widest
             floor += 1
         best: Optional[int] = None
         best_choice = None
-        for query, groups in cands:
-            worst = 0
-            aborted = False
-            for z in sorted(groups):
-                v = solve(groups[z])
-                if v > worst:
-                    worst = v
-                if best is not None and 1 + worst >= best:
-                    aborted = True
-                    break
-            if aborted:
+        seen: set[tuple[tuple[int, ...], ...]] = set()  # partitions already tried here
+        for q in (widths > 1).nonzero()[0].tolist():
+            blocks: dict[int, list[int]] = {}
+            for op_id, z in zip(ids, rows[:, q].tolist()):
+                blocks.setdefault(z, []).append(op_id)
+            groups = {z: tuple(g) for z, g in blocks.items()}
+            partition = tuple(sorted(groups.values()))
+            if partition in seen:
                 continue
-            value = 1 + worst
-            if best is None or value < best:
-                best, best_choice = value, (query, groups)
-                if best == floor:
-                    break
-        # cands is nonempty and the first query is never aborted, so best is set
+            seen.add(partition)
+            worst = 0
+            for z in sorted(groups):
+                worst = max(worst, solve(groups[z]))
+                if best is not None and 1 + worst >= best:
+                    break  # aborted: this query cannot beat the best one
+            else:
+                if best is None or 1 + worst < best:
+                    best, best_choice = 1 + worst, (divmod(q, n), groups)
+                    if best == floor:
+                        break
+        # some query splits the state and the first one is never aborted, so best is set
         memo_value[ids] = best
         memo_choice[ids] = best_choice
         return best

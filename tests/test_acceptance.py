@@ -12,11 +12,8 @@ import itertools
 import math
 import time
 
-import pytest
-
 from opquery import (
     AbelianSpec,
-    MaxChainSpec,
     OpTable,
     Oracle,
     abelian_invariant_factorizations,

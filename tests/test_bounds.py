@@ -16,7 +16,6 @@ from opquery import (
     build_abelian,
     build_gf,
     build_max_chain,
-    build_ring,
     family_orbit_size,
     field_additive_automorphism_count,
     field_lower_bound,

@@ -41,6 +41,17 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.parametrize("spec", [["--maxchain", "2", "--seed", "1"], ["--ring", "z2xz2", "--seed", "4"]], ids=["maxchain", "ring"])
+def test_gen_stdout_matches_out_file(tmp_path, capfdbinary, spec):
+    # stdout and --out carry one serialization, byte for byte
+    path = tmp_path / "inst.json"
+    assert main(["gen", *spec]) == 0
+    stdout = capfdbinary.readouterr().out
+    assert main(["gen", *spec, "--out", str(path)]) == 0
+    assert stdout == path.read_bytes()
+    assert stdout.count(b"\n") == 1 and b", " not in stdout
+
+
 def test_recover_from_file(tmp_path, capsys):
     inst = str(tmp_path / "inst.json")
     out = str(tmp_path / "res.json")

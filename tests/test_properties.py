@@ -13,6 +13,7 @@ from opquery import (
     AbelianSpec,
     MaxChainSpec,
     NotInClassError,
+    OperationSet,
     OpTable,
     Oracle,
     ValidationError,
@@ -27,6 +28,7 @@ from opquery import (
     enumerate_orbit,
     invariant_factors_from_cyclic,
     merge_sort_worst_case,
+    minimal_worst_case,
     new_hidden,
     new_hidden_ring,
     oracle_for,
@@ -39,6 +41,7 @@ from opquery import (
     recover_ring_multiplication,
     replay_matches,
     ring_oracles,
+    tree_to_dict,
 )
 from opquery.algebra import are_isomorphic
 
@@ -338,6 +341,117 @@ def test_symmetry_kernel_matches_loops_across_chunks(a, b):
 def test_ring_automorphism_kernel_matches_loop_at_n8():
     ring = new_hidden_ring("gf8", 4).truth
     assert count_ring_automorphisms(ring) == _loop_count(ring.add.entries, ring.mul.entries) == 3
+
+
+# ---------------------------------------------------------------------------
+# exact search: the lazy minimax agrees with the search that grouped every
+# query's answers up front, on the optimum and on the witness tree
+
+
+def _reference_minimal_worst_case(tables: np.ndarray) -> tuple[int, dict]:
+    """Memoized minimax with one answer dict per query per state; (depth, tree_to_dict of the witness)."""
+    n = tables.shape[1]
+    all_queries = [(x, y) for x in range(n) for y in range(n)]
+    memo_value: dict[tuple[int, ...], int] = {}
+    memo_choice: dict[tuple[int, ...], tuple[tuple[int, int], dict[int, tuple[int, ...]]]] = {}
+
+    def partitions(ids):
+        rows = tables[np.asarray(ids)]
+        out = []
+        for x, y in all_queries:
+            groups: dict[int, list[int]] = {}
+            for op_id, z in zip(ids, rows[:, x, y]):
+                groups.setdefault(int(z), []).append(op_id)
+            if len(groups) > 1:
+                out.append(((x, y), {z: tuple(g) for z, g in groups.items()}))
+        return out
+
+    def solve(ids):
+        if len(ids) <= 1:
+            return 0
+        if ids in memo_value:
+            return memo_value[ids]
+        cands = partitions(ids)
+        if not cands:
+            raise ValidationError("two candidates answer every query alike")
+        widest = max(len(groups) for _, groups in cands)
+        floor, reach = 0, 1
+        while reach < len(ids):
+            reach *= widest
+            floor += 1
+        best = best_choice = None
+        for query, groups in cands:
+            worst = 0
+            aborted = False
+            for z in sorted(groups):
+                worst = max(worst, solve(groups[z]))
+                if best is not None and 1 + worst >= best:
+                    aborted = True
+                    break
+            if aborted:
+                continue
+            if best is None or 1 + worst < best:
+                best, best_choice = 1 + worst, (query, groups)
+                if best == floor:
+                    break
+        memo_value[ids] = best
+        memo_choice[ids] = best_choice
+        return best
+
+    def build(ids):
+        if len(ids) == 1:
+            return {"leaf": ids[0]}
+        (x, y), groups = memo_choice[ids]
+        return {"query": [x, y], "children": {str(z): build(groups[z]) for z in sorted(groups)}}
+
+    root = tuple(range(len(tables)))
+    return solve(root), build(root)
+
+
+def _assert_search_matches_reference(tables: np.ndarray) -> None:
+    depth, tree = minimal_worst_case(OperationSet(tables), budget=len(tables))
+    assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(tables)
+
+
+def _random_stack(rng: random.Random, n: int, m: int, commutative: bool) -> np.ndarray:
+    """Up to m distinct random tables, in the order first drawn."""
+    distinct: dict[bytes, np.ndarray] = {}
+    for _ in range(m):
+        t = _random_table(rng, n)
+        if commutative:
+            t = np.triu(t) + np.triu(t, 1).T
+        distinct.setdefault(t.tobytes(), t)
+    return np.stack(list(distinct.values()))
+
+
+@given(st.integers(1, 4), st.integers(1, 40), st.booleans(), seeds)
+@settings(max_examples=300, deadline=None)
+def test_minimal_worst_case_matches_reference_on_random_stacks(n, m, commutative, seed):
+    # commutative tables answer (x, y) and (y, x) alike, so every state holds duplicate partitions
+    _assert_search_matches_reference(_random_stack(random.Random(seed), n, m, commutative))
+
+
+@given(
+    st.sampled_from([build_abelian([4]), build_abelian([2, 2]), build_abelian([5]), build_max_chain(3), build_max_chain(4)]),
+    seeds,
+)
+@settings(max_examples=40, deadline=None)
+def test_minimal_worst_case_matches_reference_on_relabelled_orbits(canonical, seed):
+    rng = random.Random(seed)
+    perm = rng.sample(range(canonical.n), canonical.n)
+    stack = np.stack([t.relabel(perm).entries for t in enumerate_orbit(canonical)])
+    _assert_search_matches_reference(stack[rng.sample(range(len(stack)), len(stack))])
+
+
+@given(st.integers(2, 4), st.integers(1, 20), st.booleans(), seeds)
+@settings(max_examples=100, deadline=None)
+def test_minimal_worst_case_rejects_equal_tables(n, m, commutative, seed):
+    rng = random.Random(seed)
+    stack = list(_random_stack(rng, n, m, commutative))
+    stack.insert(rng.randrange(len(stack) + 1), stack[rng.randrange(len(stack))])
+    ops = OperationSet(np.stack(stack), check_distinct=False)
+    with pytest.raises(ValidationError):
+        minimal_worst_case(ops)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,31 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; an attribute chain reads its root name."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_unused_import_check_sees_unread_names():
+    assert _unused_imports("from __future__ import annotations\nimport os.path\nfrom typing import Any, Sequence\nx: Any = os.sep") == [
+        "Sequence (line 3)"
+    ]
+
+
+def test_no_unused_imports_in_package():
+    # __init__ imports the public names without reading them
+    found = [f"{path.name}: {name}" for path in SOURCES if path.name != "__init__.py" for name in _unused_imports(path.read_text())]
+    assert found == []
+
+
 def _opquery_names(path: Path) -> set[tuple[str, str]]:
     """(module, name) for every opquery name a script reads: ``oq.<name>`` and ``from opquery... import <name>``."""
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -1,5 +1,7 @@
 """Query tree enumeration, verification, and exact minimax search."""
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -212,3 +214,37 @@ def test_minimal_worst_case_singleton():
     ops = enumerate_orbit(build_abelian([]))
     depth, tree = minimal_worst_case(ops)
     assert depth == 0 and isinstance(tree, Leaf)
+
+
+# Exact optima with the sha256 of each canonical witness (json.dumps of
+# tree_to_dict, sorted keys), both taken from the dict-per-query search that
+# the lazy one replaced. Max chains give the sorting numbers S(n) (Ford &
+# Johnson 1959; Knuth, TAOCP vol. 3, 5.3.1); the first five exact_search
+# classes of the benchmark are among them.
+PINNED_OPTIMA = [
+    ("C_1", build_max_chain(1), 0, "ec82966176d43c84a2d86844747bbe2e2d30eddc08e1708c190157483df550a5"),
+    ("C_2", build_max_chain(2), 1, "d9b3b444e8729fbdba5011bbc0b8db97918c4efc46eef7f03aab6d7c0b7a9e12"),
+    ("C_3", build_max_chain(3), 3, "7991cce42c72c2853f61f45c4028d2348edfb9507f076f05f47189df8712529f"),
+    ("C_4", build_max_chain(4), 5, "4796e0a8b793835b244110191c3668f99e5bfaf7616fa6441322a436f0c2f9d6"),
+    ("C_5", build_max_chain(5), 7, "a342f805c1cdd9ae874bd55c9e1aad61f005456cbcea89666bd53e836d9a23ba"),
+    ("C_6", build_max_chain(6), 10, "b335e56c643e76c7a1b342d672160e02510cd587d1b0e08f78b0efa5b74e4cec"),
+    ("Z_1", build_abelian([]), 0, "ec82966176d43c84a2d86844747bbe2e2d30eddc08e1708c190157483df550a5"),
+    ("Z_2", build_abelian([2]), 1, "5501c9bf7996aa7f32e340531d9ecad9c6a6d605920fa88455bb18a15ead0b7f"),
+    ("Z_3", build_abelian([3]), 1, "15c2cc941b29b1264af218076c209ef8e0d043f72d01d9a6bc2e381c821823b3"),
+    ("Z_4", build_abelian([4]), 2, "4d963d0b155c8cff515e408c2ad7891186f9b67921e8e2220504e00edec46148"),
+    ("Z_2xZ_2", build_abelian([2, 2]), 1, "f37f363a756e30163cdb142d257106ee1db482a3210d3d8811059b70f0f23c43"),
+    ("Z_5", build_abelian([5]), 3, "1b6932c9c06232c65140fddd1eb72000749b3744c0ad1ad105cc442b0299ddb8"),
+    ("Z_6", build_abelian([6]), 4, "62cb02fa92fab9cc17c5421d956f2506212d0464a96fa49e6b40abc8ed6887a3"),
+    ("Z_7", build_abelian([7]), 5, "4e02d6706a34ad91769856d0dc70e4abe2ac2526dce47afd2b4f6143d9e9c236"),
+    ("Z_2xZ_2xZ_2", build_abelian([2, 2, 2]), 4, "c5c406db09cef7ec376b681398a919808df9055596c0aa3ee777728bc9f70965"),
+]
+
+
+@pytest.mark.parametrize("canonical, optimum, digest", [row[1:] for row in PINNED_OPTIMA], ids=[row[0] for row in PINNED_OPTIMA])
+def test_minimal_worst_case_pinned_optima(canonical, optimum, digest):
+    ops = enumerate_orbit(canonical)
+    depth, tree = minimal_worst_case(ops, budget=len(ops))
+    assert depth == optimum
+    v = verify_query_tree(tree, ops)
+    assert v.ok and max(v.depths.values()) == depth
+    assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == digest
