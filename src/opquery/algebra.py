@@ -25,6 +25,7 @@ Counts are exact Python integers throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, permutations
@@ -88,7 +89,10 @@ class OpTable:
         p = _as_permutation(perm, self.n)
         inv = np.empty(self.n, dtype=np.int64)
         inv[p] = np.arange(self.n)
-        return OpTable(p[self.entries[np.ix_(inv, inv)]])
+        # a valid table renamed by a permutation is valid: skip the re-check
+        entries = p.take(self.entries.take(inv, 0).take(inv, 1))
+        entries.flags.writeable = False
+        return _trusted(OpTable, entries=entries)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "table": self.entries.tolist()}
@@ -102,10 +106,29 @@ class OpTable:
 
 
 def _as_permutation(perm: Sequence[int], n: int) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+    """``perm`` as an int64 array, if it lists 0..n-1 once each as integers (not bools)."""
+    try:
+        p = [operator.index(v) for v in perm]
+        ok = sorted(p) == list(range(n)) and bool not in map(type, perm)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValidationError(f"not a permutation of 0..{n - 1}: {perm!r}")
-    return p
+    return np.array(p, dtype=np.int64)
+
+
+def _trusted(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` as given, without ``__post_init__``.
+
+    Only the relabel methods may use it: they carry a table that passed its
+    checks through a permutation that passed ``_as_permutation``, and every
+    check is invariant under such a renaming. Everything else, recovery
+    outputs and file input included, goes through the validating constructor.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +139,7 @@ class RingTables:
     addition is an abelian group and multiplication distributes over it
     from both sides. Both checks look only at generators (Light's test for
     associativity, the additive generators for distributivity), so they cost
-    O(n^2 log n) and run again on every relabel.
+    O(n^2 log n). ``relabel`` skips them, since a renamed ring is a ring.
     """
 
     add: OpTable
@@ -141,7 +164,8 @@ class RingTables:
         return hash((self.add, self.mul))
 
     def relabel(self, perm: Sequence[int]) -> "RingTables":
-        return RingTables(self.add.relabel(perm), self.mul.relabel(perm))
+        # the ring laws are invariant under renaming: skip the re-check
+        return _trusted(RingTables, add=self.add.relabel(perm), mul=self.mul.relabel(perm))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "add": self.add.entries.tolist(), "mul": self.mul.entries.tolist()}

@@ -4,7 +4,13 @@ A hidden instance is a canonical table pushed through a secret uniformly
 random relabeling, so the oracle's carrier names carry no information beyond
 what queries reveal. The oracle itself is a cost meter: every successful
 query is appended to a transcript and counted, repeats included. Recovery
-code is expected to cache its own answers.
+code is expected to cache its own answers. A query accepts only integer
+coordinates (not bools) in range and reads the one entry it asks for; a
+rejected query is neither charged nor recorded.
+
+Hiding a table costs little more than one gather: a canonical table that
+passed its checks stays valid under a permutation, so ``relabel`` does not
+check it again, and ``RingTables.relabel`` does not re-check the ring laws.
 
 The permutation stream is an explicitly coded Fisher-Yates shuffle driven by
 ``random.Random`` (Mersenne Twister) bits, so a seed pins down the same
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence, Union
 
 from .algebra import (
@@ -58,15 +65,19 @@ class HiddenRingInstance:
 class Oracle:
     """Answers x*y lookups against a hidden truth table, counting every query."""
 
-    __slots__ = ("_truth", "_transcript")
+    __slots__ = ("_truth", "_n", "_item", "_transcript")
 
     def __init__(self, truth: OpTable):
         self._truth = truth
+        self._n = truth.n
+        # one bound call per answer that reads only the asked entry; a cached
+        # ``tolist()`` would cost more than a whole max-chain run at n = 512
+        self._item = truth.entries.item
         self._transcript: list[tuple[int, int, int]] = []
 
     @property
     def n(self) -> int:
-        return self._truth.n
+        return self._n
 
     @property
     def count(self) -> int:
@@ -76,30 +87,36 @@ class Oracle:
     def transcript(self) -> Transcript:
         return tuple(self._transcript)
 
+    def transcript_since(self, start: int) -> Transcript:
+        """The transcript entries from position ``start`` on, copying only those."""
+        return tuple(self._transcript[start:])
+
     def query(self, x: int, y: int) -> int:
-        n = self._truth.n
+        """The product x*y. Coordinates must be integers (not bools) in [0, n)."""
+        try:
+            if x.__class__ is bool or y.__class__ is bool:
+                raise TypeError("bool")
+            x, y = index(x), index(y)
+        except TypeError:
+            raise ValidationError(f"query ({x!r}, {y!r}) needs integer coordinates") from None
+        n = self._n
         if not (0 <= x < n and 0 <= y < n):
             raise ValidationError(f"query ({x}, {y}) out of range for n = {n}")
-        z = int(self._truth.entries[x, y])
+        z = self._item(x, y)
         self._transcript.append((x, y, z))
         return z
 
 
-def _rand_below(rng: random.Random, m: int) -> int:
-    # rejection sampling on getrandbits keeps the draw exactly uniform
-    k = m.bit_length()
-    r = rng.getrandbits(k)
-    while r >= m:
-        r = rng.getrandbits(k)
-    return r
-
-
 def random_permutation(n: int, seed: int) -> tuple[int, ...]:
     """Uniform permutation of 0..n-1 by Fisher-Yates over seeded Twister bits."""
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     out = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = _rand_below(rng, i + 1)
+        # j uniform in [0, i]: rejection sampling on getrandbits keeps the draw exact
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
         out[i], out[j] = out[j], out[i]
     return tuple(out)
 
@@ -191,7 +208,7 @@ def instance_from_dict(d: dict) -> AnyInstance:
     try:
         spec = spec_from_dict(d["spec"])
         seed = int(d["seed"])
-        perm = tuple(int(p) for p in d["perm"])
+        perm = tuple(d["perm"])  # relabel checks it; int() would truncate 2.5 to 2
         ring = d.get("kind") == "ring"
         canonical = RingTables.from_dict(d["canonical"]) if ring else OpTable.from_dict(d["canonical"])
     except ValidationError:

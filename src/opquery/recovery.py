@@ -174,7 +174,7 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
         OpTable(table),
         _spent(oracle, start, n, "abelian"),
         "abelian",
-        trace=oracle.transcript[start:],
+        trace=oracle.transcript_since(start),
         tower=tuple(tower),
         step_queries=tuple(step_queries),
     )
@@ -236,7 +236,7 @@ def recover_abelian_prime(oracle: Oracle) -> RecoveryResult:
         powers = [e] + chain + [rest.pop()]  # the leftover must be gen^(n-1)
 
     queries = _spent(oracle, start, n - 2, "prime")
-    return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "prime", trace=oracle.transcript[start:])
+    return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "prime", trace=oracle.transcript_since(start))
 
 
 _LEFTOVER_EXPONENTS = tuple(permutations((6, 8, 9, 10)))
@@ -301,7 +301,7 @@ def recover_order11(oracle: Oracle) -> RecoveryResult:
     powers[sb], powers[sc], powers[sd], powers[sf] = b, c, d, f
 
     queries = _spent(oracle, start, 8, "eleven8")
-    return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "eleven8", trace=oracle.transcript[start:])
+    return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "eleven8", trace=oracle.transcript_since(start))
 
 
 def merge_sort_worst_case(n: int) -> int:
@@ -358,7 +358,7 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
     queries = oracle.count - start
     if queries > merge_sort_worst_case(n):
         raise NotInClassError("comparison count exceeded the sorting bound; answers were inconsistent")
-    return RecoveryResult(OpTable(table), queries, "maxchain", trace=oracle.transcript[start:])
+    return RecoveryResult(OpTable(table), queries, "maxchain", trace=oracle.transcript_since(start))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ def recover_ring_multiplication(add: OpTable, oracle: Oracle) -> RecoveryResult:
     if not distributive_laws_hold(arr, table):
         raise NotInClassError("rebuilt multiplication does not distribute over the known addition")
     queries = _spent(oracle, start, len(gens) ** 2, "ringmul")
-    return RecoveryResult(OpTable(table), queries, "ringmul", trace=oracle.transcript[start:])
+    return RecoveryResult(OpTable(table), queries, "ringmul", trace=oracle.transcript_since(start))
 
 
 def recover_ring_full(oracle_add: Oracle, oracle_mul: Oracle) -> tuple[RecoveryResult, RecoveryResult]:

@@ -68,6 +68,42 @@ def test_relabel_identity_perm_is_noop():
     assert t.relabel(tuple(range(8))) == t
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        (2.5, 0, 1),  # a float is not truncated to 2
+        (1.0, 0.0, 2.0),  # nor accepted when integral
+        np.array([1.0, 0.0, 2.0]),
+        (True, False, 2),
+        np.array([True, False, True]),
+        ("1", "0", "2"),
+        "102",
+        (None, 0, 1),
+        3,
+        (0, 1, 1),  # duplicate
+        (0, 1),  # too short
+        (0, 1, 2, 3),  # too long
+        (0, 1, 3),  # out of range
+        (-1, 0, 1),  # negative
+        np.array([[0, 1, 2]]),
+    ],
+)
+def test_relabel_rejects_non_permutations(perm):
+    t = build_abelian([3])
+    with pytest.raises(ValidationError):
+        t.relabel(perm)
+    with pytest.raises(ValidationError):
+        build_zn_ring(3).relabel(perm)
+
+
+def test_relabel_accepts_integer_types():
+    t = build_max_chain(3)
+    expected = t.relabel((2, 0, 1))
+    assert t.relabel([2, 0, 1]) == expected
+    assert t.relabel(np.array([2, 0, 1], dtype=np.int8)) == expected
+    assert t.relabel((np.int64(2), np.uint16(0), 1)) == expected
+
+
 def test_abelian_spec_validation():
     with pytest.raises(ValidationError):
         AbelianSpec((3, 2))  # 3 does not divide 2

@@ -148,6 +148,9 @@ def test_recover_prime_on_composite_is_usage_error(capsys):
         # Z_2 stored under a max-chain spec
         '{"spec": {"kind": "maxchain", "n": 2}, "seed": 0, "perm": [0, 1], "canonical": {"n": 2, "table": [[0, 1], [1, 0]]}}',
         '{"kind": "ring", "spec": {"kind": "maxchain", "n": 1}, "seed": 0, "perm": [0], "canonical": {"n": 1, "add": [[0]], "mul": [[0]]}}',
+        # a fractional label is not truncated into a permutation
+        '{"spec": {"kind": "maxchain", "n": 2}, "seed": 0, "perm": [1.5, 0], "canonical": {"n": 2, "table": [[0, 1], [1, 1]]}}',
+        '{"spec": {"kind": "maxchain", "n": 2}, "seed": 0, "perm": 7, "canonical": {"n": 2, "table": [[0, 1], [1, 1]]}}',
     ],
 )
 def test_recover_malformed_instance_file_is_usage_error(tmp_path, capsys, content):

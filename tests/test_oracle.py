@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from opquery import (
@@ -17,6 +18,7 @@ from opquery import (
     new_hidden_ring,
     oracle_for,
     random_permutation,
+    recover_max_chain,
     replay_matches,
     ring_oracles,
     save_instance,
@@ -62,11 +64,25 @@ def test_oracle_counts_and_transcript():
 def test_oracle_rejects_out_of_range_without_charging():
     inst = new_hidden(AbelianSpec((4,)), 0)
     o = oracle_for(inst)
-    with pytest.raises(ValidationError):
-        o.query(4, 0)
-    with pytest.raises(ValidationError):
-        o.query(0, -1)
-    assert o.count == 0
+    bad = [(4, 0), (0, -1), (2.0, 1), (1, 2.5), ("1", 2), (True, 1), (1, False), (None, 0), (np.True_, 1), (np.float64(1), 0)]
+    for x, y in bad:
+        with pytest.raises(ValidationError):
+            o.query(x, y)
+    assert o.count == 0 and o.transcript == ()
+    # integer types are answered and recorded as Python ints
+    z = o.query(np.int64(1), np.uint8(2))
+    assert o.transcript == ((1, 2, z),) and all(type(v) is int for v in o.transcript[0])
+
+
+def test_transcript_since_holds_only_later_queries():
+    inst = new_hidden(MaxChainSpec(6), 4)
+    o = oracle_for(inst)
+    first = recover_max_chain(o)
+    second = recover_max_chain(o)
+    assert first.table == second.table == inst.truth
+    assert o.transcript == first.trace + second.trace
+    assert len(second.trace) == second.queries_used == o.count - len(first.trace)
+    assert o.transcript_since(o.count) == ()
 
 
 def test_verify_recovery_does_not_consume_queries():

@@ -71,3 +71,39 @@ def test_names_used_by_bench_and_demos_resolve():
     assert {name for _, module, name in used if module == "opquery"} >= {"query_budget", "recover_abelian_prime", "Oracle"}
     missing = [entry for entry in sorted(used) if not hasattr(importlib.import_module(entry[1]), entry[2])]
     assert missing == []
+
+
+TRUSTED = "_trusted"  # algebra's constructor that skips a table's checks
+
+
+def _trusted_references(source: str) -> list[str]:
+    """'Class.function' around every read or import of ``_trusted`` in a module."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        if (
+            (isinstance(node, ast.Name) and node.id == TRUSTED)
+            or (isinstance(node, ast.Attribute) and node.attr == TRUSTED)
+            or (isinstance(node, ast.alias) and TRUSTED in (node.name, node.asname))
+        ):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_trusted_reference_check_sees_every_use():
+    source = "from a import _trusted as t\nclass A:\n    def f(self):\n        return m._trusted(1)\nx = _trusted\n"
+    assert _trusted_references(source) == ["<module>", "A.f", "<module>"]
+
+
+def test_only_relabel_skips_table_validation():
+    # recovery outputs and file input must always run the table checks
+    root = Path(__file__).resolve().parent.parent
+    files = SOURCES + sorted(root.glob("tests/*.py")) + sorted(root.glob("bench/*.py")) + sorted(root.glob("demos/*.py"))
+    found = [f"{path.name}:{scope}" for path in files for scope in _trusted_references(path.read_text())]
+    assert sorted(found) == ["algebra.py:OpTable.relabel", "algebra.py:RingTables.relabel"]
