@@ -18,6 +18,7 @@ from .algebra import (
     RingTables,
     StructureSpec,
     abelian_invariant_factorizations,
+    abelian_type,
     build_abelian,
     build_gf,
     build_max_chain,
@@ -28,19 +29,18 @@ from .algebra import (
     count_automorphisms,
     count_ring_automorphisms,
     distributive_laws_hold,
-    euler_phi,
     invariant_factors_from_cyclic,
     is_prime,
 )
 from .bounds import (
     BoundsReport,
+    abelian_automorphism_count,
     abelian_lower_bound,
     average_query_lower_bound,
     bounds_for_abelian,
     bounds_for_max_chain,
     bounds_for_ring,
     family_orbit_size,
-    field_additive_automorphism_count,
     field_lower_bound,
     max_chain_lower_bound,
     multiplication_orbit_size,

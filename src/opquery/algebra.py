@@ -18,8 +18,7 @@ Symmetry counts (automorphisms, isomorphisms) and orbit enumeration are
 brute force over permutations, guarded by a cap. One kernel walks the
 permutations in lexicographic order, a fixed chunk of rows at a time, and
 relabels the tables by a whole chunk with one numpy gather, so memory stays
-O(chunk n^2) however large n! is. Cyclic groups have a totient fast path.
-Counts are exact Python integers throughout.
+O(chunk n^2) however large n! is. Counts are exact Python integers throughout.
 """
 
 from __future__ import annotations
@@ -329,23 +328,7 @@ def _factorize(m: int) -> dict[int, int]:
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValidationError("totient needs n >= 1")
-    out = n
-    for p in _factorize(n):
-        out = out // p * (p - 1)
-    return out
+    return _factorize(m) == {m: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +571,6 @@ def identity_of(t: OpTable) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def element_order(t: OpTable, x: int) -> int:
-    """Order of x in a group table (number of steps for x, x*x, ... to reach the identity)."""
-    e = identity_of(t)
-    if e is None:
-        raise ValidationError("element orders need an identity element")
-    cur = x
-    for k in range(1, t.n + 1):
-        if cur == e:
-            return k
-        cur = t[cur, x]
-    raise ValidationError("power chain failed to reach the identity; not a group table")
-
-
 def check_axioms(t: OpTable, which: AxiomClass) -> bool:
     """True iff the table satisfies the named axiom package.
 
@@ -648,10 +618,30 @@ def distributive_laws_hold(add: np.ndarray, mul: np.ndarray) -> bool:
     return bool(left and right)
 
 
-def is_cyclic_group(t: OpTable) -> bool:
-    if not check_axioms(t, "group"):
-        return False
-    return any(element_order(t, x) == t.n for x in range(t.n))
+def abelian_type(t: OpTable) -> Optional[tuple[int, ...]]:
+    """The invariant factors of an abelian group table, or None for any other table.
+
+    Read from element orders: in a p-part Z_p^e1 x ... x Z_p^ek, the x with
+    x^(p^j) = e number prod_i p^min(ei, j), so going from j - 1 to j
+    multiplies that count by p once per factor with ei >= j.
+
+    >>> abelian_type(build_abelian([2, 6]).relabel([3, 1, 4, 0, 5, 2, 7, 6, 8, 11, 10, 9]))
+    (2, 6)
+    """
+    if not check_axioms(t, "abelian_group"):
+        return None
+    e, idx = identity_of(t), np.arange(t.n)
+    orders = np.zeros(t.n, dtype=np.int64)
+    power = idx  # x^k for every x, k = 1, 2, ...
+    for k in range(1, t.n + 1):
+        orders[(power == e) & (orders == 0)] = k
+        power = t.entries[power, idx]
+    moduli = []
+    for p, v in _factorize(t.n).items():
+        counts = [int(np.count_nonzero(p**j % orders == 0)) for j in range(v + 1)]
+        ranks = [round(math.log(b // a, p)) for a, b in zip(counts, counts[1:])]  # #factors with ei >= j
+        moduli += [p ** sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)]  # ith largest ei = #{j : ranks[j] >= i}
+    return invariant_factors_from_cyclic(moduli)
 
 
 # ---------------------------------------------------------------------------

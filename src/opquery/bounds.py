@@ -11,10 +11,10 @@ is its automorphism group, so the orbit has size n! / #automorphisms.
 Closed forms shipped here:
 - max table of a chain: |X| = n!, exact bound log2(n!), relaxed to
   n*log2(n) - n/ln(2) + log2(n)/2;
-- abelian groups on r generators: bound relaxed to n - n/ln(n) + 1/2 - r;
-- finite fields GF(p^r): additive automorphisms count
-  (q-1)(q-p)...(q-p^(r-1)), ring automorphisms number r, and the
-  per-element bound relaxes to r - log_q(4r).
+- abelian groups: #automorphisms by Hillar & Rhea (phi(n) for Z_n, GL(r, p)
+  for Z_p^r), bound on r generators relaxed to n - n/ln(n) + 1/2 - r;
+- finite fields GF(p^r): ring automorphisms number r, and the per-element
+  bound relaxes to r - log_q(4r).
 
 Counts are exact integers; bounds are floats compared at 1e-9 and never
 clamped when a relaxation goes negative.
@@ -34,33 +34,55 @@ from .algebra import (
     RingSpec,
     RingTables,
     _ring_atoms,
+    abelian_type,
     are_isomorphic,
-    build_abelian,
     build_ring,
     count_automorphisms,
     count_ring_automorphisms,
-    euler_phi,
-    is_cyclic_group,
+    invariant_factors_from_cyclic,
     is_prime,
     _factorize,
 )
 from .errors import CapabilityError, ValidationError
 
 
+def abelian_automorphism_count(moduli: Sequence[int]) -> int:
+    """#automorphisms of Z_m1 x ... x Z_mk: the product over its p-parts of
+    Theorem 4.1 in Hillar & Rhea, Amer. Math. Monthly 114 (2007), arXiv:math/0605185.
+
+    For Z_p^e1 x ... x Z_p^ek with e1 <= ... <= ek, d_i = max{l : el = ei} and
+    c_i = min{l : el = ei}, the count is the product over i of
+    (p^d_i - p^(i-1)) * p^(ei (k - d_i)) * p^((ei - 1)(k - c_i + 1)).
+
+    >>> abelian_automorphism_count([12])  # phi(12)
+    4
+    >>> abelian_automorphism_count([2, 2, 2])  # |GL(3, 2)|
+    168
+    """
+    factors = invariant_factors_from_cyclic(moduli)
+    out = 1
+    for p in _factorize(math.prod(factors)):
+        exps = [_factorize(d)[p] for d in factors if d % p == 0]  # ascending along the chain
+        k = len(exps)
+        for i, e in enumerate(exps, 1):
+            c, d = exps.index(e) + 1, exps.index(e) + exps.count(e)
+            out *= (p**d - p ** (i - 1)) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
+    return out
+
+
 def orbit_size(t: OpTable, cap: Optional[int] = None) -> int:
     """Number of distinct tables on the same carrier isomorphic to t.
 
-    Orbit-stabilizer: n! / #automorphisms. Cyclic group tables take the
-    totient fast path (#automorphisms = phi(n)), anything else is brute
-    force under the cap.
+    Orbit-stabilizer: n! / #automorphisms. Abelian group tables are counted
+    in closed form (``abelian_type``, then ``abelian_automorphism_count``) at
+    any n; anything else is brute force under the cap.
 
-    >>> orbit_size(build_abelian([4]))
-    12
+    >>> from opquery.algebra import build_abelian
+    >>> orbit_size(build_abelian([2, 6]))  # 12! / 12
+    39916800
     """
-    if is_cyclic_group(t):
-        aut = euler_phi(t.n)
-    else:
-        aut = count_automorphisms(t, cap)
+    factors = abelian_type(t)
+    aut = count_automorphisms(t, cap) if factors is None else abelian_automorphism_count(factors)
     # the automorphisms are a subgroup of S_n, so by Lagrange the division is exact
     return math.factorial(t.n) // aut
 
@@ -125,23 +147,6 @@ def abelian_lower_bound(n: int, r: int) -> float:
     if r < 1:
         raise ValidationError("generator count must be >= 1")
     return n - n / math.log(n) + 0.5 - r
-
-
-def field_additive_automorphism_count(p: int, r: int) -> int:
-    """#automorphisms of the additive group of GF(p^r): (q-1)(q-p)...(q-p^(r-1)).
-
-    >>> field_additive_automorphism_count(2, 2)
-    6
-    """
-    if not is_prime(p):
-        raise ValidationError(f"field characteristic must be prime, got {p}")
-    if r < 1:
-        raise ValidationError("extension degree must be >= 1")
-    q = p**r
-    out = 1
-    for i in range(r):
-        out *= q - p**i
-    return out
 
 
 def multiplication_orbit_size(rt: RingTables, cap: Optional[int] = None) -> int:
@@ -224,23 +229,15 @@ def reports_to_csv(reports: Sequence[BoundsReport]) -> str:
     return buf.getvalue()
 
 
-def bounds_for_abelian(spec: AbelianSpec | Sequence[int], cap: Optional[int] = None) -> BoundsReport:
+def bounds_for_abelian(spec: AbelianSpec | Sequence[int]) -> BoundsReport:
     if not isinstance(spec, AbelianSpec):
         spec = AbelianSpec(tuple(spec))
-    t = build_abelian(spec)
-    n = t.n
+    n = spec.n
     rep = BoundsReport(n=n, label="abelian[" + ",".join(map(str, spec.factors)) + "]")
-    try:
-        rep.x_size = orbit_size(t, cap)
-        rep.notes["x_size"] = "n!/#automorphisms (totient fast path for cyclic)"
-    except CapabilityError as exc:
-        rep.notes["x_size"] = f"skipped: {exc}"
-    if n >= 2 and rep.x_size is not None:
-        rep.avg_lower = average_query_lower_bound(rep.x_size, n)
-        rep.notes["avg_lower"] = "log base n of x_size"
-    elif n == 1:
-        rep.avg_lower = 0.0
-        rep.notes["avg_lower"] = "trivial group"
+    rep.x_size = math.factorial(n) // abelian_automorphism_count(spec.factors)
+    rep.notes["x_size"] = "n!/#automorphisms (Hillar-Rhea closed form)"
+    rep.avg_lower = average_query_lower_bound(rep.x_size, n) if n >= 2 else 0.0
+    rep.notes["avg_lower"] = "log base n of x_size" if n >= 2 else "trivial group"
     if n >= 2:
         rep.closed_form_lower = abelian_lower_bound(n, max(1, len(spec.factors)))
         rep.notes["closed_form_lower"] = "n - n/ln(n) + 1/2 - r"
@@ -272,12 +269,12 @@ def bounds_for_ring(spec: RingSpec | str, cap: Optional[int] = None) -> BoundsRe
     if len(atoms) == 1 and atoms[0][0] == "gf":
         ((p, r),) = _factorize(atoms[0][1]).items()
         # the r field automorphisms are a subgroup of GL(r, p) (Lagrange)
-        rep.x_size = field_additive_automorphism_count(p, r) // r
+        rep.x_size = abelian_automorphism_count([p] * r) // r
         rep.notes["x_size"] = "additive automorphism product formula / field automorphism count r"
         rep.closed_form_lower = field_lower_bound(p, r)
         rep.notes["closed_form_lower"] = "r - log_q(4r)"
     elif len(atoms) == 1 and atoms[0][0] == "zn":
-        rep.x_size = euler_phi(atoms[0][1])
+        rep.x_size = abelian_automorphism_count([n])
         rep.notes["x_size"] = "phi(n) additive automorphisms, multiplication rigid"
     else:
         try:

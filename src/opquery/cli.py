@@ -108,7 +108,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = _parse_spec(args)
     if isinstance(spec, algebra.AbelianSpec):
-        rep = bounds.bounds_for_abelian(spec, args.cap)
+        rep = bounds.bounds_for_abelian(spec)
     elif isinstance(spec, algebra.MaxChainSpec):
         rep = bounds.bounds_for_max_chain(spec.n)
     else:

@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from operator import index
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import (
     OpTable,
@@ -157,9 +157,24 @@ def verify_recovery(oracle: Oracle, claimed: OpTable) -> tuple[bool, int]:
     return claimed == oracle._truth, oracle.count
 
 
+def _transcript_entry(entry: object, n: Optional[int] = None) -> tuple[int, int, int]:
+    """(x, y, z) as ints by the rule of ``Oracle.query``: integers, not bools, x and y in [0, n) if n is given."""
+    try:
+        x, y, z = entry
+        if bool in (x.__class__, y.__class__, z.__class__):
+            raise TypeError
+        x, y, z = index(x), index(y), index(z)
+    except (TypeError, ValueError):
+        raise ValidationError(f"transcript entry {entry!r} is not three integers") from None
+    if n is not None and not (0 <= x < n and 0 <= y < n):
+        raise ValidationError(f"transcript entry {entry!r} out of range for n = {n}")
+    return x, y, z
+
+
 def replay_matches(transcript: Sequence[tuple[int, int, int]], table: OpTable) -> bool:
-    """True iff every recorded answer agrees with the given table."""
-    return all(table[x, y] == z for x, y, z in transcript)
+    """True iff every recorded answer agrees with the given table; a malformed entry raises ValidationError."""
+    entries = [_transcript_entry(entry, table.n) for entry in transcript]
+    return all(table[x, y] == z for x, y, z in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +189,16 @@ def save_transcript(path: str, transcript: Sequence[tuple[int, int, int]]) -> No
 
 
 def load_transcript(path: str) -> Transcript:
+    """Read a JSONL transcript; a line that is not {"x": int, "y": int, "z": int} raises ValidationError."""
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            out.append((int(d["x"]), int(d["y"]), int(d["z"])))
+    with open(path, "rb") as fh:  # json decodes each line, so bad bytes fail inside the try
+        for lineno, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    d = json.loads(line)
+                    out.append(_transcript_entry((d["x"], d["y"], d["z"])))
+            except (KeyError, TypeError, ValueError) as exc:  # ValidationError and JSONDecodeError are ValueErrors
+                raise ValidationError(f"{path}, line {lineno}: not a transcript entry: {exc!r}") from None
     return tuple(out)
 
 

@@ -23,11 +23,10 @@ from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .algebra import OpTable, _check_cap, _relabelings, is_cyclic_group, is_prime
+from .algebra import OpTable, _check_cap, _relabelings, is_prime
 from .errors import CapabilityError, ValidationError
 
 SEARCH_BUDGET = 200  # default cap on |X| for exact search
-CYCLIC_PRIME_ENUMERATION_CAP = 11
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class OperationSet:
     answers cheaply; ``ops[i]`` materializes candidate i as an OpTable.
     """
 
-    def __init__(self, tables: np.ndarray, label: str = "", check_distinct: bool = True):
+    def __init__(self, tables: np.ndarray, check_distinct: bool = True):
         arr = np.asarray(tables)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValidationError(f"expected an (m, n, n) stack of tables, got shape {arr.shape}")
@@ -99,7 +98,6 @@ class OperationSet:
             if len(_sorted_distinct(keys)) != len(arr):
                 raise ValidationError("candidate tables must be pairwise distinct")
         self._tables = arr
-        self.label = label
 
     @property
     def n(self) -> int:
@@ -160,19 +158,11 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
 def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationSet:
     """Every distinct relabeling of a table, as an OperationSet in byte order.
 
-    General tables run all n! permutations through the chunked kernel of
-    ``algebra`` and dedupe, so n is under the brute force cap; cyclic groups
-    of prime order skip the dedupe via the discrete-log parameterization and
-    stretch to n = 11 (about 4 million tables).
+    Runs all n! permutations through the chunked kernel of ``algebra`` and
+    dedupes, so n must be under the brute force cap; past it, and before any
+    work, the call raises CapabilityError. Memory stays O(orbit + chunk).
     """
     n = canonical.n
-    if is_prime(n) and is_cyclic_group(canonical):
-        if n > CYCLIC_PRIME_ENUMERATION_CAP:
-            raise CapabilityError(f"cyclic prime enumeration capped at n = {CYCLIC_PRIME_ENUMERATION_CAP}, got {n}")
-        stack = np.stack(list(iter_cyclic_prime_tables(n)))
-        flat = stack.reshape(stack.shape[0], -1)
-        order = np.lexsort(flat.T[::-1])
-        return OperationSet(stack[order], label=f"orbit n={n} cyclic prime", check_distinct=False)
     _check_cap(n, cap, "enumerate_orbit")
     dtype = _dtype_for(n)
     # one fixed-width key per table; np.void keys sort bytewise
@@ -187,7 +177,7 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
             seen = _sorted_distinct(np.concatenate([seen, *fresh]))
             fresh = []
     stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(dtype).reshape(-1, n, n)
-    return OperationSet(stack, label=f"orbit n={n}", check_distinct=False)
+    return OperationSet(stack, check_distinct=False)
 
 
 @dataclass

@@ -12,7 +12,9 @@ from opquery import (
     OpTable,
     RingSpec,
     ValidationError,
+    abelian_automorphism_count,
     abelian_invariant_factorizations,
+    abelian_type,
     build_abelian,
     build_gf,
     build_max_chain,
@@ -23,7 +25,6 @@ from opquery import (
     count_ring_automorphisms,
     distributive_laws_hold,
     enumerate_orbit,
-    euler_phi,
     invariant_factors_from_cyclic,
     is_prime,
 )
@@ -31,9 +32,7 @@ from opquery.algebra import (
     CONWAY_POLYNOMIALS,
     are_isomorphic,
     canonical_table,
-    element_order,
     identity_of,
-    is_cyclic_group,
     ring_product,
 )
 
@@ -140,12 +139,6 @@ def test_build_abelian_z6_isomorphic_to_z2xz3():
     assert are_isomorphic(build_abelian([6]), canonical_table(AbelianSpec(invariant_factors_from_cyclic([2, 3])))) is not None
 
 
-def test_element_orders_in_z12():
-    t = build_abelian([12])
-    orders = [element_order(t, x) for x in range(12)]
-    assert orders == [1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12]
-
-
 def test_max_chain_table():
     t = build_max_chain(4)
     assert t[1, 3] == 3 and t[3, 1] == 3 and t[2, 2] == 2
@@ -164,18 +157,22 @@ def test_check_axioms_rejects_non_associative():
     assert check_axioms(OpTable(arr2), "groupoid")
 
 
-def test_is_cyclic_group():
-    assert is_cyclic_group(build_abelian([8]))
-    assert not is_cyclic_group(build_abelian([2, 4]))
-    assert not is_cyclic_group(build_max_chain(4))
+def test_abelian_type_reads_invariant_factors():
+    # the element orders of Z_12 are 1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12
+    assert abelian_type(build_abelian([12])) == (12,)
+    assert abelian_type(build_abelian([8])) == (8,)
+    assert abelian_type(build_abelian([2, 4])) == (2, 4)
+    assert abelian_type(build_abelian([])) == ()
+    assert abelian_type(build_max_chain(4)) is None
 
 
 def test_number_theory_helpers():
     assert [m for m in range(2, 20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(11) == 10
+    # the automorphisms of Z_n number phi(n)
+    assert abelian_automorphism_count([]) == 1
+    assert abelian_automorphism_count([12]) == 4
+    assert abelian_automorphism_count([11]) == 10
 
 
 def test_zn_ring():

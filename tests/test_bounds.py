@@ -8,6 +8,7 @@ from opquery import (
     AbelianSpec,
     CapabilityError,
     ValidationError,
+    abelian_automorphism_count,
     abelian_lower_bound,
     average_query_lower_bound,
     bounds_for_abelian,
@@ -17,7 +18,6 @@ from opquery import (
     build_gf,
     build_max_chain,
     family_orbit_size,
-    field_additive_automorphism_count,
     field_lower_bound,
     max_chain_lower_bound,
     multiplication_orbit_size,
@@ -49,8 +49,10 @@ def test_orbit_size_noncyclic():
 
 def test_orbit_size_cap():
     with pytest.raises(CapabilityError):
-        orbit_size(build_abelian([2, 6]))  # n = 12 > brute cap, not cyclic
-    assert orbit_size(build_abelian([12])) > 0  # cyclic fast path ignores cap
+        orbit_size(build_max_chain(9))  # n = 9 > brute cap, not a group
+    # abelian groups take the closed form, which ignores the cap
+    assert orbit_size(build_abelian([2, 6])) == math.factorial(12) // 12
+    assert orbit_size(build_abelian([12])) == math.factorial(12) // 4
 
 
 def test_family_orbit_size_sums_disjoint_classes():
@@ -88,11 +90,35 @@ def test_abelian_lower_bound_formula():
         abelian_lower_bound(1, 1)
 
 
+def _gl_order(r, p):
+    q = p**r
+    return math.prod(q - p**i for i in range(r))
+
+
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
 def test_field_additive_automorphism_count():
-    assert field_additive_automorphism_count(2, 2) == 6
-    assert field_additive_automorphism_count(2, 3) == (8 - 1) * (8 - 2) * (8 - 4)
-    assert field_additive_automorphism_count(3, 1) == 2
-    assert field_additive_automorphism_count(5, 1) == 4
+    # the additive group of GF(p^r) is Z_p^r, with automorphism group GL(r, p)
+    assert abelian_automorphism_count([2, 2]) == 6
+    assert abelian_automorphism_count([2, 2, 2]) == (8 - 1) * (8 - 2) * (8 - 4)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for r in range(1, 7):
+            if p**r <= 64:
+                assert abelian_automorphism_count([p] * r) == _gl_order(r, p), (p, r)
+
+
+def test_abelian_automorphism_count_of_cyclic_groups():
+    assert [abelian_automorphism_count([n]) for n in range(1, 101)] == [_totient(n) for n in range(1, 101)]
+
+
+def test_abelian_automorphism_count_is_order_free():
+    # any list of cyclic moduli, as long as it names the same group
+    assert abelian_automorphism_count([2, 6]) == abelian_automorphism_count([6, 2]) == abelian_automorphism_count([2, 2, 3])
+    assert abelian_automorphism_count([4, 4]) == 96
+    with pytest.raises(ValidationError):
+        abelian_automorphism_count([0])
 
 
 def test_field_lower_bound_values():
@@ -129,11 +155,18 @@ def test_bounds_for_abelian_closed_form_respects_avg():
             assert rep.closed_form_lower <= rep.avg_lower + 1e-9
 
 
-def test_bounds_for_abelian_degrades_over_cap():
+def test_bounds_for_abelian_is_exact_past_the_brute_force_cap():
     rep = bounds_for_abelian(AbelianSpec((2, 6)))
-    assert rep.x_size is None
-    assert "x_size" in rep.notes
-    assert rep.closed_form_lower is not None
+    assert rep.x_size == math.factorial(12) // 12
+    assert rep.avg_lower == pytest.approx(math.log(rep.x_size, 12))
+    assert rep.closed_form_lower <= rep.avg_lower + 1e-9
+
+
+def test_bounds_for_ring_product_degrades_over_cap():
+    # ring products still count by brute force, which stops at the cap
+    rep = bounds_for_ring("z4xgf9")
+    assert rep.x_size is None and rep.avg_lower is None
+    assert rep.notes["x_size"].startswith("skipped: ")
 
 
 def test_bounds_for_max_chain_report():
@@ -151,7 +184,7 @@ def test_bounds_for_ring_field():
     assert rep.x_size == 3
     assert rep.closed_form_lower == pytest.approx(0.5)
     rep8 = bounds_for_ring("gf8")
-    assert rep8.x_size == field_additive_automorphism_count(2, 3) // 3
+    assert rep8.x_size == 168 // 3  # |GL(3, 2)| / 3
     rep_zn = bounds_for_ring("z9")
     assert rep_zn.x_size == 6  # phi(9)
 

@@ -208,6 +208,19 @@ def test_search_over_cap_is_capability_error(capsys):
     assert "cap" in err
 
 
+def test_search_z11_is_refused_before_enumerating(capsys):
+    # 11! relabelings are past the brute force cap: one line, no work done
+    code, out, err = run(capsys, "search", "--group", "z11")
+    assert (code, out) == (3, "")
+    assert err.startswith("capability: ") and err.count("\n") == 1
+
+
+def test_bounds_abelian_past_the_cap_is_exact(capsys):
+    code, out, _ = run(capsys, "bounds", "--abelian", "2,6")
+    assert code == 0
+    assert json.loads(out)["x_size"] == 39916800  # 12! / 12
+
+
 def test_search_budget_exceeded_is_capability_error(capsys):
     code, _, _ = run(capsys, "search", "--group", "z5", "--budget", "10")
     assert code == 3

@@ -105,6 +105,22 @@ def test_replay_matches():
     assert not replay_matches([(0, 0, (inst.truth[0, 0] + 1) % 6)], inst.truth)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [(-1, 0, 3), (0, -1, 0), (4, 0, 0), (0, 4, 0), (True, 0, 1), (0, 1.0, 1), (0, 0, 0.0), (0, 0, "0"), (0, 0), (0, 0, 0, 0), 7],
+)
+def test_replay_matches_checks_entries_like_query(entry):
+    # numpy would read (-1, 0) as row n-1 and (4, 0) as an IndexError
+    t = build_abelian([4])
+    with pytest.raises(ValidationError):
+        replay_matches([(1, 1, 2), entry], t)
+
+
+def test_replay_matches_accepts_numpy_integers():
+    t = build_abelian([4])
+    assert replay_matches([(np.int64(1), np.int8(3), np.int32(0))], t)
+
+
 def test_transcript_round_trip(tmp_path):
     path = str(tmp_path / "t.jsonl")
     transcript = ((0, 1, 2), (3, 4, 5))
@@ -151,3 +167,24 @@ def test_oracle_direct_construction():
     o = Oracle(t)
     assert o.n == 3
     assert o.query(1, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"x": 2.5, "y": 0, "z": 1}',
+        '{"x": true, "y": 0, "z": 1}',
+        '{"x": 0, "y": 0, "z": "1"}',
+        '{"x": 0, "y": 0}',
+        "true",
+        "[0, 1, 2]",
+        "7",
+        "not json",
+        b"\xff\xfe\x00",
+    ],
+)
+def test_load_transcript_rejects_bad_lines_by_number(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"x": 0, "y": 1, "z": 2}\n\n' + (line if isinstance(line, bytes) else line.encode()) + b"\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        load_transcript(str(path))

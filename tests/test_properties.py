@@ -18,7 +18,9 @@ from opquery import (
     OpTable,
     Oracle,
     ValidationError,
+    abelian_automorphism_count,
     abelian_invariant_factorizations,
+    abelian_type,
     build_abelian,
     build_max_chain,
     build_ring,
@@ -32,6 +34,7 @@ from opquery import (
     minimal_worst_case,
     new_hidden,
     new_hidden_ring,
+    orbit_size,
     oracle_for,
     random_permutation,
     recover_abelian,
@@ -380,8 +383,7 @@ def test_symmetry_kernel_on_the_trivial_table():
 @pytest.mark.parametrize(
     "a, b",
     [
-        # n = 7: 5,040 permutations end in a partial chunk; Z_7 itself would
-        # take the discrete-log path, so it is corrupted into a non-group
+        # n = 7: 5,040 permutations end in a partial chunk
         (new_hidden(MaxChainSpec(7), 3).truth.entries, build_max_chain(7).entries),
         (_corrupt(random.Random(7), build_abelian([7]).entries), build_abelian([7]).entries),
         # n = 8: the largest size under the default cap
@@ -397,6 +399,52 @@ def test_symmetry_kernel_matches_loops_across_chunks(a, b):
 def test_ring_automorphism_kernel_matches_loop_at_n8():
     ring = new_hidden_ring("gf8", 4).truth
     assert count_ring_automorphisms(ring) == _loop_count(ring.add.entries, ring.mul.entries) == 3
+
+
+# ---------------------------------------------------------------------------
+# closed-form automorphism counts: abelian_type reads a relabelled group's
+# invariant factors back, and the Hillar-Rhea count matches the brute force
+
+ABELIAN_UP_TO_64 = [fs for n in range(1, 65) for fs in abelian_invariant_factorizations(n)]
+
+
+@given(seeds)
+@settings(max_examples=5, deadline=None)
+def test_abelian_type_reads_back_every_group_up_to_64(seed):
+    for factors in ABELIAN_UP_TO_64:
+        t = build_abelian(factors)
+        assert abelian_type(t.relabel(random_permutation(t.n, seed))) == factors
+
+
+@given(st.one_of(factor_chains.map(AbelianSpec), st.integers(2, 24).map(MaxChainSpec)), st.sampled_from(["corrupted", "swapped", "random"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_abelian_type_is_none_off_abelian_groups(spec, kind, seed):
+    rng = random.Random(seed)
+    truth = new_hidden(spec, seed).truth.entries
+    t = _random_table(rng, spec.n) if kind == "random" else _damage(rng, truth, kind)
+    if isinstance(spec, MaxChainSpec):
+        assert abelian_type(OpTable(truth)) is None
+    if not check_axioms(OpTable(t), "abelian_group"):
+        assert abelian_type(OpTable(t)) is None
+    else:  # damage that happens to leave an abelian group
+        assert math.prod(abelian_type(OpTable(t))) == spec.n
+
+
+@given(seeds)
+@settings(max_examples=5, deadline=None)
+def test_abelian_automorphism_count_matches_brute_force_up_to_8(seed):
+    for factors in (fs for fs in ABELIAN_UP_TO_64 if math.prod(fs) <= 8):
+        t = build_abelian(factors).relabel(random_permutation(math.prod(factors), seed))
+        assert abelian_automorphism_count(factors) == count_automorphisms(t), factors
+        assert orbit_size(t) == math.factorial(t.n) // count_automorphisms(t)
+
+
+@given(st.integers(2, 5), st.sampled_from(["random", "corrupted"]), seeds)
+@settings(max_examples=200, deadline=None)
+def test_orbit_size_of_other_tables_is_the_brute_force(n, kind, seed):
+    rng = random.Random(seed)
+    t = _random_table(rng, n) if kind == "random" else _corrupt(rng, build_abelian([n]).entries)
+    assert orbit_size(OpTable(t)) == math.factorial(n) // _loop_count(t)
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,37 @@ def test_enumerate_orbit_cap():
 
 
 def test_cyclic_prime_fast_path_matches_brute():
+    # the discrete-log family of iter_cyclic_prime_tables is the whole orbit
     for p in (2, 3, 5, 7):
-        fast = enumerate_orbit(build_abelian([p]))
-        count = p * math.factorial(p - 2)
-        assert len(fast) == count
-        brute = {op.tobytes() for op in fast.tables}
-        assert len(brute) == count
+        brute = enumerate_orbit(build_abelian([p]))
+        assert len(brute) == p * math.factorial(p - 2)
+        fast = {t.tobytes() for t in iter_cyclic_prime_tables(p)}
+        assert fast == {t.tobytes() for t in brute.tables}
+
+
+# sha256 of each orbit stack as enumerated before cyclic groups of prime
+# order went through the permutation kernel: same tables, order and dtype
+PINNED_ORBIT_STACKS = {
+    2: ((2, 2, 2), "d17a42e02dc5e82f3011d1347e4cca78ae412e0f00378e767bbae7abaf32cebe"),
+    3: ((3, 3, 3), "59ea3ae26d0f6ff821a91ea86459d1775e535f9472d18f7cc140e35d8f469c1a"),
+    5: ((30, 5, 5), "8f3f1d8e6fa8b944893f449fced0f46d6816010cef9605436f67280f36257dc9"),
+    7: ((840, 7, 7), "e404738a5b9262ad07cdfde5293d1240cecb4278b463e1ebbef0c7f3319a179d"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_ORBIT_STACKS))
+def test_enumerate_orbit_of_cyclic_prime_group_is_pinned(p):
+    shape, digest = PINNED_ORBIT_STACKS[p]
+    tables = enumerate_orbit(build_abelian([p])).tables
+    assert (tables.dtype, tables.shape) == (np.int8, shape)
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+
+
+def test_enumerate_orbit_refuses_z11_before_any_work():
+    # 11! permutations are past the cap; the refusal comes first, not after
+    # the 3,991,680 tables are built
+    with pytest.raises(CapabilityError, match="cap is 8"):
+        enumerate_orbit(build_abelian([11]))
 
 
 def test_iter_cyclic_prime_counts():
