@@ -157,13 +157,31 @@ def test_check_axioms_rejects_non_associative():
     assert check_axioms(OpTable(arr2), "groupoid")
 
 
-def test_abelian_type_reads_invariant_factors():
-    # the element orders of Z_12 are 1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12
-    assert abelian_type(build_abelian([12])) == (12,)
+def test_element_orders_in_z12():
+    # abelian_type reads the type from these orders
+    t = build_abelian([12])
+    e = identity_of(t)
+    orders = []
+    for x in range(12):
+        power, k = x, 1
+        while power != e:
+            power, k = int(t[power, x]), k + 1
+        orders.append(k)
+    assert orders == [1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12]
+    assert abelian_type(t) == (12,)
+
+
+def test_is_cyclic_group():
+    # a group is cyclic exactly when it has at most one invariant factor
     assert abelian_type(build_abelian([8])) == (8,)
     assert abelian_type(build_abelian([2, 4])) == (2, 4)
-    assert abelian_type(build_abelian([])) == ()
     assert abelian_type(build_max_chain(4)) is None
+
+
+def test_abelian_type_reads_invariant_factors():
+    assert abelian_type(build_abelian([2, 6])) == (2, 6)
+    assert abelian_type(build_abelian([6])) == (6,)
+    assert abelian_type(build_abelian([])) == ()
 
 
 def test_number_theory_helpers():
