@@ -81,6 +81,7 @@ from .treesearch import (
     Leaf,
     Node,
     OperationSet,
+    SearchStats,
     enumerate_orbit,
     minimal_worst_case,
     render_tree,

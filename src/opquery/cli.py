@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -132,6 +133,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     else:
         canonical = algebra.build_max_chain(args.maxchain)
         label = f"maxchain{args.maxchain}"
+    # refuse from the candidate count before the orbit is built: a max chain
+    # has no automorphism but the identity, and a group's count is closed form
+    algebra._check_cap(canonical.n, args.cap, "enumerate_orbit")
+    x_size = bounds.orbit_size(canonical) if args.group is not None else math.factorial(canonical.n)
+    treesearch._check_budget(x_size, args.budget)
     ops = treesearch.enumerate_orbit(canonical, cap=args.cap)
     depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget)
     worst, avg = treesearch.tree_stats(tree, ops)
@@ -140,7 +146,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         return 1
     payload = {
         "class": label,
-        "x_size": len(ops),
+        "x_size": x_size,
         "optimal_worst_case": depth,
         "average_depth": avg,
         "tree": treesearch.tree_to_dict(tree),

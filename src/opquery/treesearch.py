@@ -9,24 +9,39 @@ worst case cost = deepest leaf and average cost = mean leaf depth.
 ``minimal_worst_case`` finds the true optimum by memoized minimax over the
 reachable candidate subsets, pruned at the information floor (d more queries
 with at most b-way answers cannot split more than b^d candidates). Each state
-counts every query's distinct answers with one numpy sort; answer blocks are
+counts its queries' distinct answers with one numpy sort; answer blocks are
 built lazily in lexicographic (x, y) order, queries that repeat an earlier
 partition are skipped, and ties keep the first winner, so the returned
 witness tree is canonical and runs reproduce bit identical results.
+
+Every class searched here is closed under relabeling (S_n). A state of a
+closed set is then fixed by every permutation of the labels its transcript
+has not mentioned, so the search scans one query per orbit of that
+stabiliser and solves one of the answer blocks that are conjugate under it;
+neither changes a value or the witness tree. ``enumerate_orbit`` walks an
+orbit by the star transpositions (0 i) when that takes fewer relabelings
+than running all n! permutations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .algebra import OpTable, _check_cap, _relabelings, is_prime
+from .algebra import _PERMUTATION_CHUNK, OpTable, _check_cap, _factorize, _relabelings, abelian_type, is_prime
+from .bounds import abelian_automorphism_count
 from .errors import CapabilityError, ValidationError
 
 SEARCH_BUDGET = 200  # default cap on |X| for exact search
+# The orbit walk and the closure check relabel at most _STAR_CHUNK tables by
+# at most max(1, _STAR_ENTRIES // n^2) star transpositions per gather.
+_STAR_CHUNK = 256
+_STAR_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -92,11 +107,8 @@ class OperationSet:
             raise ValidationError(f"expected an (m, n, n) stack of tables, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValidationError("candidate set must be nonempty")
-        if check_distinct:
-            # one fixed-width byte key per table, as in enumerate_orbit
-            keys = np.ascontiguousarray(arr).reshape(len(arr), -1).view(np.dtype((np.void, arr[0].nbytes))).ravel()
-            if len(_sorted_distinct(keys)) != len(arr):
-                raise ValidationError("candidate tables must be pairwise distinct")
+        if check_distinct and len(_sorted_distinct(_byte_keys(arr))) != len(arr):
+            raise ValidationError("candidate tables must be pairwise distinct")
         self._tables = arr
 
     @property
@@ -152,25 +164,83 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     use and add about 1 MB to the resident set of a process.
     """
     keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _byte_keys(stack: np.ndarray) -> np.ndarray:
+    """One fixed-width key per table of an (m, n, n) stack; np.void keys sort bytewise."""
+    m, n = stack.shape[:2]
+    flat = np.ascontiguousarray(stack).reshape(m, n * n)
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+
+
+def _contains(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which keys occur in a nonempty ascending key array."""
+    at = np.searchsorted(ordered, keys)
+    return ordered[np.minimum(at, len(ordered) - 1)] == keys
+
+
+def _star_relabelings(stack: np.ndarray) -> Iterator[np.ndarray]:
+    """Every table of an (m, n, n) stack relabelled by each star transposition (0 i).
+
+    The n - 1 transpositions (0 1), ..., (0 n-1) generate S_n, so a set of
+    tables is closed under relabeling iff it is closed under them. Each is
+    its own inverse: relabel(t, s)[u, v] = s[t[s[u], s[v]]] is one gather of
+    positions and a swap of the values 0 and i. Yields (k, n, n) stacks of
+    images in the stack's dtype, a bounded chunk at a time and in no useful
+    order; entries outside 0..n-1 are left as they are.
+    """
+    m, n = stack.shape[:2]
+    flat = stack.reshape(m, n * n)
+    step = max(1, _STAR_ENTRIES // (n * n))  # transpositions per gather
+    for lo in range(1, n, step):
+        i = np.arange(lo, min(n, lo + step))
+        s = np.tile(np.arange(n), (len(i), 1))  # row r is (0 i[r])
+        s[:, 0], s[np.arange(len(i)), i] = i, 0
+        at = (s[:, :, None] * n + s[:, None, :]).reshape(len(i), n * n)
+        label = i.astype(stack.dtype)[:, None]
+        for first in range(0, m, _STAR_CHUNK):
+            moved = flat[first : first + _STAR_CHUNK, at]
+            yield (moved + label * (moved == 0) - label * (moved == label)).reshape(-1, n, n)
+
+
+def _walk_is_shorter(t: OpTable) -> bool:
+    """True iff walking the orbit of t takes fewer relabelings than all n! permutations.
+
+    The walk relabels each of the n! / |Aut| tables n - 1 times, so it is
+    shorter iff |Aut| > n - 1, which is decided in closed form for abelian
+    groups. Other tables keep the kernel. So does n <= 5, where all n!
+    permutations are one gather of the kernel, and an abelian group of
+    squarefree order, which is cyclic with phi(n) <= n - 1 automorphisms.
+    """
+    if math.factorial(t.n) <= _PERMUTATION_CHUNK or all(e == 1 for e in _factorize(t.n).values()):
+        return False
+    factors = abelian_type(t)
+    return factors is not None and abelian_automorphism_count(factors) > t.n - 1
 
 
 def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationSet:
     """Every distinct relabeling of a table, as an OperationSet in byte order.
 
-    Runs all n! permutations through the chunked kernel of ``algebra`` and
-    dedupes, so n must be under the brute force cap; past it, and before any
-    work, the call raises CapabilityError. Memory stays O(orbit + chunk).
+    n must be under the brute force cap; past it, and before any work, the
+    call raises CapabilityError. When the table has more than n - 1
+    automorphisms (``_walk_is_shorter``), the orbit is walked breadth first
+    by the star transpositions, n - 1 relabelings per table; otherwise all
+    n! permutations run through the chunked kernel of ``algebra`` and are
+    deduped. Both give the same stack, and memory stays O(orbit + chunk).
     """
     n = canonical.n
     _check_cap(n, cap, "enumerate_orbit")
     dtype = _dtype_for(n)
-    # one fixed-width key per table; np.void keys sort bytewise
-    key = np.dtype((np.void, n * n * np.dtype(dtype).itemsize))
-    seen = np.empty(0, dtype=key)  # distinct keys so far, ascending
+    start = canonical.entries[None].astype(dtype)
+    if _walk_is_shorter(canonical):
+        return OperationSet(_walk_orbit(start), check_distinct=False)
+    seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
     fresh: list[np.ndarray] = []  # keys of the chunks since the last merge
-    for perms, images in _relabelings(canonical.entries[None].astype(dtype)):
-        fresh.append(images[0].reshape(len(perms), -1).view(key).ravel())
+    for perms, images in _relabelings(start):
+        fresh.append(_byte_keys(images[0]))
         # merging once the fresh keys outnumber the kept ones holds memory to
         # O(orbit + chunk) and the sorting to O(n! log n!)
         if sum(map(len, fresh)) > len(seen):
@@ -178,6 +248,22 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
             fresh = []
     stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(dtype).reshape(-1, n, n)
     return OperationSet(stack, check_distinct=False)
+
+
+def _walk_orbit(start: np.ndarray) -> np.ndarray:
+    """The orbit of a (1, n, n) stack in byte order, walked breadth first by ``_star_relabelings``."""
+    n = start.shape[1]
+    seen = _byte_keys(start)  # every key reached so far, ascending
+    frontier = start
+    while len(frontier):
+        found = []
+        for images in _star_relabelings(frontier):
+            keys = _sorted_distinct(_byte_keys(images))
+            found.append(keys[~_contains(seen, keys)])
+        new = _sorted_distinct(np.concatenate(found))
+        seen = np.insert(seen, np.searchsorted(seen, new), new)
+        frontier = new.view(start.dtype).reshape(-1, n, n)
+    return seen.view(start.dtype).reshape(-1, n, n)
 
 
 @dataclass
@@ -256,7 +342,44 @@ def tree_stats(tree: QueryTree, ops: OperationSet) -> tuple[int, float]:
     return worst, avg
 
 
-def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[int, QueryTree]:
+def _check_budget(m: int, budget: int) -> None:
+    if m > budget:
+        raise CapabilityError(f"|X| = {m} exceeds the search budget {budget} (pass a larger budget to override)")
+
+
+@dataclass
+class SearchStats:
+    """What one ``minimal_worst_case`` run did; pass one as ``stats=`` to fill it."""
+
+    states: int = 0  # states solved: memo misses with two or more candidates
+    memo_hits: int = 0  # states answered from the memo
+    queries_scanned: int = 0  # splitting queries whose answer blocks were grouped
+    queries_skipped: int = 0  # queries not scanned: another query of their stabiliser orbit stands for them
+    fresh_skipped: int = 0  # answer blocks not solved: they are conjugate to a fresh block that was
+    floor_cutoffs: int = 0  # states whose scan stopped at the information floor
+    aborted: int = 0  # queries dropped once an answer block matched the best query
+
+
+@lru_cache(maxsize=4096)
+def _representatives(mentioned: int, n: int) -> np.ndarray:
+    """Columns x*n + y, ascending, of the lexicographically first query of each
+    orbit of Sym(unmentioned labels) on the n^2 queries; read-only, cached.
+
+    With u0 < u1 the two smallest unmentioned labels, these are the pairs
+    over the mentioned labels and u0, plus (u0, u1).
+    """
+    unmentioned = [v for v in range(n) if not mentioned >> v & 1]
+    labels = [v for v in range(n) if mentioned >> v & 1 or v == unmentioned[0]] if unmentioned else range(n)
+    cols = [x * n + y for x in labels for y in labels]
+    if len(unmentioned) >= 2:
+        cols.append(unmentioned[0] * n + unmentioned[1])
+        cols.sort()
+    cols = np.array(cols, dtype=np.intp)
+    cols.flags.writeable = False
+    return cols
+
+
+def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Optional[SearchStats] = None) -> tuple[int, QueryTree]:
     """Exact minimum worst-case query count over all trees solving ``ops``,
 
     with a canonical witness tree. Memoized minimax over candidate subsets:
@@ -264,34 +387,53 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[
     that splits the state, recurse on the answer blocks, and keep the
     lexicographically first query achieving the minimum. States prune
     against the information floor ceil(log_b |state|), b = widest split any
-    query offers there. One sort of the state's (k, n^2) answer matrix counts
-    the distinct answers of every query, which gives b and the splitting
-    queries; a query's blocks are grouped only when the scan reaches it, and
-    a query whose blocks equal an earlier query's (answer labels aside) is
-    skipped, since its children and value are the same and the earlier
-    query wins the tie.
+    query offers there. One sort of the state's answer matrix counts the
+    distinct answers of every query it scans, which gives b and the
+    splitting queries; a query's blocks are grouped only when the scan
+    reaches it, and a query whose blocks equal an earlier query's (answer
+    labels aside) is skipped, since its children and value are the same and
+    the earlier query wins the tie.
+
+    When ``ops`` is closed under relabeling (checked once, by the star
+    transpositions), a state is fixed by every permutation of the labels
+    its path has not mentioned as x, y or answer. Queries in one orbit of
+    that stabiliser have the same value, so the scan takes only the
+    lexicographically first of each (``_representatives``): the first query
+    with the best value is among them. Answers outside the mentioned labels
+    give conjugate blocks of equal value, so only the first is solved, and
+    the witness tree solves the others when it is built. Any other set is
+    searched with every label mentioned, which scans every query. Values
+    and witness trees are the same either way; ``stats`` counts the work.
     """
     m = len(ops)
-    if m > budget:
-        raise CapabilityError(f"|X| = {m} exceeds the search budget {budget} (pass a larger budget to override)")
+    _check_budget(m, budget)
     n = ops.n
-    answers = ops.tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
+    stats = SearchStats() if stats is None else stats
+    tables = ops.tables
+    keys = np.sort(_byte_keys(tables))
+    if (keys[1:] == keys[:-1]).any():
+        raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
+    closed = all(_contains(keys, _byte_keys(images)).all() for images in _star_relabelings(tables))
+    answers = tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
+    bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 
     memo_value: dict[tuple[int, ...], int] = {}
     memo_choice: dict[tuple[int, ...], tuple[tuple[int, int], dict[int, tuple[int, ...]]]] = {}
 
-    def solve(ids: tuple[int, ...]) -> int:
+    def solve(ids: tuple[int, ...], mentioned: int) -> int:
         if len(ids) <= 1:
             return 0
         cached = memo_value.get(ids)
         if cached is not None:
+            stats.memo_hits += 1
             return cached
-        rows = answers[list(ids)]
+        stats.states += 1
+        cols = _representatives(mentioned, n)
+        stats.queries_skipped += n * n - len(cols)
+        rows = answers.take(ids, axis=0).take(cols, axis=1)
         ranked = np.sort(rows, axis=0)
         widths = 1 + (ranked[1:] != ranked[:-1]).sum(axis=0)  # distinct answers per query
         widest = int(widths.max())
-        if widest == 1:
-            raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
         floor, reach = 0, 1
         while reach < len(ids):  # smallest d with widest^d >= |state|, in exact arithmetic
             reach *= widest
@@ -299,36 +441,51 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET) -> tuple[
         best: Optional[int] = None
         best_choice = None
         seen: set[tuple[tuple[int, ...], ...]] = set()  # partitions already tried here
-        for q in (widths > 1).nonzero()[0].tolist():
+        for j in (widths > 1).nonzero()[0].tolist():
+            stats.queries_scanned += 1
             blocks: dict[int, list[int]] = {}
-            for op_id, z in zip(ids, rows[:, q].tolist()):
+            for op_id, z in zip(ids, rows[:, j].tolist()):
                 blocks.setdefault(z, []).append(op_id)
             groups = {z: tuple(g) for z, g in blocks.items()}
             partition = tuple(sorted(groups.values()))
             if partition in seen:
                 continue
             seen.add(partition)
+            x, y = divmod(int(cols[j]), n)
+            after = mentioned | bits[x] | bits[y]
             worst = 0
+            fresh_solved = False
             for z in sorted(groups):
-                worst = max(worst, solve(groups[z]))
+                bit = bits.get(z, 0)
+                if bit and not after & bit:  # a fresh answer: its block is conjugate to every other fresh one
+                    if fresh_solved:
+                        stats.fresh_skipped += 1
+                        continue
+                    fresh_solved = True
+                worst = max(worst, solve(groups[z], after | bit))
                 if best is not None and 1 + worst >= best:
+                    stats.aborted += 1
                     break  # aborted: this query cannot beat the best one
             else:
                 if best is None or 1 + worst < best:
-                    best, best_choice = 1 + worst, (divmod(q, n), groups)
+                    best, best_choice = 1 + worst, ((x, y), groups)
                     if best == floor:
+                        stats.floor_cutoffs += 1
                         break
-        # some query splits the state and the first one is never aborted, so best is set
+        # distinct tables differ on some query, the scan holds a query of its
+        # orbit, and the first splitting query is never aborted, so best is set
         memo_value[ids] = best
         memo_choice[ids] = best_choice
         return best
 
-    def build(ids: tuple[int, ...]) -> QueryTree:
+    def build(ids: tuple[int, ...], mentioned: int) -> QueryTree:
         if len(ids) == 1:
             return Leaf(ids[0])
-        query, groups = memo_choice[ids]
-        return Node(query, {z: build(groups[z]) for z in sorted(groups)})
+        if ids not in memo_choice:  # a fresh block that solve left to its conjugate
+            solve(ids, mentioned)
+        (x, y), groups = memo_choice[ids]
+        after = mentioned | bits[x] | bits[y]
+        return Node((x, y), {z: build(groups[z], after | bits.get(z, 0)) for z in sorted(groups)})
 
-    root = tuple(range(m))
-    depth = solve(root)
-    return depth, build(root)
+    root, mentioned = tuple(range(m)), 0 if closed else (1 << n) - 1
+    return solve(root, mentioned), build(root, mentioned)

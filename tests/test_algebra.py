@@ -287,6 +287,14 @@ def test_permutation_kernel_memory_is_bounded_by_its_chunk():
     assert _peak_bytes(lambda: enumerate_orbit(t)) < 4 * orbit_bytes
 
 
+def test_orbit_walk_memory_is_bounded_by_its_orbit():
+    # the walk keeps the sorted orbit, one level of new keys and one chunk of
+    # relabelings; Z_2 x Z_4 has 5,040 tables of 64 bytes
+    t = build_abelian([2, 4])
+    orbit_bytes = enumerate_orbit(t).tables.nbytes
+    assert _peak_bytes(lambda: enumerate_orbit(t)) < 4 * orbit_bytes
+
+
 def test_light_test_memory_is_quadratic_on_a_max_chain():
     # every element of a max table is idempotent, so all n of them are
     # generators; gathering them at once would take two n^3 int64 arrays

@@ -226,6 +226,21 @@ def test_search_budget_exceeded_is_capability_error(capsys):
     assert code == 3
 
 
+def test_search_refuses_over_budget_before_enumerating(capsys, monkeypatch):
+    # z8 has 10,080 candidates, past the default budget of 200; orbit_size
+    # counts them in closed form, so the orbit is never built
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("enumerate_orbit ran before the budget check")
+
+    monkeypatch.setattr(opquery.treesearch, "enumerate_orbit", no_orbit)
+    code, out, err = run(capsys, "search", "--group", "z8")
+    assert (code, out) == (3, "")
+    assert err == "capability: |X| = 10080 exceeds the search budget 200 (pass a larger budget to override)\n"
+    code, out, err = run(capsys, "search", "--maxchain", "6")
+    assert (code, out) == (3, "")
+    assert "|X| = 720 exceeds the search budget 200" in err
+
+
 def test_search_rejects_group_of_order_zero(capsys):
     code, _, err = run(capsys, "search", "--group", "z0")
     assert code == 2

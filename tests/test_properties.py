@@ -17,6 +17,7 @@ from opquery import (
     OperationSet,
     OpTable,
     Oracle,
+    SearchStats,
     ValidationError,
     abelian_automorphism_count,
     abelian_invariant_factorizations,
@@ -47,7 +48,7 @@ from opquery import (
     ring_oracles,
     tree_to_dict,
 )
-from opquery.algebra import are_isomorphic
+from opquery.algebra import _relabelings, are_isomorphic
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
@@ -556,6 +557,57 @@ def test_minimal_worst_case_rejects_equal_tables(n, m, commutative, seed):
     ops = OperationSet(np.stack(stack), check_distinct=False)
     with pytest.raises(ValidationError):
         minimal_worst_case(ops)
+
+
+SMALL_ORBITS = [build_abelian([4]), build_abelian([2, 2]), build_abelian([5]), build_max_chain(3), build_max_chain(4)]
+
+
+@given(st.sampled_from(SMALL_ORBITS), seeds)
+@settings(max_examples=40, deadline=None)
+def test_minimal_worst_case_matches_reference_on_orbits_less_one_table(canonical, seed):
+    # the set is no longer closed under relabeling, so no query or answer
+    # may be skipped for symmetry
+    rng = random.Random(seed)
+    stack = enumerate_orbit(canonical).tables
+    stack = np.delete(stack, rng.randrange(len(stack)), axis=0)
+    stats = SearchStats()
+    depth, tree = minimal_worst_case(OperationSet(stack), budget=len(stack), stats=stats)
+    assert stats.queries_skipped == stats.fresh_skipped == 0
+    assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(stack)
+
+
+@given(st.sampled_from(SMALL_ORBITS), seeds)
+@settings(max_examples=40, deadline=None)
+def test_minimal_worst_case_rejects_an_orbit_with_a_duplicate(canonical, seed):
+    rng = random.Random(seed)
+    stack = list(enumerate_orbit(canonical).tables)
+    stack.insert(rng.randrange(len(stack) + 1), stack[rng.randrange(len(stack))])
+    with pytest.raises(ValidationError):
+        minimal_worst_case(OperationSet(np.stack(stack), check_distinct=False), budget=len(stack))
+
+
+# ---------------------------------------------------------------------------
+# orbit enumeration: the walk by star transpositions gives the kernel's stack
+
+
+def _kernel_orbit(t: OpTable) -> np.ndarray:
+    """Every relabeling of t by all n! permutations, deduped and in byte order."""
+    keys = {table.tobytes() for _, images in _relabelings(t.entries[None].astype(np.int8)) for table in images[0]}
+    return np.stack([np.frombuffer(k, dtype=np.int8).reshape(t.n, t.n) for k in sorted(keys)])
+
+
+ABELIAN_UP_TO_8 = [fs for fs in ABELIAN_UP_TO_64 if math.prod(fs) <= 8]
+
+
+@given(seeds)
+@settings(max_examples=3, deadline=None)
+def test_enumerate_orbit_matches_the_kernel_on_abelian_groups_up_to_8(seed):
+    for factors in ABELIAN_UP_TO_8:
+        t = build_abelian(factors).relabel(random_permutation(math.prod(factors), seed))
+        want = _kernel_orbit(t)
+        got = enumerate_orbit(t).tables
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), factors
+        assert got.tobytes() == want.tobytes(), factors
 
 
 # ---------------------------------------------------------------------------

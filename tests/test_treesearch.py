@@ -16,6 +16,7 @@ from opquery import (
     Leaf,
     Node,
     OperationSet,
+    SearchStats,
     ValidationError,
     build_abelian,
     build_max_chain,
@@ -27,7 +28,7 @@ from opquery import (
     tree_to_dict,
     verify_query_tree,
 )
-from opquery.treesearch import iter_cyclic_prime_tables
+from opquery.treesearch import _walk_is_shorter, iter_cyclic_prime_tables
 
 
 def test_enumerate_orbit_sizes():
@@ -84,6 +85,15 @@ def test_enumerate_orbit_refuses_z11_before_any_work():
         enumerate_orbit(build_abelian([11]))
 
 
+def test_orbit_walk_runs_where_it_takes_fewer_relabelings():
+    # the walk does |orbit| (n - 1) relabelings, the kernel n!; rigid,
+    # cyclic and n <= 5 tables keep the kernel
+    assert _walk_is_shorter(build_abelian([2, 2, 2]))  # 240 * 7 against 40,320
+    assert _walk_is_shorter(build_abelian([2, 4]))  # 5,040 * 7 against 40,320
+    for t in (build_abelian([8]), build_abelian([6]), build_abelian([2, 2]), build_max_chain(8), build_max_chain(4)):
+        assert not _walk_is_shorter(t)
+
+
 def test_iter_cyclic_prime_counts():
     assert sum(1 for _ in iter_cyclic_prime_tables(3)) == 3
     assert sum(1 for _ in iter_cyclic_prime_tables(5)) == 30
@@ -103,11 +113,14 @@ def test_operation_set_validation():
 
 
 def test_checked_operation_set_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma, about 1 MB; the distinctness check must not
+    # np.unique and np.isin import numpy.ma, about 1 MB; neither the
+    # distinctness check, the orbit walk nor the search's closure check may
     code = (
         "import sys\n"
-        "from opquery import OperationSet, build_abelian, enumerate_orbit\n"
+        "from opquery import OperationSet, build_abelian, enumerate_orbit, minimal_worst_case\n"
         "OperationSet(enumerate_orbit(build_abelian([2, 2])).tables)\n"
+        "ops = enumerate_orbit(build_abelian([2, 2, 2]))\n"
+        "assert minimal_worst_case(ops, budget=len(ops))[0] == 4\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)))
@@ -262,6 +275,10 @@ PINNED_OPTIMA = [
     ("Z_6", build_abelian([6]), 4, "62cb02fa92fab9cc17c5421d956f2506212d0464a96fa49e6b40abc8ed6887a3"),
     ("Z_7", build_abelian([7]), 5, "4e02d6706a34ad91769856d0dc70e4abe2ac2526dce47afd2b4f6143d9e9c236"),
     ("Z_2xZ_2xZ_2", build_abelian([2, 2, 2]), 4, "c5c406db09cef7ec376b681398a919808df9055596c0aa3ee777728bc9f70965"),
+    # 5,040 and 10,080 candidates; the digests are those of the search
+    # before it used the symmetry of the orbit (about 45 s each then)
+    ("Z_2xZ_4", build_abelian([2, 4]), 6, "8fa50e657ce16937a4123b19bcf8377430258590be012d72763eb6117b0f7a54"),
+    ("Z_8", build_abelian([8]), 6, "00afe8d4b80493d578220ffc71342dfdffdafb3235ffe855b7298e3e9dd81c8c"),
 ]
 
 
@@ -273,3 +290,19 @@ def test_minimal_worst_case_pinned_optima(canonical, optimum, digest):
     v = verify_query_tree(tree, ops)
     assert v.ok and max(v.depths.values()) == depth
     assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == digest
+
+
+# Work counts of the symmetric search; they are deterministic, so a change to
+# the pruning shows here even when the optimum and the tree stay the same.
+PINNED_STATS = {
+    6: SearchStats(states=592, memo_hits=320, queries_scanned=2470, queries_skipped=2504, fresh_skipped=244, floor_cutoffs=588, aborted=393),
+    7: SearchStats(states=1412, memo_hits=595, queries_scanned=2820, queries_skipped=13458, fresh_skipped=887, floor_cutoffs=1340, aborted=772),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_STATS))
+def test_minimal_worst_case_stats_are_pinned(n):
+    ops = enumerate_orbit(build_abelian([n]))
+    stats = SearchStats()
+    minimal_worst_case(ops, budget=len(ops), stats=stats)
+    assert stats == PINNED_STATS[n]
