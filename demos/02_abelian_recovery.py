@@ -58,7 +58,7 @@ for p in (5, 7, 11, 13):
     assert res.table == inst.truth
     print(f"prime {p}: {res.queries_used} queries (= p - 2)")
 
-# and order 11 goes further still: 8 queries, the proven optimum
+# and order 11 goes further still: 8 suffice; 7 is the information floor
 from opquery import recover_order11
 
 inst = new_hidden(AbelianSpec((11,)), seed=3)

@@ -5,6 +5,8 @@ stored as an n x n table of element indices, immutable once built. The three
 table families used throughout are finite abelian groups (given by their
 invariant factor chain), the "later element wins" max table of a chain, and
 finite commutative rings (Z_n, GF(p^r), and direct products of those).
+Cyclic group tables, GF(p^r)* included, are one gather over the powers of
+a generator (``_cyclic_table``).
 
 Law checks look only at generators. By Light's associativity test, a
 table is associative as soon as (x*g)*y = x*(g*y) holds for every g in a
@@ -13,6 +15,8 @@ the elements that satisfy a distributive law in the additive slot are closed
 under an associative addition, so both laws are checked with that slot
 running over the additive generators only. Both checks cost O(|A| n^2)
 instead of n^3, and a group table has at most log2 n + 1 greedy generators.
+The one greedy closure (``_generators``) also returns the order in which it
+reached each element, which ring recovery follows to fill a multiplication.
 
 Symmetry counts (automorphisms, isomorphisms) and orbit enumeration are
 brute force over permutations, guarded by a cap. One kernel walks the
@@ -361,6 +365,15 @@ def build_abelian(spec: AbelianSpec | Sequence[int]) -> OpTable:
     return _build_abelian_cached(spec.factors)
 
 
+def _cyclic_table(powers: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Table of a cyclic group given the element at each exponent, ``powers[0]`` the identity."""
+    n = len(powers)
+    p = np.asarray(powers, dtype=np.int64)
+    logs = np.empty(n, dtype=np.int64)
+    logs[p] = np.arange(n)
+    return p[(logs[:, None] + logs) % n]
+
+
 @lru_cache(maxsize=512)
 def build_max_chain(n: int) -> OpTable:
     """Canonical max table on 0 < 1 < ... < n-1."""
@@ -399,7 +412,10 @@ def build_zn_ring(n: int) -> RingTables:
 def build_gf(p: int, r: int) -> RingTables:
     """The finite field GF(p^r); element i has base-p digits as coefficients.
 
-    Uses the fixed Conway polynomial for (p, r). Sizes past 64 are outside
+    Addition is that of Z_p^r. The shipped Conway polynomial for (p, r) is
+    primitive, so the powers of x (element p) run once through the nonzero
+    elements, and multiplying them is a cyclic group table; a polynomial that
+    is not primitive raises ``ValidationError``. Sizes past 64 are outside
     the shipped polynomial table.
     """
     if not is_prime(p):
@@ -413,35 +429,16 @@ def build_gf(p: int, r: int) -> RingTables:
         raise CapabilityError(f"no irreducible polynomial shipped for GF({p}^{r}); table covers prime powers <= 64")
     poly = CONWAY_POLYNOMIALS[(p, r)]
 
-    idx = np.arange(q)
-    digits = np.stack([(idx // p**i) % p for i in range(r)])  # (r, q)
-    weights = p ** np.arange(r)
-    add = ((digits[:, :, None] + digits[:, None, :]) % p * weights[:, None, None]).sum(axis=0)
-
-    def reduce_mul(x: int, y: int) -> int:
-        prod = [0] * (2 * r - 1)
-        for i in range(r):
-            xi = (x // p**i) % p
-            if xi == 0:
-                continue
-            for j in range(r):
-                prod[i + j] = (prod[i + j] + xi * ((y // p**j) % p)) % p
-        for deg in range(2 * r - 2, r - 1, -1):
-            c = prod[deg]
-            if c == 0:
-                continue
-            prod[deg] = 0
-            for i in range(r):  # x^deg = -(low part of poly) * x^(deg-r)
-                prod[deg - r + i] = (prod[deg - r + i] - c * poly[i]) % p
-        return sum(prod[i] * p**i for i in range(r))
-
+    coeffs, powers = [1] + [0] * (r - 1), []  # x^0, low degree first
+    for _ in range(q - 1):
+        powers.append(sum(c * p**i for i, c in enumerate(coeffs)))
+        # shift up a degree; x^r = -(low part of poly)
+        coeffs = [(c - coeffs[-1] * a) % p for c, a in zip([0] + coeffs[:-1], poly)]
+    if sorted(powers) != list(range(1, q)) or coeffs != [1] + [0] * (r - 1):
+        raise ValidationError(f"shipped polynomial for GF({p}^{r}) is not primitive")
     mul = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        for y in range(x, q):
-            mul[x, y] = mul[y, x] = reduce_mul(x, y)
-    if np.count_nonzero(mul) != (q - 1) * (q - 1):
-        raise ValidationError(f"shipped polynomial for GF({p}^{r}) produced zero divisors")
-    return RingTables(OpTable(add), OpTable(mul))
+    mul[1:, 1:] = _cyclic_table(np.array(powers) - 1) + 1
+    return RingTables(build_abelian((p,) * r), OpTable(mul))
 
 
 def ring_product(a: RingTables, b: RingTables) -> RingTables:
@@ -512,26 +509,30 @@ def canonical_table(spec: StructureSpec) -> OpTable:
 AxiomClass = Literal["groupoid", "semigroup", "group", "abelian_group"]
 
 
-def _generators(t: np.ndarray) -> list[int]:
-    """Greedy generators of a magma, smallest index first.
+def _generators(t: np.ndarray) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Greedy generators of a magma, smallest index first, and the closure order.
 
     Returns A such that A and everything reached from it by the steps
-    x -> t[x, g], g in A, covers the carrier. Each reached element is
-    multiplied by each generator once, so the search costs O(n |A|) lookups;
-    a group table needs at most log2 n + 1 generators.
+    x -> t[x, g], g in A, covers the carrier, and the order in which that
+    closure reached every element outside A, once each, as ``(y, x, a)``
+    with y = t[x, A[a]] and x in A or reached earlier. Each reached element
+    is multiplied by each generator once, so the search costs O(n |A|)
+    lookups; a group table needs at most log2 n + 1 generators.
     """
     n = t.shape[0]
     reached = [False] * n
     members: list[int] = []
     gens: list[int] = []
-    cols: list[list[int]] = []  # cols[a][x] = t[x, gens[a]]
+    steps: list[tuple[int, int, int]] = []
+    cols: list[tuple[int, list[int]]] = []  # (a, col) with col[x] = t[x, gens[a]]
     g = 0
     while len(members) < n:
         while reached[g]:
             g += 1
         col = t[:, g].tolist()
+        new = len(gens)
+        cols.append((new, col))
         gens.append(g)
-        cols.append(col)
         reached[g] = True
         fresh = [g]
         for x in members:  # earlier elements still owe a step by the new generator
@@ -539,14 +540,16 @@ def _generators(t: np.ndarray) -> list[int]:
             if not reached[y]:
                 reached[y] = True
                 fresh.append(y)
+                steps.append((y, x, new))
         for x in fresh:  # grows while iterated: every new element steps by every generator
-            for c in cols:
+            for a, c in cols:
                 y = c[x]
                 if not reached[y]:
                     reached[y] = True
                     fresh.append(y)
+                    steps.append((y, x, a))
         members.extend(fresh)
-    return gens
+    return gens, steps
 
 
 def _associative_on(t: np.ndarray, gens: list[int]) -> bool:
@@ -557,10 +560,6 @@ def _associative_on(t: np.ndarray, gens: list[int]) -> bool:
     One generator at a time, so memory stays O(n^2) even when |A| = n.
     """
     return all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in gens)
-
-
-def _is_associative(t: np.ndarray) -> bool:
-    return _associative_on(t, _generators(t))
 
 
 def identity_of(t: OpTable) -> Optional[int]:
@@ -584,21 +583,15 @@ def check_axioms(t: OpTable, which: AxiomClass) -> bool:
     O(n^2) identity, inverse and commutativity tests run first.
     """
     arr = t.entries
-    if which == "groupoid":
-        return True
-    if which == "semigroup":
-        return _is_associative(arr)
+    if which not in ("groupoid", "semigroup", "group", "abelian_group"):
+        raise ValidationError(f"unknown axiom class {which!r}")
     if which in ("group", "abelian_group"):
         e = identity_of(t)
-        if e is None:
-            return False
-        has_inverses = bool((arr == e).any(axis=1).all() and (arr == e).any(axis=0).all())
-        if not has_inverses:
-            return False
+        if e is None or not ((arr == e).any(axis=1).all() and (arr == e).any(axis=0).all()):
+            return False  # no identity, or no inverses
         if which == "abelian_group" and not np.array_equal(arr, arr.T):
             return False
-        return _is_associative(arr)
-    raise ValidationError(f"unknown axiom class {which!r}")
+    return which == "groupoid" or _associative_on(arr, _generators(arr)[0])
 
 
 def distributive_laws_hold(add: np.ndarray, mul: np.ndarray) -> bool:
@@ -610,7 +603,7 @@ def distributive_laws_hold(add: np.ndarray, mul: np.ndarray) -> bool:
     b, c; so each law is checked only with b (resp. a) running over the
     greedy generators of the addition, in O(|A| n^2) work.
     """
-    g = _generators(add)
+    g, _ = _generators(add)
     if not _associative_on(add, g):
         raise ValidationError("distributivity is checked on additive generators and needs an associative addition")
     left = np.array_equal(mul[:, add[g]], add[mul[:, g][:, :, None], mul[:, None, :]])

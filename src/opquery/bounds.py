@@ -263,8 +263,7 @@ def bounds_for_ring(spec: RingSpec | str, cap: Optional[int] = None) -> BoundsRe
     if not isinstance(spec, RingSpec):
         spec = RingSpec(spec)
     atoms = _ring_atoms(spec.name)
-    rt = build_ring(spec)
-    n = rt.n
+    n = spec.n
     rep = BoundsReport(n=n, label=f"ring {spec.name}")
     if len(atoms) == 1 and atoms[0][0] == "gf":
         ((p, r),) = _factorize(atoms[0][1]).items()
@@ -277,6 +276,7 @@ def bounds_for_ring(spec: RingSpec | str, cap: Optional[int] = None) -> BoundsRe
         rep.x_size = abelian_automorphism_count([n])
         rep.notes["x_size"] = "phi(n) additive automorphisms, multiplication rigid"
     else:
+        rt = build_ring(spec)  # only products need the tables
         try:
             rep.x_size = multiplication_orbit_size(rt, cap)
             rep.notes["x_size"] = "brute force automorphism quotient"

@@ -158,6 +158,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ValidationError(f"--reps must be at least 1, got {args.reps}")
     specs: list[algebra.StructureSpec] = []
     if args.abelian_upto:
         for n in range(1, args.abelian_upto + 1):

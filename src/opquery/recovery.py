@@ -38,6 +38,8 @@ from .algebra import (
     OpTable,
     RingSpec,
     StructureSpec,
+    _cyclic_table,
+    _generators,
     check_axioms,
     distributive_laws_hold,
     identity_of,
@@ -67,15 +69,6 @@ class RecoveryResult:
             "queries_used": self.queries_used,
             "table": self.table.entries.tolist(),
         }
-
-
-def _cyclic_table(powers: list[int]) -> np.ndarray:
-    """Table of a cyclic group given the element at each exponent."""
-    n = len(powers)
-    p = np.array(powers, dtype=np.int64)
-    logs = np.empty(n, dtype=np.int64)
-    logs[p] = np.arange(n)
-    return p[(logs[:, None] + logs[None, :]) % n]
 
 
 def recover_abelian(oracle: Oracle) -> RecoveryResult:
@@ -365,47 +358,29 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
 # rings with a known addition table
 
 
-def _greedy_closure(add: OpTable) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+def _additive_closure(add: OpTable) -> tuple[int, list[int], list[tuple[int, int, int]]]:
     """Identity, greedy generating set, and the order in which the greedy
 
-    closure reached every other element of an abelian group table. Each
-    generator g is the smallest element outside the closure so far; it
-    adjoins the cosets H + g, H + 2g, ... until a multiple of g falls back
-    into H, so the closure at least doubles and at most log2 n generators
-    come back. Every element x != identity appears once in the order as
-    ``(x, parent, a)`` with x = parent + gens[a], where the parent is the
-    identity or an element earlier in the order.
+    closure of ``algebra._generators`` reached every other element of an
+    abelian group table. The identity is dropped from the generators; it is
+    one only when it is element 0, whose closure is then {0}. Every element
+    x != identity appears once in the order as ``(x, parent, a)`` with
+    x = parent + gens[a]: the generators first, with the identity as parent,
+    then the closure steps, whose parent is the identity or earlier.
     """
     if not check_axioms(add, "abelian_group"):
         raise ValidationError("known addition table is not an abelian group")
-    n = add.n
-    rows = add.entries.tolist()
     e = identity_of(add)
-    if e is None:
-        raise ValidationError("known addition table has no identity")
-    reached = {e}
-    gens: list[int] = []
-    order: list[tuple[int, int, int]] = []
-    while len(reached) < n:
-        g = min(x for x in range(n) if x not in reached)
-        a = len(gens)
-        gens.append(g)
-        base = frozenset(reached)
-        coset = list(base)  # H + (j - 1)g, starting from H itself
-        gj, j = g, 1
-        while gj not in base:
-            parents, coset = coset, [rows[p][g] for p in coset]
-            order.extend((x, p, a) for x, p in zip(coset, parents))
-            reached.update(coset)
-            gj, j = rows[gj][g], j + 1
-        if len(reached) != len(base) * j:
-            raise ValidationError("known addition table is not an abelian group: a closure step overlapped itself")
+    gens, steps = _generators(add.entries)
+    skip = int(gens[0] == e)  # then no step steps by the identity
+    gens = gens[skip:]
+    order = [(g, e, a) for a, g in enumerate(gens)] + [(x, parent, a - skip) for x, parent, a in steps if x != e]
     return e, gens, order
 
 
 def greedy_generating_set(add: OpTable) -> list[int]:
     """Generators of an abelian group table, greedily smallest-index first."""
-    _, gens, _ = _greedy_closure(add)
+    _, gens, _ = _additive_closure(add)
     return gens
 
 
@@ -414,18 +389,18 @@ def recover_ring_multiplication(add: OpTable, oracle: Oracle) -> RecoveryResult:
 
     Queries exactly the |A|^2 ordered pairs of a greedy generating set A of
     the additive group, then rebuilds the table along the order in which the
-    greedy closure reached each element x as x = parent + g with g in A.
-    Each generator row first, one column at a time:
-    a*x = a*parent + a*g, where a*g was queried. Then every full row:
+    greedy closure of ``algebra._generators`` reached each element x as
+    x = parent + g with g in A. Each generator row first, one column at a
+    time: a*x = a*parent + a*g, where a*g was queried. Then every full row:
     x*y = parent*y + g*y, where g*y is in a generator row. Both recurrences
     start from 0*y = y*0 = 0 at the additive identity 0, and the parent is
-    always filled first, so the fill is O(n^2). A query-free check confirms the rebuilt table distributes
-    over the given addition; any table that does is the unique bi-additive
-    extension of the queried products.
+    always filled first, so the fill is O(n^2). A query-free check confirms
+    the rebuilt table distributes over the given addition; any table that
+    does is the unique bi-additive extension of the queried products.
     """
     if add.n != oracle.n:
         raise ValidationError(f"addition table has n = {add.n}, oracle has n = {oracle.n}")
-    e, gens, order = _greedy_closure(add)
+    e, gens, order = _additive_closure(add)
     n = add.n
     arr = add.entries
     start = oracle.count

@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .algebra import _PERMUTATION_CHUNK, OpTable, _check_cap, _factorize, _relabelings, abelian_type, is_prime
+from .algebra import _PERMUTATION_CHUNK, OpTable, _check_cap, _cyclic_table, _factorize, _relabelings, abelian_type, is_prime
 from .bounds import abelian_automorphism_count
 from .errors import CapabilityError, ValidationError
 
@@ -149,12 +149,7 @@ def iter_cyclic_prime_tables(p: int) -> Iterator[np.ndarray]:
         others = [x for x in range(p) if x != e]
         g, rest = others[0], others[1:]
         for assignment in permutations(rest):
-            powers = np.empty(p, dtype=np.int64)
-            powers[0], powers[1] = e, g
-            powers[2:] = assignment
-            logs = np.empty(p, dtype=np.int64)
-            logs[powers] = np.arange(p)
-            yield powers[(logs[:, None] + logs[None, :]) % p].astype(dtype)
+            yield _cyclic_table((e, g) + assignment).astype(dtype)
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:

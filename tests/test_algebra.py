@@ -225,6 +225,45 @@ def test_conway_constants_cover_stated_range():
         assert all(0 <= c < p for c in coeffs)
 
 
+def _reference_gf_mul(p: int, r: int, poly) -> np.ndarray:
+    """GF(p^r) multiplication by schoolbook polynomial products reduced by ``poly``."""
+    q = p**r
+
+    def reduce_mul(x: int, y: int) -> int:
+        prod = [0] * (2 * r - 1)
+        for i in range(r):
+            xi = (x // p**i) % p
+            for j in range(r):
+                prod[i + j] = (prod[i + j] + xi * ((y // p**j) % p)) % p
+        for deg in range(2 * r - 2, r - 1, -1):
+            c, prod[deg] = prod[deg], 0
+            for i in range(r):  # x^deg = -(low part of poly) * x^(deg-r)
+                prod[deg - r + i] = (prod[deg - r + i] - c * poly[i]) % p
+        return sum(prod[i] * p**i for i in range(r))
+
+    return np.array([[reduce_mul(x, y) for y in range(q)] for x in range(q)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, r", sorted(CONWAY_POLYNOMIALS))
+def test_gf_tables_match_polynomial_multiplication(p, r):
+    rt = build_gf(p, r)
+    idx = np.arange(p**r)
+    digits = [(idx // p**i) % p for i in range(r)]
+    add = sum((d[:, None] + d[None, :]) % p * p**i for i, d in enumerate(digits))
+    assert np.array_equal(rt.add.entries, add)
+    assert np.array_equal(rt.mul.entries, _reference_gf_mul(p, r, CONWAY_POLYNOMIALS[(p, r)]))
+
+
+@pytest.mark.parametrize(
+    "p, r, poly",
+    [(3, 2, (1, 0, 1)), (2, 2, (0, 0, 1))],  # x^2 + 1 is irreducible over F_3 but x has order 4 < 8; x^2 is reducible
+)
+def test_gf_rejects_a_polynomial_that_is_not_primitive(monkeypatch, p, r, poly):
+    monkeypatch.setitem(CONWAY_POLYNOMIALS, (p, r), poly)
+    with pytest.raises(ValidationError, match="not primitive"):
+        build_gf(p, r)
+
+
 def test_ring_product_axioms():
     a = build_zn_ring(2)
     b = build_gf(3, 1)

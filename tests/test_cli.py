@@ -182,6 +182,18 @@ def test_bounds_csv(tmp_path, capsys):
     assert rows[0]["n"] == "8" and rows[0]["x_size"] == "40320"
 
 
+def test_bounds_counts_single_rings_from_the_name(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"built the tables of {spec}")
+
+    monkeypatch.setattr(opquery.bounds, "build_ring", refuse)
+    code, out, _ = run(capsys, "bounds", "--ring", "z1000")
+    assert code == 0 and json.loads(out)["x_size"] == 400  # phi(1000)
+    # no polynomial ships for GF(11^2), yet its count is |GL(2, 11)| / 2
+    code, out, _ = run(capsys, "bounds", "--ring", "gf121")
+    assert code == 0 and json.loads(out)["x_size"] == 120 * 110 // 2
+
+
 def test_bounds_requires_exactly_one_spec(capsys):
     code, _, _ = run(capsys, "bounds")
     assert code == 2
@@ -285,6 +297,11 @@ def test_sweep_rings(capsys):
 def test_sweep_empty_is_usage_error(capsys):
     code, _, _ = run(capsys, "sweep")
     assert code == 2
+
+
+def test_sweep_without_reps_names_the_flag(capsys):
+    code, _, err = run(capsys, "sweep", "--rings", "gf4", "--reps", "0")
+    assert code == 2 and "--reps" in err and "nothing to sweep" not in err
 
 
 def test_bad_spec_string_is_usage_error(capsys):

@@ -30,6 +30,7 @@ from opquery import (
     count_ring_automorphisms,
     distributive_laws_hold,
     enumerate_orbit,
+    greedy_generating_set,
     invariant_factors_from_cyclic,
     merge_sort_worst_case,
     minimal_worst_case,
@@ -49,11 +50,15 @@ from opquery import (
     tree_to_dict,
 )
 from opquery.algebra import _relabelings, are_isomorphic
+from opquery.recovery import _additive_closure
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
     lambda ms: invariant_factors_from_cyclic(ms)
 ).filter(lambda fs: math.prod(fs) <= 24)
+
+# every abelian group of order <= 32
+factor_chains_upto_32 = st.sampled_from([fs for n in range(1, 33) for fs in abelian_invariant_factorizations(n)])
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -118,6 +123,36 @@ def test_ring_recovery_within_budget(name, seed):
     n = inst.truth.n
     assert add_res.queries_used + mul_res.queries_used <= n + math.log2(n) ** 2 + 1e-9
     assert distributive_laws_hold(add_res.table.entries, mul_res.table.entries)
+
+
+def _naive_greedy_generators(t: np.ndarray) -> list[int]:
+    """Each generator is the smallest element outside the subgroup the earlier ones generate."""
+    n = t.shape[0]
+    e = next(x for x in range(n) if (t[x] == np.arange(n)).all())
+    gens: list[int] = []
+    sub = {e}
+    while len(sub) < n:
+        gens.append(min(x for x in range(n) if x not in sub))
+        while True:
+            grown = sub | {int(t[x, g]) for x in sub for g in gens}
+            if grown == sub:
+                break
+            sub = grown
+    return gens
+
+
+@given(factor_chains_upto_32, seeds)
+@settings(max_examples=150, deadline=None)
+def test_additive_closure_order_matches_naive_generators(factors, seed):
+    inst = new_hidden(AbelianSpec(factors), seed)
+    t = inst.truth.entries
+    e, gens, order = _additive_closure(inst.truth)
+    assert gens == greedy_generating_set(inst.truth) == _naive_greedy_generators(t)
+    assert sorted(x for x, _, _ in order) == [x for x in range(inst.truth.n) if x != e]
+    filled = {e}
+    for x, parent, a in order:
+        assert parent in filled and t[parent, gens[a]] == x
+        filled.add(x)
 
 
 @given(st.integers(1, 52), seeds, seeds)

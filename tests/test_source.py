@@ -46,6 +46,50 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (``_x``) of a package that nothing reads.
+
+    ``sources`` maps module names to source text. A name counts as read in
+    its own module when a top-level statement other than its definition
+    loads it, and from another module through ``from .module import _x`` or
+    ``module._x``.
+    """
+    defined: list[tuple[str, str, ast.stmt]] = []
+    local: list[tuple[str, ast.stmt, set[str]]] = []
+    imported: set[tuple[str, str]] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            nodes = list(ast.walk(stmt))
+            local.append((module, stmt, {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}))
+            imported |= {(n.module, a.name) for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1 for a in n.names}
+            imported |= {(n.value.id, n.attr) for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(module, name, stmt) for name in names if name.startswith("_") and not name.startswith("__")]
+    return [
+        f"{module}: {name}"
+        for module, name, own in defined
+        if (module, name) not in imported and not any(m == module and s is not own and name in loads for m, s, loads in local)
+    ]
+
+
+def test_unread_private_name_check_sees_dead_helpers():
+    sources = {
+        "a": "def _used():\n    return 1\ndef _dead(k):\n    return _dead(k - 1)\n_LIMIT: int = 3\n_SHARED = 4\n_IMPORTED = 5\nx = _used()\n",
+        "b": "from . import a\nfrom .a import _IMPORTED\n_SHARED = 6\ny = a._LIMIT + _SHARED + _IMPORTED\n",
+    }
+    # b reads its own _SHARED, not a's
+    assert _unread_private_names(sources) == ["a: _dead", "a: _SHARED"]
+
+
+def test_no_unread_private_names_in_package():
+    # a private helper that nothing reads is dead code
+    assert _unread_private_names({path.stem: path.read_text() for path in SOURCES}) == []
+
+
 def _opquery_names(path: Path) -> set[tuple[str, str]]:
     """(module, name) for every opquery name a script reads: ``oq.<name>`` and ``from opquery... import <name>``."""
     tree = ast.parse(path.read_text(), filename=str(path))
