@@ -1,7 +1,8 @@
 """Finite operation tables: builders, axiom checks, and symmetry counting.
 
 Everything operates on a dense carrier {0, ..., n-1}. A binary operation is
-stored as an n x n table of element indices, immutable once built. The three
+stored as an n x n table of element indices, immutable once built, in the
+narrowest integer type for n (``_table_dtype``) however it was made. The three
 table families used throughout are finite abelian groups (given by their
 invariant factor chain), the "later element wins" max table of a chain, and
 finite commutative rings (Z_n, GF(p^r), and direct products of those).
@@ -56,20 +57,22 @@ class OpTable:
     """An immutable n x n operation table over element indices 0..n-1.
 
     ``t[x, y]`` is the product of x and y. The entries array is a read-only
-    int64 numpy array; sharing one table between threads is safe.
+    copy in ``_table_dtype(n)``; sharing one table between threads is safe.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.int64)
+        arr = np.asarray(self.entries)
+        arr = arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"operation table must be square, got shape {arr.shape}")
         n = arr.shape[0]
         if n < 1:
             raise ValidationError("operation table needs at least one element")
-        if arr.min() < 0 or arr.max() >= n:
+        if arr.min() < 0 or arr.max() >= n:  # on the input: narrowing would wrap 300 into range
             raise ValidationError(f"table entries must be element indices in [0, {n})")
+        arr = arr.astype(_table_dtype(n))
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -90,8 +93,7 @@ class OpTable:
     def relabel(self, perm: Sequence[int]) -> "OpTable":
         """The same operation carried through the renaming x -> perm[x]."""
         p = _as_permutation(perm, self.n)
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[p] = np.arange(self.n)
+        inv = p.argsort()
         # a valid table renamed by a permutation is valid: skip the re-check
         entries = p.take(self.entries.take(inv, 0).take(inv, 1))
         entries.flags.writeable = False
@@ -102,14 +104,19 @@ class OpTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OpTable":
-        t = cls(np.array(d["table"], dtype=np.int64))
+        t = cls(d["table"])
         if t.n != int(d["n"]):
             raise ValidationError("declared n does not match table shape")
         return t
 
 
+def _table_dtype(n: int) -> type:
+    """The type every table over n elements is stored in: the narrowest integer holding 0..n-1."""
+    return np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
+
+
 def _as_permutation(perm: Sequence[int], n: int) -> np.ndarray:
-    """``perm`` as an int64 array, if it lists 0..n-1 once each as integers (not bools)."""
+    """``perm`` as an array in ``_table_dtype(n)``, if it lists 0..n-1 once each as integers (not bools)."""
     try:
         p = [operator.index(v) for v in perm]
         ok = sorted(p) == list(range(n)) and bool not in map(type, perm)
@@ -117,7 +124,7 @@ def _as_permutation(perm: Sequence[int], n: int) -> np.ndarray:
         ok = False
     if not ok:
         raise ValidationError(f"not a permutation of 0..{n - 1}: {perm!r}")
-    return np.array(p, dtype=np.int64)
+    return np.array(p, dtype=_table_dtype(n))
 
 
 def _trusted(cls, **fields):
@@ -125,8 +132,8 @@ def _trusted(cls, **fields):
 
     Only the relabel methods may use it: they carry a table that passed its
     checks through a permutation that passed ``_as_permutation``, and every
-    check is invariant under such a renaming. Everything else, recovery
-    outputs and file input included, goes through the validating constructor.
+    check is invariant under such a renaming; ``recover_max_chain`` builds its
+    result so. Everything else goes through the validating constructor.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -366,11 +373,10 @@ def build_abelian(spec: AbelianSpec | Sequence[int]) -> OpTable:
 
 
 def _cyclic_table(powers: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Table of a cyclic group given the element at each exponent, ``powers[0]`` the identity."""
+    """Table of a cyclic group, in ``_table_dtype(n)``, from the element at each exponent (``powers[0]`` the identity)."""
     n = len(powers)
-    p = np.asarray(powers, dtype=np.int64)
-    logs = np.empty(n, dtype=np.int64)
-    logs[p] = np.arange(n)
+    p = np.asarray(powers, dtype=_table_dtype(n))
+    logs = p.argsort()
     return p[(logs[:, None] + logs) % n]
 
 
@@ -445,8 +451,8 @@ def ring_product(a: RingTables, b: RingTables) -> RingTables:
     """Componentwise product ring; pair (i, j) is encoded as i * b.n + j."""
     nb = b.n
 
-    def combine(ta: np.ndarray, tb: np.ndarray) -> OpTable:
-        return OpTable((ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(a.n * nb, a.n * nb))
+    def combine(ta: np.ndarray, tb: np.ndarray) -> OpTable:  # widened: i * nb + j overflows a narrow type
+        return OpTable((ta.astype(np.intp)[:, None, :, None] * nb + tb[None, :, None, :]).reshape(a.n * nb, a.n * nb))
 
     return RingTables(combine(a.add.entries, b.add.entries), combine(a.mul.entries, b.mul.entries))
 
@@ -524,12 +530,13 @@ def _generators(t: np.ndarray) -> tuple[list[int], list[tuple[int, int, int]]]:
     members: list[int] = []
     gens: list[int] = []
     steps: list[tuple[int, int, int]] = []
-    cols: list[tuple[int, list[int]]] = []  # (a, col) with col[x] = t[x, gens[a]]
+    cols: list[tuple[int, memoryview]] = []  # (a, col) with col[x] = t[x, gens[a]]
     g = 0
     while len(members) < n:
         while reached[g]:
             g += 1
-        col = t[:, g].tolist()
+        # not a list: 8 bytes an entry, n^2 of them when all n elements generate
+        col = memoryview(np.ascontiguousarray(t[:, g]))
         new = len(gens)
         cols.append((new, col))
         gens.append(g)
@@ -606,8 +613,13 @@ def distributive_laws_hold(add: np.ndarray, mul: np.ndarray) -> bool:
     g, _ = _generators(add)
     if not _associative_on(add, g):
         raise ValidationError("distributivity is checked on additive generators and needs an associative addition")
-    left = np.array_equal(mul[:, add[g]], add[mul[:, g][:, :, None], mul[:, None, :]])
-    right = np.array_equal(mul[add[g]], add[mul[g][:, None, :], mul[None, :, :]])
+    return _distributive_on(add, mul, g)
+
+
+def _distributive_on(add: np.ndarray, mul: np.ndarray, gens: Sequence[int]) -> bool:
+    """Both distributive laws with the additive slot over ``gens``; exact if they generate an associative addition."""
+    left = np.array_equal(mul[:, add[gens]], add[mul[:, gens][:, :, None], mul[:, None, :]])
+    right = np.array_equal(mul[add[gens]], add[mul[gens][:, None, :], mul[None, :, :]])
     return bool(left and right)
 
 

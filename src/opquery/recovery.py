@@ -39,9 +39,10 @@ from .algebra import (
     RingSpec,
     StructureSpec,
     _cyclic_table,
+    _distributive_on,
     _generators,
+    build_max_chain,
     check_axioms,
-    distributive_laws_hold,
     identity_of,
     is_prime,
 )
@@ -307,24 +308,26 @@ def merge_sort_worst_case(n: int) -> int:
     return n * c - 2**c + 1
 
 
-def _merge_sort(items: list[int], bigger) -> list[int]:
+def _merge_sort(items: list[int], query: Callable[[int, int], int]) -> list[int]:
+    """Top-down merge sort by ``query(x, y)``, the larger of x and y; any other answer raises NotInClassError."""
     if len(items) <= 1:
         return items
     mid = len(items) // 2
-    left = _merge_sort(items[:mid], bigger)
-    right = _merge_sort(items[mid:], bigger)
+    left, right, nr = _merge_sort(items[:mid], query), _merge_sort(items[mid:], query), len(items) - mid
     merged: list[int] = []
     i = j = 0
-    while i < len(left) and j < len(right):
-        if bigger(left[i], right[j]) == right[j]:
-            merged.append(left[i])
+    while i < mid and j < nr:
+        x, y = left[i], right[j]
+        z = query(x, y)
+        if z == y:
+            merged.append(x)
             i += 1
-        else:
-            merged.append(right[j])
+        elif z == x:
+            merged.append(y)
             j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged
+        else:
+            raise NotInClassError(f"query ({x}, {y}) -> {z} is outside the pair; not a max table")
+    return merged + left[i:] + right[j:]
 
 
 def recover_max_chain(oracle: Oracle) -> RecoveryResult:
@@ -332,26 +335,16 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
 
     Each query x*y must answer x or y (the larger); merge sort then needs at
     most n*ceil(log2 n) - 2^ceil(log2 n) + 1 of them, and the sorted order
-    determines the whole table.
+    determines the whole table: the canonical chain renamed by the order. This
+    one recovery output is not re-checked, since merge sort permutes its input.
     """
     n = oracle.n
     start = oracle.count
-
-    def bigger(x: int, y: int) -> int:
-        z = oracle.query(x, y)
-        if z != x and z != y:
-            raise NotInClassError(f"query ({x}, {y}) -> {z} is outside the pair; not a max table")
-        return z
-
-    order = _merge_sort(list(range(n)), bigger)
-    pos = np.empty(n, dtype=np.int64)
-    pos[np.array(order)] = np.arange(n)
-    idx = np.arange(n)
-    table = np.where(pos[:, None] >= pos[None, :], idx[:, None], idx[None, :])
+    order = _merge_sort(list(range(n)), oracle.query)
     queries = oracle.count - start
     if queries > merge_sort_worst_case(n):
         raise NotInClassError("comparison count exceeded the sorting bound; answers were inconsistent")
-    return RecoveryResult(OpTable(table), queries, "maxchain", trace=oracle.transcript_since(start))
+    return RecoveryResult(build_max_chain(n).relabel(order), queries, "maxchain", trace=oracle.transcript_since(start))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +409,7 @@ def recover_ring_multiplication(add: OpTable, oracle: Oracle) -> RecoveryResult:
     for x, parent, a in order:
         table[x] = arr[table[parent], grows[a]]
 
-    if not distributive_laws_hold(arr, table):
+    if not _distributive_on(arr, table, gens):  # gens generate an addition that passed check_axioms
         raise NotInClassError("rebuilt multiplication does not distribute over the known addition")
     queries = _spent(oracle, start, len(gens) ** 2, "ringmul")
     return RecoveryResult(OpTable(table), queries, "ringmul", trace=oracle.transcript_since(start))

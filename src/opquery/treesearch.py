@@ -130,10 +130,6 @@ class OperationSet:
             yield self[i]
 
 
-def _dtype_for(n: int) -> type:
-    return np.int8 if n <= 127 else np.int64
-
-
 def iter_cyclic_prime_tables(p: int) -> Iterator[np.ndarray]:
     """All p * (p-2)! distinct tables of a cyclic group of prime order p.
 
@@ -144,12 +140,11 @@ def iter_cyclic_prime_tables(p: int) -> Iterator[np.ndarray]:
     """
     if not is_prime(p):
         raise ValidationError(f"need a prime order, got {p}")
-    dtype = _dtype_for(p)
     for e in range(p):
         others = [x for x in range(p) if x != e]
         g, rest = others[0], others[1:]
         for assignment in permutations(rest):
-            yield _cyclic_table((e, g) + assignment).astype(dtype)
+            yield _cyclic_table((e, g) + assignment)
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -189,16 +184,29 @@ def _star_relabelings(stack: np.ndarray) -> Iterator[np.ndarray]:
     """
     m, n = stack.shape[:2]
     flat = stack.reshape(m, n * n)
+    for i, at in _star_gathers(n) if (n - 1) * n * n <= _STAR_ENTRIES else _iter_star_gathers(n):
+        label = i.astype(stack.dtype)[:, None]  # a user-built OperationSet may hold int64 stacks
+        for first in range(0, m, _STAR_CHUNK):
+            moved = flat[first : first + _STAR_CHUNK, at]
+            yield (moved + label * (moved == 0) - label * (moved == label)).reshape(-1, n, n)
+
+
+def _iter_star_gathers(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per gather of ``_star_relabelings``, the labels i of its transpositions (0 i) and the positions at; read-only."""
     step = max(1, _STAR_ENTRIES // (n * n))  # transpositions per gather
     for lo in range(1, n, step):
         i = np.arange(lo, min(n, lo + step))
         s = np.tile(np.arange(n), (len(i), 1))  # row r is (0 i[r])
         s[:, 0], s[np.arange(len(i)), i] = i, 0
         at = (s[:, :, None] * n + s[:, None, :]).reshape(len(i), n * n)
-        label = i.astype(stack.dtype)[:, None]
-        for first in range(0, m, _STAR_CHUNK):
-            moved = flat[first : first + _STAR_CHUNK, at]
-            yield (moved + label * (moved == 0) - label * (moved == label)).reshape(-1, n, n)
+        i.flags.writeable = at.flags.writeable = False
+        yield i, at
+
+
+@lru_cache(maxsize=16)
+def _star_gathers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The one gather of an n with (n - 1) n^2 <= _STAR_ENTRIES (n <= 16), cached; larger n build theirs as they go."""
+    return tuple(_iter_star_gathers(n))
 
 
 def _walk_is_shorter(t: OpTable) -> bool:
@@ -228,8 +236,7 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
     """
     n = canonical.n
     _check_cap(n, cap, "enumerate_orbit")
-    dtype = _dtype_for(n)
-    start = canonical.entries[None].astype(dtype)
+    start = canonical.entries[None]
     if _walk_is_shorter(canonical):
         return OperationSet(_walk_orbit(start), check_distinct=False)
     seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
@@ -241,7 +248,7 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
         if sum(map(len, fresh)) > len(seen):
             seen = _sorted_distinct(np.concatenate([seen, *fresh]))
             fresh = []
-    stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(dtype).reshape(-1, n, n)
+    stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(start.dtype).reshape(-1, n, n)
     return OperationSet(stack, check_distinct=False)
 
 

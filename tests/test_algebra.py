@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from opquery import (
+    METHODS,
     AbelianSpec,
     MaxChainSpec,
+    OperationSet,
     OpTable,
     RingSpec,
     ValidationError,
@@ -27,14 +29,22 @@ from opquery import (
     enumerate_orbit,
     invariant_factors_from_cyclic,
     is_prime,
+    new_hidden,
+    new_hidden_ring,
+    oracle_for,
+    random_permutation,
+    recover_max_chain,
+    verify_recovery,
 )
 from opquery.algebra import (
     CONWAY_POLYNOMIALS,
+    _table_dtype,
     are_isomorphic,
     canonical_table,
     identity_of,
     ring_product,
 )
+from opquery.treesearch import iter_cyclic_prime_tables
 
 
 def test_optable_rejects_bad_shapes():
@@ -51,6 +61,78 @@ def test_optable_equality_and_hash():
     b = build_abelian([4])
     assert a == b and hash(a) == hash(b)
     assert a != build_abelian([2, 2])
+    # the input's integer type leaves no trace in the stored table
+    rows = a.entries.tolist()
+    for c in (OpTable(rows), *(OpTable(np.array(rows, dtype=d)) for d in (np.int64, np.uint8, np.int8, np.int16))):
+        assert c == a and hash(c) == hash(a)
+
+
+# ---------------------------------------------------------------------------
+# compact storage: every table is a read-only array in _table_dtype(n)
+
+
+def test_table_dtype_is_the_narrowest_that_holds_every_label():
+    assert [_table_dtype(n) for n in (1, 127, 128, 32767, 32768, 10**6)] == [np.int8] * 2 + [np.int16] * 2 + [np.int32] * 2
+
+
+def _assert_compact(t: OpTable) -> None:
+    assert t.entries.dtype == _table_dtype(t.n), (t.n, t.entries.dtype)
+    assert not t.entries.flags.writeable
+
+
+def test_every_table_producer_stores_the_compact_dtype():
+    rows = build_max_chain(5).entries.tolist()
+    for given in (rows, np.array(rows), np.array(rows, dtype=np.uint8), np.array(rows, dtype=np.int8)):
+        _assert_compact(OpTable(given))
+    _assert_compact(OpTable.from_dict({"n": 5, "table": rows}))
+    for n in (127, 128, 300):  # both sides of the int8 / int16 line
+        chain = build_max_chain(n)
+        _assert_compact(chain)
+        _assert_compact(chain.relabel(random_permutation(n, 1)))
+        _assert_compact(OpTable(np.array(chain.entries, dtype=np.int64)))
+    _assert_compact(build_abelian([]))
+    _assert_compact(build_abelian([2, 64]))
+    for ring in (build_zn_ring(200), build_gf(2, 6), build_gf(7, 1), build_ring("z3xgf64"), ring_product(build_gf(3, 2), build_zn_ring(20))):
+        _assert_compact(ring.add)
+        _assert_compact(ring.mul)
+        _assert_compact(ring.relabel(random_permutation(ring.n, 2)).mul)
+    _assert_compact(next(iter(OperationSet(np.zeros((1, 3, 3), dtype=np.int64)))))
+    tables = iter_cyclic_prime_tables(7)
+    for _ in range(3):
+        table = next(tables)
+        assert table.dtype == np.int8
+        _assert_compact(OpTable(table))
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_every_recovery_method_returns_compact_tables(name):
+    specs = {"abelian": AbelianSpec((4, 40)), "prime": AbelianSpec((13,)), "eleven8": AbelianSpec((11,)), "maxchain": MaxChainSpec(150)}
+    instance = new_hidden(specs[name], 3) if name in specs else new_hidden_ring("z3xgf64", 3)
+    for result, oracle in METHODS[name].run(instance):
+        _assert_compact(result.table)
+        assert verify_recovery(oracle, result.table)[0]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16])
+def test_out_of_range_entries_are_rejected_before_narrowing(dtype):
+    # in the int8 of an n = 100 table, 300, 256 and 355 would wrap to 44, 0 and 99
+    for bad in (300, 256, 355):
+        arr = np.zeros((100, 100), dtype=dtype)
+        arr[3, 7] = bad
+        with pytest.raises(ValidationError, match="element indices"):
+            OpTable(arr)
+    with pytest.raises(ValidationError, match="element indices"):
+        OpTable([[0, -1], [1, 0]])
+
+
+def test_z3xgf64_product_matches_a_wide_product():
+    # 2 * 64 + j leaves int8: the product must be formed before narrowing
+    a, b, ring = build_zn_ring(3), build_gf(2, 6), build_ring("z3xgf64")
+    for got, ta, tb in ((ring.add, a.add, b.add), (ring.mul, a.mul, b.mul)):
+        wa, wb = ta.entries.astype(np.int64), tb.entries.astype(np.int64)
+        want = (wa[:, None, :, None] * 64 + wb[None, :, None, :]).reshape(192, 192)
+        assert np.array_equal(got.entries, want)
+        assert int(got.entries.max()) == 191
 
 
 def test_relabel_is_conjugation():
@@ -332,6 +414,18 @@ def test_orbit_walk_memory_is_bounded_by_its_orbit():
     t = build_abelian([2, 4])
     orbit_bytes = enumerate_orbit(t).tables.nbytes
     assert _peak_bytes(lambda: enumerate_orbit(t)) < 4 * orbit_bytes
+
+
+def test_hiding_and_recovering_a_long_chain_stays_near_its_table_size():
+    # the truth, the result and their gathers, 2 bytes an entry; int64 tables would take 6.6 MB
+    n = 512
+    build_max_chain(n)  # the canonical table is built once and cached
+
+    def run():
+        inst = new_hidden(MaxChainSpec(n), 3)
+        assert recover_max_chain(oracle_for(inst)).table == inst.truth
+
+    assert _peak_bytes(run) < 20 * n * n
 
 
 def test_light_test_memory_is_quadratic_on_a_max_chain():

@@ -49,8 +49,8 @@ from opquery import (
     ring_oracles,
     tree_to_dict,
 )
-from opquery.algebra import _relabelings, are_isomorphic
-from opquery.recovery import _additive_closure
+from opquery.algebra import _relabelings, _table_dtype, are_isomorphic
+from opquery.recovery import _additive_closure, _merge_sort
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
@@ -187,7 +187,7 @@ def _reference_relabel(t: OpTable, perm) -> np.ndarray:
 
 def _check_relabel(t: OpTable, perm) -> None:
     r = t.relabel(perm)
-    assert r.entries.dtype == np.int64 and not r.entries.flags.writeable
+    assert r.entries.dtype == _table_dtype(t.n) and not r.entries.flags.writeable
     assert np.array_equal(r.entries, _reference_relabel(t, perm))
     with pytest.raises(ValueError):
         r.entries[0, 0] = 0
@@ -713,23 +713,81 @@ def _is_max_table(t: np.ndarray) -> bool:
     return bool(np.array_equal(t, np.where(rank[:, None] >= rank[None, :], idx[:, None], idx[None, :])))
 
 
-@given(st.integers(1, 12), st.sampled_from(["random", "tournament", "corrupted", "swapped"]), seeds)
-@settings(max_examples=300, deadline=None)
-def test_hostile_max_chain_oracle_has_two_outcomes(n, kind, seed):
+chain_kinds = st.sampled_from(["random", "tournament", "corrupted", "swapped"])
+
+
+def _hostile_chain_table(n: int, kind: str, seed: int) -> OpTable:
     rng = random.Random(seed)
     if kind == "random":
-        t = _random_table(rng, n)
-    elif kind == "tournament":
+        return OpTable(_random_table(rng, n))
+    if kind == "tournament":
         # each pair has a winner, but the wins need not follow any order
         idx = np.arange(n)
         upper = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(n)])
         wins = np.where(idx[:, None] < idx[None, :], upper, ~upper.T)  # wins[x, y]: x beats y
-        t = np.where(wins, idx[:, None], idx[None, :])
-    else:
-        t = _damage(rng, new_hidden(MaxChainSpec(n), seed).truth.entries, kind)
-    table = _run_hostile(recover_max_chain, OpTable(t))
+        return OpTable(np.where(wins, idx[:, None], idx[None, :]))
+    return OpTable(_damage(rng, new_hidden(MaxChainSpec(n), seed).truth.entries, kind))
+
+
+@given(st.integers(1, 12), chain_kinds, seeds)
+@settings(max_examples=300, deadline=None)
+def test_hostile_max_chain_oracle_has_two_outcomes(n, kind, seed):
+    table = _run_hostile(recover_max_chain, _hostile_chain_table(n, kind, seed))
     if table is not None:
         assert _is_max_table(table.entries)
+
+
+def _reference_merge_sort(items: list[int], bigger) -> list[int]:
+    """The merge sort of ``recover_max_chain`` as a recursion over a checked comparison, kept as the reference."""
+    if len(items) <= 1:
+        return items
+    mid = len(items) // 2
+    left = _reference_merge_sort(items[:mid], bigger)
+    right = _reference_merge_sort(items[mid:], bigger)
+    merged: list[int] = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if bigger(left[i], right[j]) == right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return merged
+
+
+def _reference_max_chain_order(oracle: Oracle) -> list[int]:
+    def bigger(x: int, y: int) -> int:
+        z = oracle.query(x, y)
+        if z != x and z != y:
+            raise NotInClassError(f"query ({x}, {y}) -> {z} is outside the pair; not a max table")
+        return z
+
+    return _reference_merge_sort(list(range(oracle.n)), bigger)
+
+
+def _outcome(run, oracle: Oracle):
+    try:
+        return run(oracle), oracle.transcript
+    except NotInClassError as exc:
+        return str(exc), oracle.transcript
+
+
+@given(st.integers(1, 40), st.sampled_from(["honest", "random", "tournament", "corrupted", "swapped"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_max_chain_merge_matches_the_reference_merge(n, kind, seed):
+    # same order or same error, after the same queries in the same order
+    truth = new_hidden(MaxChainSpec(n), seed).truth if kind == "honest" else _hostile_chain_table(n, kind, seed)
+    want = _outcome(_reference_max_chain_order, Oracle(truth))
+    got = _outcome(lambda oracle: _merge_sort(list(range(n)), oracle.query), Oracle(truth))
+    assert got == want
+    result = _outcome(recover_max_chain, Oracle(truth))
+    if isinstance(want[0], str):
+        assert result == want
+    else:
+        assert result[1] == want[1] and result[0].table == build_max_chain(n).relabel(want[0])
 
 
 def _bilinear_expansion(add: np.ndarray, oracle: Oracle) -> np.ndarray:
