@@ -9,9 +9,12 @@ worst case cost = deepest leaf and average cost = mean leaf depth.
 ``minimal_worst_case`` finds the true optimum by memoized minimax over the
 reachable candidate subsets, pruned at the information floor (d more queries
 with at most b-way answers cannot split more than b^d candidates). Each state
-counts its queries' distinct answers with one numpy sort; answer blocks are
-built lazily in lexicographic (x, y) order, queries that repeat an earlier
-partition are skipped, and ties keep the first winner, so the returned
+is solved only up to a cap, the value it must beat, as in alpha-beta: below
+the cap its value is exact, at or above it the search stops at a lower bound
+that a later call with a higher cap searches on from. Each state counts its
+queries' distinct answers with one numpy sort; answer blocks are built lazily
+in lexicographic (x, y) order and solved largest first, queries that repeat an
+earlier partition are skipped, and ties keep the first winner, so the returned
 witness tree is canonical and runs reproduce bit identical results.
 
 Every class searched here is closed under relabeling (S_n). A state of a
@@ -26,9 +29,11 @@ than running all n! permutations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from operator import index
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -71,15 +76,39 @@ def tree_to_dict(tree: QueryTree) -> dict:
     }
 
 
+def _integer(v: object, what: str) -> int:
+    """v as an int by the rule of ``Oracle.query``: integers, not bools; else ValidationError."""
+    try:
+        if v.__class__ is bool:
+            raise TypeError("bool")
+        return index(v)
+    except TypeError:
+        raise ValidationError(f"{what} needs an integer, got {v!r}") from None
+
+
 def tree_from_dict(d: dict) -> QueryTree:
+    """Inverse of ``tree_to_dict``; a malformed node raises ValidationError.
+
+    Answer keys may be integers or, as JSON writes them, their decimal strings.
+    """
+    if not isinstance(d, Mapping):
+        raise ValidationError(f"tree node must be a dict, got {d!r}")
     if "leaf" in d:
         v = d["leaf"]
-        return Leaf(None if v is None else int(v))
+        return Leaf(None if v is None else _integer(v, "leaf"))
     if "query" not in d or "children" not in d:
         raise ValidationError("tree node needs either a leaf or query + children")
-    x, y = d["query"]
-    children = {int(z): tree_from_dict(sub) for z, sub in d["children"].items()}
-    return Node((int(x), int(y)), children)
+    query, kids = d["query"], d["children"]
+    if not isinstance(query, (list, tuple)) or len(query) != 2:
+        raise ValidationError(f"query must be a pair [x, y], got {query!r}")
+    if not isinstance(kids, Mapping):
+        raise ValidationError(f"children must map answers to nodes, got {kids!r}")
+    children = {}
+    for z, sub in kids.items():
+        if isinstance(z, str) and z.isascii() and z.removeprefix("-").isdigit():
+            z = int(z)
+        children[_integer(z, "answer")] = tree_from_dict(sub)
+    return Node((_integer(query[0], "query"), _integer(query[1], "query")), children)
 
 
 def render_tree(tree: QueryTree, indent: str = "") -> str:
@@ -359,7 +388,8 @@ class SearchStats:
     queries_skipped: int = 0  # queries not scanned: another query of their stabiliser orbit stands for them
     fresh_skipped: int = 0  # answer blocks not solved: they are conjugate to a fresh block that was
     floor_cutoffs: int = 0  # states whose scan stopped at the information floor
-    aborted: int = 0  # queries dropped once an answer block matched the best query
+    aborted: int = 0  # queries dropped: their largest block's floor, or a solved block, reached the best value
+    capped: int = 0  # states that failed high: the search stopped at a lower bound >= its cap
 
 
 @lru_cache(maxsize=4096)
@@ -387,14 +417,26 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     with a canonical witness tree. Memoized minimax over candidate subsets:
     a state is solved when one candidate remains; otherwise try every query
     that splits the state, recurse on the answer blocks, and keep the
-    lexicographically first query achieving the minimum. States prune
-    against the information floor ceil(log_b |state|), b = widest split any
-    query offers there. One sort of the state's answer matrix counts the
-    distinct answers of every query it scans, which gives b and the
-    splitting queries; a query's blocks are grouped only when the scan
-    reaches it, and a query whose blocks equal an earlier query's (answer
-    labels aside) is skipped, since its children and value are the same and
-    the earlier query wins the tie.
+    lexicographically first query achieving the minimum. One sort of the
+    state's answer matrix counts the distinct answers of every query it
+    scans, which gives the splitting queries and b, the widest split; a
+    query's blocks are grouped only when the scan reaches it, and a query
+    whose blocks equal an earlier query's (answer labels aside) is skipped,
+    since its children and value are the same and the earlier query wins
+    the tie.
+
+    Each state is solved up to a cap, the value it must beat: below the cap
+    the value is exact, at or above it the search stops with a lower bound
+    (alpha-beta's fail high). The scan's best value starts at the cap and
+    every answer block of a query gets the cap best - 1, so a query stops at
+    its first block that cannot beat the best query so far. Blocks are
+    solved largest first, and a query whose largest block has more than
+    b^(best - 2) candidates is refused unsolved: no sub-block splits wider
+    than b, so that block alone needs best - 1 queries. A state stops as
+    soon as its best value reaches its floor: the information floor
+    ceil(log_b |state|), or a lower bound an earlier, lower cap left for it,
+    from which a higher cap searches again. Exact values come out the same
+    under any cap above them, and so does the first query reaching them.
 
     When ``ops`` is closed under relabeling (checked once, by the star
     transpositions), a state is fixed by every permutation of the labels
@@ -403,9 +445,10 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     lexicographically first of each (``_representatives``): the first query
     with the best value is among them. Answers outside the mentioned labels
     give conjugate blocks of equal value, so only the first is solved, and
-    the witness tree solves the others when it is built. Any other set is
-    searched with every label mentioned, which scans every query. Values
-    and witness trees are the same either way; ``stats`` counts the work.
+    the witness tree solves the others, capped by their parent's value, when
+    it is built. Any other set is searched with every label mentioned, which
+    scans every query. Values and witness trees are the same either way;
+    ``stats`` counts the work.
     """
     m = len(ops)
     _check_budget(m, budget)
@@ -419,16 +462,23 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     answers = tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 
-    memo_value: dict[tuple[int, ...], int] = {}
+    memo_value: dict[tuple[int, ...], int] = {}  # exact values
     memo_choice: dict[tuple[int, ...], tuple[tuple[int, int], dict[int, tuple[int, ...]]]] = {}
+    memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
 
-    def solve(ids: tuple[int, ...], mentioned: int) -> int:
+    def solve(ids: tuple[int, ...], mentioned: int, cap: int) -> int:
+        """The value of state ids if it is below cap, else a lower bound >= cap."""
         if len(ids) <= 1:
             return 0
-        cached = memo_value.get(ids)
-        if cached is not None:
-            stats.memo_hits += 1
-            return cached
+        known = memo_value.get(ids)
+        if known is None:
+            known = memo_bound.get(ids, 0)
+            if known < cap:
+                return search(ids, mentioned, cap, known)
+        stats.memo_hits += 1
+        return known
+
+    def search(ids: tuple[int, ...], mentioned: int, cap: int, known: int) -> int:
         stats.states += 1
         cols = _representatives(mentioned, n)
         stats.queries_skipped += n * n - len(cols)
@@ -436,12 +486,18 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         ranked = np.sort(rows, axis=0)
         widths = 1 + (ranked[1:] != ranked[:-1]).sum(axis=0)  # distinct answers per query
         widest = int(widths.max())
-        floor, reach = 0, 1
-        while reach < len(ids):  # smallest d with widest^d >= |state|, in exact arithmetic
-            reach *= widest
-            floor += 1
-        best: Optional[int] = None
-        best_choice = None
+        # reach[d] = widest^d, up to the first power >= |state|; no query splits a block
+        # of k candidates wider, so it needs bisect_left(reach, k) queries or more
+        reach = [1]
+        while reach[-1] < len(ids):
+            reach.append(reach[-1] * widest)
+        floor = max(known, len(reach) - 1)
+        if floor >= cap:
+            stats.capped += 1
+            memo_bound[ids] = floor
+            return floor
+        best, best_choice = cap, None
+        low = len(ids)  # least lower bound of a refused query; every query is worth less than |state|
         seen: set[tuple[tuple[int, ...], ...]] = set()  # partitions already tried here
         for j in (widths > 1).nonzero()[0].tolist():
             stats.queries_scanned += 1
@@ -453,41 +509,51 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             if partition in seen:
                 continue
             seen.add(partition)
+            order = sorted(groups, key=lambda z: (-len(groups[z]), z))
+            largest = len(groups[order[0]])
+            if best - 2 < len(reach) and largest > reach[best - 2]:  # the largest block needs best - 1 queries
+                stats.aborted += 1
+                low = min(low, 1 + bisect_left(reach, largest))
+                continue
             x, y = divmod(int(cols[j]), n)
             after = mentioned | bits[x] | bits[y]
             worst = 0
             fresh_solved = False
-            for z in sorted(groups):
+            for z in order:
                 bit = bits.get(z, 0)
                 if bit and not after & bit:  # a fresh answer: its block is conjugate to every other fresh one
                     if fresh_solved:
                         stats.fresh_skipped += 1
                         continue
                     fresh_solved = True
-                worst = max(worst, solve(groups[z], after | bit))
-                if best is not None and 1 + worst >= best:
+                worst = max(worst, solve(groups[z], after | bit, best - 1))
+                if 1 + worst >= best:
                     stats.aborted += 1
+                    low = min(low, 1 + worst)
                     break  # aborted: this query cannot beat the best one
             else:
-                if best is None or 1 + worst < best:
-                    best, best_choice = 1 + worst, ((x, y), groups)
-                    if best == floor:
-                        stats.floor_cutoffs += 1
-                        break
-        # distinct tables differ on some query, the scan holds a query of its
-        # orbit, and the first splitting query is never aborted, so best is set
+                best, best_choice = 1 + worst, ((x, y), groups)
+                if best == floor:
+                    stats.floor_cutoffs += 1
+                    break
+        if best_choice is None:  # every query failed high
+            stats.capped += 1
+            memo_bound[ids] = low
+            return low
+        memo_bound.pop(ids, None)
         memo_value[ids] = best
         memo_choice[ids] = best_choice
         return best
 
-    def build(ids: tuple[int, ...], mentioned: int) -> QueryTree:
+    def build(ids: tuple[int, ...], mentioned: int, cap: int) -> QueryTree:
         if len(ids) == 1:
             return Leaf(ids[0])
         if ids not in memo_choice:  # a fresh block that solve left to its conjugate
-            solve(ids, mentioned)
+            solve(ids, mentioned, cap)
         (x, y), groups = memo_choice[ids]
-        after = mentioned | bits[x] | bits[y]
-        return Node((x, y), {z: build(groups[z], after | bits.get(z, 0)) for z in sorted(groups)})
+        after, value = mentioned | bits[x] | bits[y], memo_value[ids]
+        return Node((x, y), {z: build(groups[z], after | bits.get(z, 0), value) for z in sorted(groups)})
 
+    # no state of k candidates needs more than k - 1 queries, so a cap of m is never reached
     root, mentioned = tuple(range(m)), 0 if closed else (1 << n) - 1
-    return solve(root, mentioned), build(root, mentioned)
+    return solve(root, mentioned, m), build(root, mentioned, m)

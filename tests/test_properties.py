@@ -571,6 +571,16 @@ def test_minimal_worst_case_matches_reference_on_random_stacks(n, m, commutative
     _assert_search_matches_reference(_random_stack(random.Random(seed), n, m, commutative))
 
 
+def test_minimal_worst_case_matches_reference_where_a_refused_state_is_searched_again():
+    """Covers the repeat search: one state of this stack first fails high,
+    refused under a low cap with only a lower bound, and a later call with a
+    higher cap needs its exact value, so it is searched again from that bound.
+    Random stacks rarely take this path (Z_7 takes it once); this stack of
+    twelve commutative tables on 3 points was found by scanning seeds.
+    """
+    _assert_search_matches_reference(_random_stack(random.Random(191), 3, 12, True))
+
+
 @given(
     st.sampled_from([build_abelian([4]), build_abelian([2, 2]), build_abelian([5]), build_max_chain(3), build_max_chain(4)]),
     seeds,

@@ -279,12 +279,21 @@ PINNED_OPTIMA = [
     # before it used the symmetry of the orbit (about 45 s each then)
     ("Z_2xZ_4", build_abelian([2, 4]), 6, "8fa50e657ce16937a4123b19bcf8377430258590be012d72763eb6117b0f7a54"),
     ("Z_8", build_abelian([8]), 6, "00afe8d4b80493d578220ffc71342dfdffdafb3235ffe855b7298e3e9dd81c8c"),
+    # S(7) over 5,040 candidates, and 7,560 candidates on 9 points, past the
+    # default brute force cap; both digests are those of the search before it
+    # capped each state at the value it must beat (the chain took about a minute then)
+    ("C_7", build_max_chain(7), 13, "16ee2c5851550a195eb3207621c105e9ce2d9ae5aa378714c89cce1b6dc3b83e"),
+    ("Z_3xZ_3", build_abelian([3, 3]), 5, "8fbefbffbc4ab1bf62822f6bbf8fd192f37cc55805c18f96874fd20b626735ac", 9),
 ]
 
 
-@pytest.mark.parametrize("canonical, optimum, digest", [row[1:] for row in PINNED_OPTIMA], ids=[row[0] for row in PINNED_OPTIMA])
-def test_minimal_worst_case_pinned_optima(canonical, optimum, digest):
-    ops = enumerate_orbit(canonical)
+@pytest.mark.parametrize(
+    "canonical, optimum, digest, cap",
+    [(canonical, optimum, digest, cap[0] if cap else None) for _, canonical, optimum, digest, *cap in PINNED_OPTIMA],
+    ids=[row[0] for row in PINNED_OPTIMA],
+)
+def test_minimal_worst_case_pinned_optima(canonical, optimum, digest, cap):
+    ops = enumerate_orbit(canonical, cap=cap)
     depth, tree = minimal_worst_case(ops, budget=len(ops))
     assert depth == optimum
     v = verify_query_tree(tree, ops)
@@ -292,17 +301,59 @@ def test_minimal_worst_case_pinned_optima(canonical, optimum, digest):
     assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == digest
 
 
+@pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 8 chain (~30 s, ~200 MB)")
+def test_minimal_worst_case_finds_the_sorting_number_s8():
+    # 40,320 candidates over about 170,000 states. No digest is pinned: the
+    # search before the caps would take hours here, so there is no older tree
+    # to compare against, only the known optimum.
+    ops = enumerate_orbit(build_max_chain(8), cap=9)
+    depth, tree = minimal_worst_case(ops, budget=len(ops))
+    v = verify_query_tree(tree, ops)
+    assert v.ok and max(v.depths.values()) == depth
+    # S(8) = 16: the information floor ceil(log2 8!) is reached, and it is the
+    # comparison count of Ford & Johnson's merge insertion, sum ceil(log2(3k/4))
+    assert depth == 16 == math.ceil(math.log2(math.factorial(8))) == sum(math.ceil(math.log2(3 * k / 4)) for k in range(1, 9))
+
+
 # Work counts of the symmetric search; they are deterministic, so a change to
 # the pruning shows here even when the optimum and the tree stay the same.
+# Ids 6 and 7 are the cyclic groups Z_6 and Z_7.
 PINNED_STATS = {
-    6: SearchStats(states=592, memo_hits=320, queries_scanned=2470, queries_skipped=2504, fresh_skipped=244, floor_cutoffs=588, aborted=393),
-    7: SearchStats(states=1412, memo_hits=595, queries_scanned=2820, queries_skipped=13458, fresh_skipped=887, floor_cutoffs=1340, aborted=772),
+    "6": (build_abelian([6]), SearchStats(states=200, memo_hits=32, queries_scanned=1361, queries_skipped=1681, fresh_skipped=100, floor_cutoffs=155, aborted=415, capped=45)),
+    "7": (build_abelian([7]), SearchStats(states=798, memo_hits=218, queries_scanned=1634, queries_skipped=8020, fresh_skipped=201, floor_cutoffs=561, aborted=602, capped=195)),
+    "C_5": (build_max_chain(5), SearchStats(states=251, memo_hits=48, queries_scanned=403, queries_skipped=85, fresh_skipped=0, floor_cutoffs=251, aborted=112, capped=0)),
 }
 
 
-@pytest.mark.parametrize("n", sorted(PINNED_STATS))
-def test_minimal_worst_case_stats_are_pinned(n):
-    ops = enumerate_orbit(build_abelian([n]))
+@pytest.mark.parametrize("name", sorted(PINNED_STATS))
+def test_minimal_worst_case_stats_are_pinned(name):
+    canonical, pinned = PINNED_STATS[name]
+    ops = enumerate_orbit(canonical)
     stats = SearchStats()
     minimal_worst_case(ops, budget=len(ops), stats=stats)
-    assert stats == PINNED_STATS[n]
+    assert stats == pinned
+
+
+def test_tree_from_dict_refuses_malformed_nodes():
+    # integers only, not bools, by the rule of Oracle.query; nothing is truncated
+    leaf = {"leaf": 0}
+    for bad in (
+        {"leaf": 0.5},
+        {"leaf": True},
+        {"leaf": "1"},
+        {"query": [0.5, 1], "children": {"0": leaf}},
+        {"query": [0, False], "children": {"0": leaf}},
+        {"query": [0], "children": {"0": leaf}},
+        {"query": 0, "children": {"0": leaf}},
+        {"query": [0, 1], "children": [leaf]},
+        {"query": [0, 1], "children": {"0.5": leaf}},
+        {"query": [0, 1], "children": {"--1": leaf}},
+        {"query": [0, 1], "children": {True: leaf}},
+        {"query": [0, 1], "children": {"0": 3}},
+        {"query": [0, 1]},
+        [leaf],
+    ):
+        with pytest.raises(ValidationError):
+            tree_from_dict(bad)
+    tree = tree_from_dict({"query": [np.int8(0), 1], "children": {"-1": leaf, 2: {"leaf": None}}})
+    assert tree == Node((0, 1), {-1: Leaf(0), 2: Leaf()})
