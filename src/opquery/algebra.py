@@ -70,7 +70,9 @@ class OpTable:
         n = arr.shape[0]
         if n < 1:
             raise ValidationError("operation table needs at least one element")
-        if arr.min() < 0 or arr.max() >= n:  # on the input: narrowing would wrap 300 into range
+        # one reduction on the input, read as unsigned so negatives wrap high;
+        # on the narrowed table 300 would wrap into range
+        if arr.view(arr.dtype.str.replace("i", "u")).max() >= n:
             raise ValidationError(f"table entries must be element indices in [0, {n})")
         arr = arr.astype(_table_dtype(n))
         arr.flags.writeable = False
@@ -132,8 +134,8 @@ def _trusted(cls, **fields):
 
     Only the relabel methods may use it: they carry a table that passed its
     checks through a permutation that passed ``_as_permutation``, and every
-    check is invariant under such a renaming; ``recover_max_chain`` builds its
-    result so. Everything else goes through the validating constructor.
+    check is invariant under such a renaming. Everything else, every recovery
+    output included, goes through the validating constructor.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():

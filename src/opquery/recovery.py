@@ -4,19 +4,21 @@ Each function takes an oracle promised to hide an operation from a specific
 class and returns the full table plus the number of queries spent:
 
 - abelian groups: exactly n queries, by growing a tower of subgroups
-  (power chain of one element, then repeated coset extensions);
+  (power chain of one element, then repeated coset extensions), whose
+  table is kept in tower positions and filled by one copy per step;
 - cyclic groups of odd prime order: at most n - 2 queries (one power chain,
   with the tail of the chain forced instead of queried);
 - cyclic groups of order 11: exactly 8 queries, a hand-tuned schedule whose
   final two answers pin down the four elements the power ladder missed;
 - max tables of a total order: merge sort driven by the oracle, at most
-  n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries;
+  n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries, the table read off the ranks;
 - ring multiplication over a known addition table: exactly |A|^2 queries
   for a greedy generating set A with |A| <= log2 n, everything else
   rebuilt by distributivity along the order the generators reached it.
 
 ``METHODS`` registers each procedure under its name with the class it is
-promised, its budget and a runner on hidden instances.
+promised, its budget and a runner on hidden instances. Every result table
+goes through the validating ``OpTable`` constructor.
 
 Oracle answers that contradict the promised class raise NotInClassError,
 naming the query that broke the structure where one can be pinned down.
@@ -41,7 +43,7 @@ from .algebra import (
     _cyclic_table,
     _distributive_on,
     _generators,
-    build_max_chain,
+    _table_dtype,
     check_axioms,
     identity_of,
     is_prime,
@@ -82,15 +84,16 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
     element b outside the known subgroup H, chain b until some power lands
     inside H, and query s*b^i for every non-identity s in H and every
     0 < i < chain length. Those answers name every element of the enlarged
-    subgroup, and all remaining products follow from the bookkeeping
-    (s*b^i)(t*b^j) = (st)b^(i+j), folding b^chain-length back into H when
-    the exponents overflow; one numpy gather writes all of a step's
-    products. Each step costs exactly the number of elements it adds, so
-    the whole run telescopes to n queries, and the fill to O(n^2) work.
+    subgroup. Each step costs exactly the number of elements it adds, so
+    the whole run telescopes to n queries.
+
+    All other products follow from (s*b^i)(t*b^j) = (st)b^(i+j). The tower
+    keeps its table in positions, one copy per step (``_coset_step``), and
+    one gather renames the last table to elements: O(n^2) work in all.
     """
     n = oracle.n
     start = oracle.count
-    table = np.full((n, n), -1, dtype=np.int64)
+    dtype = _table_dtype(n)
 
     a = 0
     chain = [a]
@@ -103,75 +106,104 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
             raise NotInClassError(f"query ({chain[-1]}, {a}) -> {nxt} revisits the power chain without closing it")
         chain.append(nxt)
         seen.add(nxt)
-    k = len(chain)
-    e = chain[-1]  # a^k * a = a forces a^k to be the identity
-    powers = np.array([e] + chain[:-1], dtype=np.int64)  # powers[i] = a^i, powers[0] = identity
-    exps = np.arange(k)
-    table[powers[:, None], powers] = powers[(exps[:, None] + exps) % k]
+    # a^k * a = a forces a^k to be the identity: the step by a over H = {e}
+    powers = np.array([[chain[-1]] + chain[:-1]], dtype=dtype)  # powers[0, i] = a^i
+    order, pos = _coset_step(np.zeros((1, 1), dtype=dtype), 0, powers)
 
     members = set(chain)
-    tower = [k]
-    step_queries = [k]
-    row = np.empty(n, dtype=np.int64)  # row[s] = position of s in the sorted subgroup
+    tower = [len(chain)]
+    step_queries = [len(chain)]
+    where = np.empty(n, dtype=np.intp)  # where[s] = position of s in the tower order
 
+    b = 0
     while len(members) < n:
         step_start = oracle.count
-        b = min(x for x in range(n) if x not in members)
+        while b in members:  # the smallest element outside H only grows
+            b += 1
         bchain = [b]
+        bseen = {b}
         while bchain[-1] not in members:
             nxt = oracle.query(bchain[-1], b)
-            if nxt in bchain and nxt not in members:
+            if nxt in bseen and nxt not in members:
                 raise NotInClassError(f"query ({bchain[-1]}, {b}) -> {nxt} cycles outside the known subgroup")
             bchain.append(nxt)
+            bseen.add(nxt)
             if len(bchain) > n:
                 raise NotInClassError(f"coset chain of {b} exceeded {n} elements; not a group")
-        k = len(bchain)  # first exponent whose power of b is back inside H
-        b_back = bchain[-1]
-        bpow = bchain[:-1]  # bpow[i - 1] = b^i for 0 < i < k
+        bpow = bchain[:-1]  # bpow[i - 1] = b^i for 0 < i < k, with b^k back inside H
 
-        # elem[r, i] is the element base[r]*b^i
-        base = sorted(members)
-        h = len(base)
-        elem = np.empty((h, k), dtype=np.int64)
-        elem[:, 0] = base
+        # rows[r] lists base[r]*b^i for 0 <= i < k, queried in element order
+        base = np.sort(order)
+        e = order[0]  # the identity keeps position 0 in every layout
         used = set(members)
         used.update(bpow)
-        for r, s in enumerate(base):
+        rows = []
+        for s in base.tolist():
+            row = [s]
             if s == e:
-                elem[r, 1:] = bpow
-                continue
-            for i in range(1, k):
-                z = oracle.query(s, bpow[i - 1])
-                if z in used:
-                    raise NotInClassError(f"query ({s}, {bpow[i - 1]}) -> {z} collides with an element already placed")
-                used.add(z)
-                elem[r, i] = z
+                row += bpow
+            else:
+                for bi in bpow:
+                    z = oracle.query(s, bi)
+                    if z in used:
+                        raise NotInClassError(f"query ({s}, {bi}) -> {z} collides with an element already placed")
+                    used.add(z)
+                    row.append(z)
+            rows.append(row)
 
-        # (s*b^i)(t*b^j) = (st)*b^(i+j): extend each row to exponents up to
-        # 2k - 2 by folding b^k = b_back into H, then gather the whole step
-        hs = elem[:, 0]
-        row[hs] = np.arange(h)
-        ext = np.concatenate((elem, elem[row[table[hs, b_back]], : k - 1]), axis=1)
-        st = row[table[hs[:, None], hs]]
-        exps = np.arange(k)
-        prod = ext[st[:, None, :, None], (exps[:, None] + exps)[None, :, None, :]]
-        flat = elem.ravel()
-        table[flat[:, None], flat] = prod.reshape(h * k, h * k)
-
+        where[order] = np.arange(len(order))
+        elem = np.empty((len(order), len(bchain)), dtype=dtype)  # elem[q, i] = order[q]*b^i
+        elem[where[base]] = rows
+        order, pos = _coset_step(pos, where[bchain[-1]], elem)
         members = used
         tower.append(len(members))
         step_queries.append(oracle.count - step_start)
 
-    if (table < 0).any():
-        raise NotInClassError("subgroup tower closed before covering every element")
+    where = order.argsort()  # order is a permutation now
     return RecoveryResult(
-        OpTable(table),
+        OpTable(order.take(pos.take(where, 0).take(where, 1))),
         _spent(oracle, start, n, "abelian"),
         "abelian",
         trace=oracle.transcript_since(start),
         tower=tuple(tower),
         step_queries=tuple(step_queries),
     )
+
+
+def _coset_step(pos: np.ndarray, pb: int, elem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tower order and position table of H<b> from those of H.
+
+    ``pos`` is the h x h table of H over its tower order, ``elem[q, t]`` is
+    s_q*b^t for the element s_q at position q, and b^k, k = elem.shape[1], is
+    the first power of b in H, at position ``pb``. The new order lists
+    s_q*b^t at t*h + q (exponent-major) when h >= k, else at q*k + t
+    (subgroup-major), so the copy's inner loop runs over the longer axis.
+    Since (s_r b^i)(s_c b^j) = (s_r s_c) b^(i+j), the block of exponent sum
+    t is pos shifted to exponent t, for t < k, and for k <= t <= 2k - 2 the
+    block of pos[:, pb][pos] at exponent t - k; the new table is one copy of
+    the window view [i, r, j, c] -> block[i + j][r, c], O((hk)^2) work, so
+    the steps of a tower sum to O(n^2).
+    """
+    h, k = elem.shape
+    folded = pos[:, pb].take(pos)  # position of s_r s_c b^k in H
+    t = np.arange(k, dtype=pos.dtype)
+    if h >= k:
+        t *= h
+        blocks = np.empty((2 * k - 1, h, h), dtype=pos.dtype)  # blocks[t, r, c]
+        np.add(pos, t[:, None, None], out=blocks[:k])
+        np.add(folded, t[: k - 1, None, None], out=blocks[k:])
+        s_t, s_r, s_c = blocks.strides
+        shape, strides = (k, h, k, h), (s_t, s_r, s_t, s_c)  # [i, r, j, c]
+        order = elem.T.ravel()
+    else:
+        blocks = np.empty((h, h, 2 * k - 1), dtype=pos.dtype)  # blocks[r, c, t]
+        np.add((pos * k)[..., None], t, out=blocks[..., :k])
+        np.add((folded * k)[..., None], t[: k - 1], out=blocks[..., k:])
+        s_r, s_c, s_t = blocks.strides
+        shape, strides = (h, k, h, k), (s_r, s_t, s_c, s_t)  # [r, i, c, j]
+        order = elem.ravel()
+    window = np.ndarray(shape, dtype=pos.dtype, buffer=blocks, strides=strides)
+    return order, window.reshape(h * k, h * k)  # the one copy
 
 
 def _spent(oracle: Oracle, start: int, expected: int, method: str) -> int:
@@ -335,16 +367,17 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
 
     Each query x*y must answer x or y (the larger); merge sort then needs at
     most n*ceil(log2 n) - 2^ceil(log2 n) + 1 of them, and the sorted order
-    determines the whole table: the canonical chain renamed by the order. This
-    one recovery output is not re-checked, since merge sort permutes its input.
+    determines the whole table: x*y is the element of the larger rank.
     """
     n = oracle.n
     start = oracle.count
-    order = _merge_sort(list(range(n)), oracle.query)
+    order = np.array(_merge_sort(list(range(n)), oracle.query), dtype=_table_dtype(n))
     queries = oracle.count - start
     if queries > merge_sort_worst_case(n):
         raise NotInClassError("comparison count exceeded the sorting bound; answers were inconsistent")
-    return RecoveryResult(build_max_chain(n).relabel(order), queries, "maxchain", trace=oracle.transcript_since(start))
+    rank = order.argsort().astype(order.dtype)  # rank[x] = place of x in the order
+    table = OpTable(order.take(np.maximum.outer(rank, rank)))
+    return RecoveryResult(table, queries, "maxchain", trace=oracle.transcript_since(start))
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,35 @@ def tree_from_dict(d: dict) -> QueryTree:
     """Inverse of ``tree_to_dict``; a malformed node raises ValidationError.
 
     Answer keys may be integers or, as JSON writes them, their decimal strings.
+    The walk keeps its own stack, so depth is bounded by memory only, and a
+    dict that contains itself is refused.
     """
+    root: dict = {}
+    stack: list = [(root, 0, d)]  # (children to fill, answer, node dict), or (None, None, id) leaving a node
+    path: set[int] = set()  # ids of the node dicts from the root down to the one being read
+    while stack:
+        children, z, src = stack.pop()
+        if children is None:
+            path.discard(src)
+            continue
+        node, kids = _node_from_dict(src)
+        children[z] = node
+        if kids:
+            if id(src) in path:
+                raise ValidationError("tree dict contains itself")
+            path.add(id(src))
+            stack.append((None, None, id(src)))
+            stack.extend((node.children, z, sub) for z, sub in reversed(kids))
+    return root[0]
+
+
+def _node_from_dict(d: object) -> tuple[QueryTree, list[tuple[int, object]]]:
+    """One node of a tree dict, with its children still to fill, and its (answer, child dict) pairs."""
     if not isinstance(d, Mapping):
         raise ValidationError(f"tree node must be a dict, got {d!r}")
     if "leaf" in d:
         v = d["leaf"]
-        return Leaf(None if v is None else _integer(v, "leaf"))
+        return Leaf(None if v is None else _integer(v, "leaf")), []
     if "query" not in d or "children" not in d:
         raise ValidationError("tree node needs either a leaf or query + children")
     query, kids = d["query"], d["children"]
@@ -103,12 +126,12 @@ def tree_from_dict(d: dict) -> QueryTree:
         raise ValidationError(f"query must be a pair [x, y], got {query!r}")
     if not isinstance(kids, Mapping):
         raise ValidationError(f"children must map answers to nodes, got {kids!r}")
-    children = {}
+    pairs = []
     for z, sub in kids.items():
         if isinstance(z, str) and z.isascii() and z.removeprefix("-").isdigit():
             z = int(z)
-        children[_integer(z, "answer")] = tree_from_dict(sub)
-    return Node((_integer(query[0], "query"), _integer(query[1], "query")), children)
+        pairs.append((_integer(z, "answer"), sub))
+    return Node((_integer(query[0], "query"), _integer(query[1], "query")), {}), pairs
 
 
 def render_tree(tree: QueryTree, indent: str = "") -> str:
@@ -308,14 +331,21 @@ class TreeVerification:
     failure: Optional[str] = None
 
 
-def _count_leaves(tree: QueryTree, max_depth: int, depth: int = 0) -> int:
-    if depth > max_depth:
-        raise ValidationError(f"tree deeper than {max_depth}; malformed")
-    if isinstance(tree, Leaf):
-        return 1
-    if not tree.children:
-        raise ValidationError("internal node with no children")
-    return sum(_count_leaves(c, max_depth, depth + 1) for c in tree.children.values())
+def _count_leaves(tree: QueryTree, max_depth: int) -> int:
+    """Leaves of ``tree``, walked with an explicit stack; deeper than ``max_depth`` or a childless node raises."""
+    leaves = 0
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > max_depth:
+            raise ValidationError(f"tree deeper than {max_depth}; malformed")
+        if isinstance(node, Leaf):
+            leaves += 1
+        elif not node.children:
+            raise ValidationError("internal node with no children")
+        else:
+            stack.extend((c, depth + 1) for c in reversed(list(node.children.values())))
+    return leaves
 
 
 def verify_query_tree(tree: QueryTree, ops: OperationSet) -> TreeVerification:

@@ -113,7 +113,7 @@ def test_every_recovery_method_returns_compact_tables(name):
         assert verify_recovery(oracle, result.table)[0]
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16])
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16, np.int32, np.uint32, np.uint64])
 def test_out_of_range_entries_are_rejected_before_narrowing(dtype):
     # in the int8 of an n = 100 table, 300, 256 and 355 would wrap to 44, 0 and 99
     for bad in (300, 256, 355):
@@ -123,6 +123,26 @@ def test_out_of_range_entries_are_rejected_before_narrowing(dtype):
             OpTable(arr)
     with pytest.raises(ValidationError, match="element indices"):
         OpTable([[0, -1], [1, 0]])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, ">i2", ">i8"])
+def test_negative_entries_are_rejected_in_every_signed_width(dtype):
+    # the range check reads the entries as unsigned, so a negative wraps high
+    for bad in (-1, -100, np.iinfo(dtype).min):
+        arr = np.zeros((100, 100), dtype=dtype)
+        arr[5, 2] = bad
+        with pytest.raises(ValidationError, match="element indices"):
+            OpTable(arr)
+    arr = np.full((100, 100), 99, dtype=dtype)
+    assert OpTable(arr).entries.max() == 99
+
+
+def test_huge_unsigned_entries_are_rejected():
+    for bad in (2**64 - 1, 2**63, 2**32 + 1, 128):
+        arr = np.zeros((100, 100), dtype=np.uint64)
+        arr[0, 0] = bad
+        with pytest.raises(ValidationError, match="element indices"):
+            OpTable(arr)
 
 
 def test_z3xgf64_product_matches_a_wide_product():

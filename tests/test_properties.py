@@ -50,7 +50,7 @@ from opquery import (
     tree_to_dict,
 )
 from opquery.algebra import _relabelings, _table_dtype, are_isomorphic
-from opquery.recovery import _additive_closure, _merge_sort
+from opquery.recovery import RecoveryResult, _additive_closure, _merge_sort, _spent
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
@@ -798,6 +798,128 @@ def test_max_chain_merge_matches_the_reference_merge(n, kind, seed):
         assert result == want
     else:
         assert result[1] == want[1] and result[0].table == build_max_chain(n).relabel(want[0])
+
+
+def _reference_recover_abelian(oracle: Oracle) -> RecoveryResult:
+    """The element-indexed fill of ``recover_abelian``, kept as the reference.
+
+    The same queries; each coset step writes its products with one 4-D
+    broadcast gather into a table that starts at -1.
+    """
+    n = oracle.n
+    start = oracle.count
+    table = np.full((n, n), -1, dtype=np.int64)
+
+    a = 0
+    chain = [a]
+    seen = {a}
+    while True:
+        nxt = oracle.query(chain[-1], a)
+        if nxt == a:
+            break
+        if nxt in seen:
+            raise NotInClassError(f"query ({chain[-1]}, {a}) -> {nxt} revisits the power chain without closing it")
+        chain.append(nxt)
+        seen.add(nxt)
+    k = len(chain)
+    e = chain[-1]
+    powers = np.array([e] + chain[:-1], dtype=np.int64)
+    exps = np.arange(k)
+    table[powers[:, None], powers] = powers[(exps[:, None] + exps) % k]
+
+    members = set(chain)
+    tower = [k]
+    step_queries = [k]
+    row = np.empty(n, dtype=np.int64)
+
+    while len(members) < n:
+        step_start = oracle.count
+        b = min(x for x in range(n) if x not in members)
+        bchain = [b]
+        while bchain[-1] not in members:
+            nxt = oracle.query(bchain[-1], b)
+            if nxt in bchain and nxt not in members:
+                raise NotInClassError(f"query ({bchain[-1]}, {b}) -> {nxt} cycles outside the known subgroup")
+            bchain.append(nxt)
+            if len(bchain) > n:
+                raise NotInClassError(f"coset chain of {b} exceeded {n} elements; not a group")
+        k = len(bchain)
+        b_back = bchain[-1]
+        bpow = bchain[:-1]
+
+        base = sorted(members)
+        h = len(base)
+        elem = np.empty((h, k), dtype=np.int64)
+        elem[:, 0] = base
+        used = set(members)
+        used.update(bpow)
+        for r, s in enumerate(base):
+            if s == e:
+                elem[r, 1:] = bpow
+                continue
+            for i in range(1, k):
+                z = oracle.query(s, bpow[i - 1])
+                if z in used:
+                    raise NotInClassError(f"query ({s}, {bpow[i - 1]}) -> {z} collides with an element already placed")
+                used.add(z)
+                elem[r, i] = z
+
+        hs = elem[:, 0]
+        row[hs] = np.arange(h)
+        ext = np.concatenate((elem, elem[row[table[hs, b_back]], : k - 1]), axis=1)
+        st = row[table[hs[:, None], hs]]
+        exps = np.arange(k)
+        prod = ext[st[:, None, :, None], (exps[:, None] + exps)[None, :, None, :]]
+        flat = elem.ravel()
+        table[flat[:, None], flat] = prod.reshape(h * k, h * k)
+
+        members = used
+        tower.append(len(members))
+        step_queries.append(oracle.count - step_start)
+
+    if (table < 0).any():
+        raise NotInClassError("subgroup tower closed before covering every element")
+    return RecoveryResult(
+        OpTable(table),
+        _spent(oracle, start, n, "abelian"),
+        "abelian",
+        trace=oracle.transcript_since(start),
+        tower=tuple(tower),
+        step_queries=tuple(step_queries),
+    )
+
+
+def _abelian_outcome(recover, truth: OpTable):
+    """Everything a run of ``recover`` shows: its result fields, or the type and text of its error, and the transcript."""
+    oracle = Oracle(truth)
+    try:
+        r = recover(oracle)
+    except NotInClassError as exc:
+        return type(exc), str(exc), oracle.transcript
+    return r.table.entries.tobytes(), r.queries_used, r.trace, r.tower, r.step_queries, oracle.transcript
+
+
+def _assert_abelian_matches_reference(truth: OpTable) -> None:
+    assert _abelian_outcome(recover_abelian, truth) == _abelian_outcome(_reference_recover_abelian, truth)
+
+
+def test_abelian_fill_matches_the_reference_on_honest_oracles():
+    for n in range(1, 65):
+        for factors in abelian_invariant_factorizations(n):
+            for seed in (0, 1, 7):
+                _assert_abelian_matches_reference(new_hidden(AbelianSpec(factors), seed).truth)
+    # seed 3 makes 0 the identity, so the first coset step is by 1; on Z_256 it
+    # is one step with k = n
+    assert recover_abelian(oracle_for(new_hidden(AbelianSpec((256,)), 3))).tower == (1, 256)
+    for factors in ((256,), (16, 16), (2,) * 8):
+        for seed in (2, 3):
+            _assert_abelian_matches_reference(new_hidden(AbelianSpec(factors), seed).truth)
+
+
+@given(st.integers(1, 24), group_kinds, seeds)
+@settings(max_examples=300, deadline=None)
+def test_abelian_fill_matches_the_reference_on_hostile_oracles(n, kind, seed):
+    _assert_abelian_matches_reference(_hostile_group_table(n, kind, seed))
 
 
 def _bilinear_expansion(add: np.ndarray, oracle: Oracle) -> np.ndarray:

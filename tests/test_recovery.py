@@ -1,6 +1,7 @@
 """Recovery procedures and their exact query costs."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ class TestAbelian:
         o = Oracle(__import__("opquery").OpTable(t))
         with pytest.raises(NotInClassError):
             recover_abelian(o)
+
+    @pytest.mark.parametrize("factors", [(256,), (16, 16), (2,) * 8])
+    def test_fill_peaks_under_18_bytes_per_entry(self, factors):
+        # the position tables are narrow; a fill through int64 tables peaks at 19-23 n^2
+        oracle = oracle_for(new_hidden(AbelianSpec(factors), 2))
+        tracemalloc.start()
+        try:
+            recover_abelian(oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * oracle.n**2
 
 
 class TestAbelianPrime:

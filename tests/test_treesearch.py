@@ -357,3 +357,41 @@ def test_tree_from_dict_refuses_malformed_nodes():
             tree_from_dict(bad)
     tree = tree_from_dict({"query": [np.int8(0), 1], "children": {"-1": leaf, 2: {"leaf": None}}})
     assert tree == Node((0, 1), {-1: Leaf(0), 2: Leaf()})
+
+
+def _chain_dict(depth: int, bottom: dict) -> dict:
+    d = bottom
+    for _ in range(depth):
+        d = {"query": [0, 1], "children": {"0": d}}
+    return d
+
+
+def test_tree_from_dict_reads_deep_trees_without_recursion():
+    # 5,000 levels is past the interpreter's recursion limit
+    tree = tree_from_dict(_chain_dict(5000, {"leaf": 0}))
+    depth = 0
+    while isinstance(tree, Node):
+        tree, depth = tree.children[0], depth + 1
+    assert depth == 5000 and tree == Leaf(0)
+    with pytest.raises(ValidationError, match="leaf needs an integer"):
+        tree_from_dict(_chain_dict(5000, {"leaf": 0.5}))
+    loop = {"query": [0, 1], "children": {}}
+    loop["children"]["0"] = loop
+    with pytest.raises(ValidationError, match="contains itself"):
+        tree_from_dict(loop)
+    shared = {"leaf": 1}  # a dict used twice is two leaves, not a loop
+    assert tree_from_dict({"query": [0, 1], "children": {"0": shared, "1": shared}}) == Node((0, 1), {0: Leaf(1), 1: Leaf(1)})
+
+
+def test_verify_query_tree_walks_deep_trees_without_recursion():
+    # n = 64 caps the depth at n^2 = 4,096
+    ops = OperationSet(build_abelian([64]).entries[None])
+    deep = Leaf(0)
+    for _ in range(1500):
+        deep = Node((0, 0), {0: deep})
+    v = verify_query_tree(deep, ops)
+    assert v.ok and v.leaf_count == 1 and v.depths == {0: 1500}
+    for _ in range(4096 - 1500 + 1):
+        deep = Node((0, 0), {0: deep})
+    with pytest.raises(ValidationError, match="deeper than 4096"):
+        verify_query_tree(deep, ops)
