@@ -628,9 +628,11 @@ def _distributive_on(add: np.ndarray, mul: np.ndarray, gens: Sequence[int]) -> b
 def abelian_type(t: OpTable) -> Optional[tuple[int, ...]]:
     """The invariant factors of an abelian group table, or None for any other table.
 
-    Read from element orders: in a p-part Z_p^e1 x ... x Z_p^ek, the x with
+    Read from power counts: in a p-part Z_p^e1 x ... x Z_p^ek, the x with
     x^(p^j) = e number prod_i p^min(ei, j), so going from j - 1 to j
-    multiplies that count by p once per factor with ei >= j.
+    multiplies that count by p once per factor with ei >= j. The whole
+    carrier is raised to the p-th power v times, p - 1 gathers a step, where
+    p^v is the p-part of n.
 
     >>> abelian_type(build_abelian([2, 6]).relabel([3, 1, 4, 0, 5, 2, 7, 6, 8, 11, 10, 9]))
     (2, 6)
@@ -638,14 +640,14 @@ def abelian_type(t: OpTable) -> Optional[tuple[int, ...]]:
     if not check_axioms(t, "abelian_group"):
         return None
     e, idx = identity_of(t), np.arange(t.n)
-    orders = np.zeros(t.n, dtype=np.int64)
-    power = idx  # x^k for every x, k = 1, 2, ...
-    for k in range(1, t.n + 1):
-        orders[(power == e) & (orders == 0)] = k
-        power = t.entries[power, idx]
     moduli = []
     for p, v in _factorize(t.n).items():
-        counts = [int(np.count_nonzero(p**j % orders == 0)) for j in range(v + 1)]
+        counts, power = [1], idx  # power = x^(p^j) for every x
+        for _ in range(v):
+            base = power
+            for _ in range(p - 1):
+                power = t.entries[power, base]
+            counts.append(int(np.count_nonzero(power == e)))
         ranks = [round(math.log(b // a, p)) for a, b in zip(counts, counts[1:])]  # #factors with ei >= j
         moduli += [p ** sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)]  # ith largest ei = #{j : ranks[j] >= i}
     return invariant_factors_from_cyclic(moduli)

@@ -15,7 +15,10 @@ that a later call with a higher cap searches on from. Each state counts its
 queries' distinct answers with one numpy sort; answer blocks are built lazily
 in lexicographic (x, y) order and solved largest first, queries that repeat an
 earlier partition are skipped, and ties keep the first winner, so the returned
-witness tree is canonical and runs reproduce bit identical results.
+witness tree is canonical and runs reproduce bit identical results. A state
+of two candidates, or one that some query separates completely, is valued 1
+without a scan. The memo keeps only the query each state chose, and the
+witness tree regroups its states as it is built.
 
 Every class searched here is closed under relabeling (S_n). A state of a
 closed set is then fixed by every permutation of the labels its transcript
@@ -412,14 +415,23 @@ def _check_budget(m: int, budget: int) -> None:
 class SearchStats:
     """What one ``minimal_worst_case`` run did; pass one as ``stats=`` to fill it."""
 
-    states: int = 0  # states solved: memo misses with two or more candidates
+    states: int = 0  # states searched: memo misses with three or more candidates, their answers sorted
     memo_hits: int = 0  # states answered from the memo
     queries_scanned: int = 0  # splitting queries whose answer blocks were grouped
     queries_skipped: int = 0  # queries not scanned: another query of their stabiliser orbit stands for them
     fresh_skipped: int = 0  # answer blocks not solved: they are conjugate to a fresh block that was
-    floor_cutoffs: int = 0  # states whose scan stopped at the information floor
+    floor_cutoffs: int = 0  # states whose scan of their queries stopped at the information floor
     aborted: int = 0  # queries dropped: their largest block's floor, or a solved block, reached the best value
     capped: int = 0  # states that failed high: the search stopped at a lower bound >= its cap
+    settled: int = 0  # states valued 1 without a scan: two candidates, or a searched state one query separates
+
+
+def _blocks(ids: tuple[int, ...], zs: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """The candidates ids grouped by their answers zs to one query, each block in the order of ids."""
+    blocks: dict[int, list[int]] = {}
+    for op_id, z in zip(ids, zs.tolist()):
+        blocks.setdefault(z, []).append(op_id)
+    return {z: tuple(g) for z, g in blocks.items()}
 
 
 @lru_cache(maxsize=4096)
@@ -453,7 +465,12 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     query's blocks are grouped only when the scan reaches it, and a query
     whose blocks equal an earlier query's (answer labels aside) is skipped,
     since its children and value are the same and the earlier query wins
-    the tie.
+    the tie. No state of two or more candidates is worth less than 1, so
+    a state of two distinct candidates is settled at 1 with no sort, and a
+    state that some query separates completely takes the first such query
+    with no scan; either witness is the query the scan would have picked.
+    The memo keeps only each state's chosen query, and the witness tree
+    groups a state's answers again when it is built.
 
     Each state is solved up to a cap, the value it must beat: below the cap
     the value is exact, at or above it the search stops with a lower bound
@@ -493,13 +510,16 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 
     memo_value: dict[tuple[int, ...], int] = {}  # exact values
-    memo_choice: dict[tuple[int, ...], tuple[tuple[int, int], dict[int, tuple[int, ...]]]] = {}
+    memo_choice: dict[tuple[int, ...], int] = {}  # column x*n + y of the chosen query; build regroups
     memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
 
     def solve(ids: tuple[int, ...], mentioned: int, cap: int) -> int:
         """The value of state ids if it is below cap, else a lower bound >= cap."""
         if len(ids) <= 1:
             return 0
+        if len(ids) == 2:  # two distinct tables differ on some query; at cap <= 1, 1 is also a bound >= cap
+            stats.settled += 1
+            return 1
         known = memo_value.get(ids)
         if known is None:
             known = memo_bound.get(ids, 0)
@@ -526,15 +546,16 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             stats.capped += 1
             memo_bound[ids] = floor
             return floor
-        best, best_choice = cap, None
+        if widest == len(ids):  # the first query that separates every candidate reaches the floor of 1
+            stats.settled += 1
+            best, best_choice, splitting = 1, int(cols[widths.argmax()]), []
+        else:
+            best, best_choice, splitting = cap, None, (widths > 1).nonzero()[0].tolist()
         low = len(ids)  # least lower bound of a refused query; every query is worth less than |state|
         seen: set[tuple[tuple[int, ...], ...]] = set()  # partitions already tried here
-        for j in (widths > 1).nonzero()[0].tolist():
+        for j in splitting:
             stats.queries_scanned += 1
-            blocks: dict[int, list[int]] = {}
-            for op_id, z in zip(ids, rows[:, j].tolist()):
-                blocks.setdefault(z, []).append(op_id)
-            groups = {z: tuple(g) for z, g in blocks.items()}
+            groups = _blocks(ids, rows[:, j])
             partition = tuple(sorted(groups.values()))
             if partition in seen:
                 continue
@@ -562,7 +583,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
                     low = min(low, 1 + worst)
                     break  # aborted: this query cannot beat the best one
             else:
-                best, best_choice = 1 + worst, ((x, y), groups)
+                best, best_choice = 1 + worst, int(cols[j])
                 if best == floor:
                     stats.floor_cutoffs += 1
                     break
@@ -578,10 +599,16 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     def build(ids: tuple[int, ...], mentioned: int, cap: int) -> QueryTree:
         if len(ids) == 1:
             return Leaf(ids[0])
-        if ids not in memo_choice:  # a fresh block that solve left to its conjugate
-            solve(ids, mentioned, cap)
-        (x, y), groups = memo_choice[ids]
-        after, value = mentioned | bits[x] | bits[y], memo_value[ids]
+        if len(ids) == 2:  # settled by solve in closed form: the scan would take the first query they differ on
+            cols = _representatives(mentioned, n)
+            pair = answers.take(ids, axis=0).take(cols, axis=1)
+            column, value = int(cols[(pair[0] != pair[1]).argmax()]), 1
+        else:
+            if ids not in memo_choice:  # a fresh block that solve left to its conjugate
+                solve(ids, mentioned, cap)
+            column, value = memo_choice[ids], memo_value[ids]
+        x, y = divmod(column, n)
+        after, groups = mentioned | bits[x] | bits[y], _blocks(ids, answers[ids, column])
         return Node((x, y), {z: build(groups[z], after | bits.get(z, 0), value) for z in sorted(groups)})
 
     # no state of k candidates needs more than k - 1 queries, so a cap of m is never reached

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from opquery import (
     AbelianSpec,
+    Leaf,
     MaxChainSpec,
+    Node,
     NotInClassError,
     OperationSet,
     OpTable,
@@ -579,6 +581,38 @@ def test_minimal_worst_case_matches_reference_where_a_refused_state_is_searched_
     twelve commutative tables on 3 points was found by scanning seeds.
     """
     _assert_search_matches_reference(_random_stack(random.Random(191), 3, 12, True))
+
+
+@given(st.integers(2, 4), st.one_of(st.just(2), st.integers(3, 6)), st.booleans(), seeds)
+@settings(max_examples=200, deadline=None)
+def test_minimal_worst_case_matches_reference_on_two_to_six_tables(n, m, commutative, seed):
+    # two candidates, and a state that one query separates, are valued without a scan
+    rng = random.Random(seed)
+    stack = _random_stack(rng, n, m, commutative)
+    while len(stack) < m:
+        stack = _random_stack(rng, n, m, commutative)
+    _assert_search_matches_reference(stack)
+
+
+_Z3 = build_abelian([3]).entries
+_Z3_ALTERED = _Z3.copy()
+_Z3_ALTERED[1, 2] = (_Z3[1, 2] + 1) % 3
+
+
+@pytest.mark.parametrize(
+    "stack, query",
+    [(enumerate_orbit(build_max_chain(2)).tables, (0, 1)), (np.stack([_Z3, _Z3_ALTERED]), (1, 2))],
+    ids=["closed", "open"],
+)
+def test_two_tables_are_told_apart_by_their_first_differing_query(stack, query):
+    # the closed pair (the two max chains on 2 points) agrees on the
+    # representative (0, 0); the open pair agrees on every query before (1, 2)
+    stats = SearchStats()
+    depth, tree = minimal_worst_case(OperationSet(stack), stats=stats)
+    x, y = query
+    assert depth == 1
+    assert tree == Node(query, {int(stack[0, x, y]): Leaf(0), int(stack[1, x, y]): Leaf(1)})
+    assert stats.states == 0 and stats.settled == 1
 
 
 @given(
