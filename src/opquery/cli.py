@@ -139,7 +139,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     x_size = bounds.orbit_size(canonical) if args.group is not None else math.factorial(canonical.n)
     treesearch._check_budget(x_size, args.budget)
     ops = treesearch.enumerate_orbit(canonical, cap=args.cap)
-    depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget)
+    stats = treesearch.SearchStats()
+    depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget, stats=stats)
+    if args.stats:
+        print("search stats: " + " ".join(f"{k}={v}" for k, v in vars(stats).items()), file=sys.stderr)
     worst, avg = treesearch.tree_stats(tree, ops)
     if worst != depth:
         print(f"verification failed: search reported optimum {depth} but its tree has depth {worst}", file=sys.stderr)
@@ -226,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=treesearch.SEARCH_BUDGET, help="candidate set size cap")
     p.add_argument("--cap", type=int, help="raise the brute force cap")
     p.add_argument("--render", action="store_true", help="print the tree as indented text")
+    p.add_argument("--stats", action="store_true", help="print the search's work counts (SearchStats) on stderr")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=cmd_search)
 

@@ -23,10 +23,13 @@ witness tree regroups its states as it is built.
 Every class searched here is closed under relabeling (S_n). A state of a
 closed set is then fixed by every permutation of the labels its transcript
 has not mentioned, so the search scans one query per orbit of that
-stabiliser and solves one of the answer blocks that are conjugate under it;
-neither changes a value or the witness tree. ``enumerate_orbit`` walks an
-orbit by the star transpositions (0 i) when that takes fewer relabelings
-than running all n! permutations.
+stabiliser. Below the first answer that a path had not mentioned, a state
+also has a conjugacy key, equal for states that a permutation fixing that
+answer's state maps onto each other, so each set of conjugate answer blocks
+is solved once and the witness tree reads their values; neither changes a
+value or the witness tree. ``enumerate_orbit`` walks an orbit by the star
+transpositions (0 i) when that takes fewer relabelings than running all n!
+permutations.
 """
 
 from __future__ import annotations
@@ -359,18 +362,19 @@ def verify_query_tree(tree: QueryTree, ops: OperationSet) -> TreeVerification:
     """
     n = ops.n
     leaf_count = _count_leaves(tree, max_depth=n * n)
-    tables = ops.tables
+    answers = ops.tables.reshape(len(ops), n * n)  # column x*n + y answers query (x, y)
     leaf_map: dict[int, tuple[int, ...]] = {}
     depths: dict[int, int] = {}
     failure = None
     for i in range(len(ops)):
+        row = answers[i].tolist()
         node = tree
         path: list[int] = []
         while isinstance(node, Node):
             x, y = node.query
             if not (0 <= x < n and 0 <= y < n):
                 raise ValidationError(f"query {node.query} out of range for n = {n}")
-            z = int(tables[i, x, y])
+            z = row[x * n + y]
             nxt = node.children.get(z)
             if nxt is None:
                 failure = failure or f"operation {i} got unanswered branch {x}*{y} = {z}"
@@ -416,10 +420,10 @@ class SearchStats:
     """What one ``minimal_worst_case`` run did; pass one as ``stats=`` to fill it."""
 
     states: int = 0  # states searched: memo misses with three or more candidates, their answers sorted
-    memo_hits: int = 0  # states answered from the memo
+    memo_hits: int = 0  # states answered from the memo of their candidate ids
+    conjugate_hits: int = 0  # states answered from the memo of their conjugacy key: a conjugate state was searched
     queries_scanned: int = 0  # splitting queries whose answer blocks were grouped
     queries_skipped: int = 0  # queries not scanned: another query of their stabiliser orbit stands for them
-    fresh_skipped: int = 0  # answer blocks not solved: they are conjugate to a fresh block that was
     floor_cutoffs: int = 0  # states whose scan of their queries stopped at the information floor
     aborted: int = 0  # queries dropped: their largest block's floor, or a solved block, reached the best value
     capped: int = 0  # states that failed high: the search stopped at a lower bound >= its cap
@@ -451,6 +455,24 @@ def _representatives(mentioned: int, n: int) -> np.ndarray:
     cols = np.array(cols, dtype=np.intp)
     cols.flags.writeable = False
     return cols
+
+
+def _key_name(v: int, n: int, fixed: int, named: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The name of label or answer v in a conjugacy key, and the named labels after it.
+
+    A label in the mask fixed keeps its own name. Any other label is named
+    n + its place in named, the labels in order of first mention, and joins
+    named if it is new. An answer outside 0..n-1 is no label and no
+    permutation moves it; it is named v below 0 and v + n from n up, apart
+    from both.
+    """
+    if not 0 <= v < n:
+        return (v if v < 0 else v + n), named
+    if fixed >> v & 1:
+        return v, named
+    if v not in named:
+        named += (v,)
+    return n + named.index(v), named
 
 
 def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Optional[SearchStats] = None) -> tuple[int, QueryTree]:
@@ -490,12 +512,22 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     its path has not mentioned as x, y or answer. Queries in one orbit of
     that stabiliser have the same value, so the scan takes only the
     lexicographically first of each (``_representatives``): the first query
-    with the best value is among them. Answers outside the mentioned labels
-    give conjugate blocks of equal value, so only the first is solved, and
-    the witness tree solves the others, capped by their parent's value, when
-    it is built. Any other set is searched with every label mentioned, which
-    scans every query. Values and witness trees are the same either way;
-    ``stats`` counts the work.
+    with the best value is among them. States below an answer that the path
+    had not mentioned get a conjugacy key as well as their ids. The key
+    starts at that first fresh answer: the serial of the anchor state (its
+    ids and mentioned labels) and its query (x, y). Below, each query and
+    answer adds (x, y, z), where the labels mentioned at or above the anchor
+    keep their names and every later label is named by its order of first
+    mention (``_key_name``). States with equal keys are images of each other
+    under a permutation that fixes the anchor state, so they have the same
+    value, and exact values and fail-high bounds are kept under both. Every
+    set of conjugate fresh blocks is so solved once. The witness tree looks
+    up the value v of a block that a conjugate's key answered, and searches
+    it with floor v and cap v + 1, which stops at the first query reaching
+    v. Any other set is searched with every label mentioned, which scans
+    every query and starts no key; nor does a max chain, whose every answer
+    is x or y. Values and witness trees are the same either way; ``stats``
+    counts the work.
     """
     m = len(ops)
     _check_budget(m, budget)
@@ -509,11 +541,26 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     answers = tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 
-    memo_value: dict[tuple[int, ...], int] = {}  # exact values
+    memo_value: dict[tuple[int, ...], int] = {}  # exact values, by candidate ids
     memo_choice: dict[tuple[int, ...], int] = {}  # column x*n + y of the chosen query; build regroups
     memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
+    conj_value: dict[tuple[int, ...], int] = {}  # exact values, by conjugacy key
+    conj_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high, by conjugacy key
+    anchors: dict[tuple[tuple[int, ...], int], int] = {}  # serial of each anchor state, by (ids, mentioned)
 
-    def solve(ids: tuple[int, ...], mentioned: int, cap: int) -> int:
+    # A frame is None or (key, fixed, named): the conjugacy key of a state, the
+    # labels mentioned at or above its anchor, and the later labels in order of mention.
+    def frame_of(frame: Optional[tuple], ids: tuple[int, ...], mentioned: int, x: int, y: int, z: int) -> Optional[tuple]:
+        """The frame of the answer-z block of query (x, y) at state ids; without a frame there, z must be fresh."""
+        if frame is None:  # the key starts at this first fresh answer
+            return (anchors.setdefault((ids, mentioned), len(anchors)), x, y), mentioned | bits[x] | bits[y], (z,)
+        key, fixed, named = frame
+        cx, named = _key_name(x, n, fixed, named)
+        cy, named = _key_name(y, n, fixed, named)
+        cz, named = _key_name(z, n, fixed, named)
+        return key + (cx, cy, cz), fixed, named
+
+    def solve(ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> int:
         """The value of state ids if it is below cap, else a lower bound >= cap."""
         if len(ids) <= 1:
             return 0
@@ -524,11 +571,26 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         if known is None:
             known = memo_bound.get(ids, 0)
             if known < cap:
-                return search(ids, mentioned, cap, known)
+                if frame is None:
+                    return search(ids, mentioned, cap, known, None)
+                conj = conj_value.get(frame[0])
+                if conj is None:
+                    conj = max(known, conj_bound.get(frame[0], 0))
+                    if conj < cap:
+                        return search(ids, mentioned, cap, conj, frame)
+                stats.conjugate_hits += 1
+                return conj
         stats.memo_hits += 1
         return known
 
-    def search(ids: tuple[int, ...], mentioned: int, cap: int, known: int) -> int:
+    def fail_high(ids: tuple[int, ...], frame: Optional[tuple], bound: int) -> int:
+        stats.capped += 1
+        memo_bound[ids] = bound
+        if frame is not None:
+            conj_bound[frame[0]] = bound
+        return bound
+
+    def search(ids: tuple[int, ...], mentioned: int, cap: int, known: int, frame: Optional[tuple]) -> int:
         stats.states += 1
         cols = _representatives(mentioned, n)
         stats.queries_skipped += n * n - len(cols)
@@ -543,9 +605,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             reach.append(reach[-1] * widest)
         floor = max(known, len(reach) - 1)
         if floor >= cap:
-            stats.capped += 1
-            memo_bound[ids] = floor
-            return floor
+            return fail_high(ids, frame, floor)
         if widest == len(ids):  # the first query that separates every candidate reaches the floor of 1
             stats.settled += 1
             best, best_choice, splitting = 1, int(cols[widths.argmax()]), []
@@ -569,15 +629,10 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             x, y = divmod(int(cols[j]), n)
             after = mentioned | bits[x] | bits[y]
             worst = 0
-            fresh_solved = False
             for z in order:
-                bit = bits.get(z, 0)
-                if bit and not after & bit:  # a fresh answer: its block is conjugate to every other fresh one
-                    if fresh_solved:
-                        stats.fresh_skipped += 1
-                        continue
-                    fresh_solved = True
-                worst = max(worst, solve(groups[z], after | bit, best - 1))
+                block, bit = groups[z], bits.get(z, 0)
+                sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 and (frame or bit & ~after) else None
+                worst = max(worst, solve(block, after | bit, best - 1, sub))
                 if 1 + worst >= best:
                     stats.aborted += 1
                     low = min(low, 1 + worst)
@@ -588,29 +643,38 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
                     stats.floor_cutoffs += 1
                     break
         if best_choice is None:  # every query failed high
-            stats.capped += 1
-            memo_bound[ids] = low
-            return low
+            return fail_high(ids, frame, low)
         memo_bound.pop(ids, None)
         memo_value[ids] = best
         memo_choice[ids] = best_choice
+        if frame is not None:
+            conj_bound.pop(frame[0], None)
+            conj_value[frame[0]] = best
         return best
 
-    def build(ids: tuple[int, ...], mentioned: int, cap: int) -> QueryTree:
+    def build(ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> QueryTree:
         if len(ids) == 1:
             return Leaf(ids[0])
-        if len(ids) == 2:  # settled by solve in closed form: the scan would take the first query they differ on
-            cols = _representatives(mentioned, n)
-            pair = answers.take(ids, axis=0).take(cols, axis=1)
-            column, value = int(cols[(pair[0] != pair[1]).argmax()]), 1
+        if len(ids) == 2:  # settled by solve in closed form; the first query the pair differs on heads its
+            # stabiliser orbit, so it is the representative the scan would have picked
+            column, value = int((answers[ids[0]] != answers[ids[1]]).argmax()), 1
         else:
-            if ids not in memo_choice:  # a fresh block that solve left to its conjugate
-                solve(ids, mentioned, cap)
+            if ids not in memo_choice:
+                value = conj_value.get(frame[0]) if frame else None
+                if value is None:  # valued on another path only: search it below its parent's value
+                    solve(ids, mentioned, cap, frame)
+                else:  # valued by a conjugate: the scan stops at the first query reaching that value
+                    search(ids, mentioned, value + 1, value, frame)
             column, value = memo_choice[ids], memo_value[ids]
         x, y = divmod(column, n)
         after, groups = mentioned | bits[x] | bits[y], _blocks(ids, answers[ids, column])
-        return Node((x, y), {z: build(groups[z], after | bits.get(z, 0), value) for z in sorted(groups)})
+        children = {}
+        for z, block in sorted(groups.items()):
+            bit = bits.get(z, 0)
+            sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 and (frame or bit & ~after) else None
+            children[z] = build(block, after | bit, value, sub)
+        return Node((x, y), children)
 
     # no state of k candidates needs more than k - 1 queries, so a cap of m is never reached
     root, mentioned = tuple(range(m)), 0 if closed else (1 << n) - 1
-    return solve(root, mentioned, m), build(root, mentioned, m)
+    return solve(root, mentioned, m, None), build(root, mentioned, m, None)

@@ -214,6 +214,18 @@ def test_search_tree_round_trips(tmp_path, capsys):
     assert verify_query_tree(tree, enumerate_orbit(build_abelian([4]))).ok
 
 
+def test_search_stats_go_to_stderr_and_leave_stdout_alone(capsys):
+    code, plain, err = run(capsys, "search", "--group", "z6", "--budget", "360", "--render")
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "search", "--group", "z6", "--budget", "360", "--render", "--stats")
+    assert (code, out) == (0, plain)
+    # the counts pinned for Z_6 in test_treesearch.py
+    assert err == (
+        "search stats: states=123 memo_hits=8 conjugate_hits=117 queries_scanned=103 queries_skipped=1115"
+        " floor_cutoffs=41 aborted=38 capped=11 settled=109\n"
+    )
+
+
 def test_search_over_cap_is_capability_error(capsys):
     code, _, err = run(capsys, "search", "--group", "z30")
     assert code == 3

@@ -627,6 +627,30 @@ def test_minimal_worst_case_matches_reference_on_relabelled_orbits(canonical, se
     _assert_search_matches_reference(stack[rng.sample(range(len(stack)), len(stack))])
 
 
+def _closed_stack(rng: random.Random, n: int, commutative: bool, orbits: int) -> np.ndarray:
+    """The union of the orbits of random tables on n points, one table per orbit drawn, in byte order."""
+    tables = {t.tobytes(): t for _ in range(orbits) for t in enumerate_orbit(OpTable(_random_stack(rng, n, 1, commutative)[0])).tables}
+    return np.stack([tables[k] for k in sorted(tables)])
+
+
+@given(st.integers(3, 4), st.booleans(), st.integers(1, 2), seeds)
+@settings(max_examples=40, deadline=None)
+def test_minimal_worst_case_matches_reference_on_closed_sets_that_are_not_groups(n, commutative, orbits, seed):
+    # closed under relabeling, so conjugacy keys are in play, but with
+    # stabilisers other than those of a group's orbit
+    _assert_search_matches_reference(_closed_stack(random.Random(seed), n, commutative, orbits))
+
+
+def test_closed_sets_that_are_not_groups_take_conjugate_hits():
+    rng = random.Random(3)
+    for commutative, orbits in ((False, 1), (True, 1), (False, 2), (True, 2)):
+        stack = _closed_stack(rng, 4, commutative, orbits)
+        stats = SearchStats()
+        depth, tree = minimal_worst_case(OperationSet(stack), budget=len(stack), stats=stats)
+        assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(stack)
+        assert stats.conjugate_hits > 0, (commutative, orbits)
+
+
 @given(st.integers(2, 4), st.integers(1, 20), st.booleans(), seeds)
 @settings(max_examples=100, deadline=None)
 def test_minimal_worst_case_rejects_equal_tables(n, m, commutative, seed):
@@ -651,7 +675,7 @@ def test_minimal_worst_case_matches_reference_on_orbits_less_one_table(canonical
     stack = np.delete(stack, rng.randrange(len(stack)), axis=0)
     stats = SearchStats()
     depth, tree = minimal_worst_case(OperationSet(stack), budget=len(stack), stats=stats)
-    assert stats.queries_skipped == stats.fresh_skipped == 0
+    assert stats.queries_skipped == stats.conjugate_hits == 0
     assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(stack)
 
 

@@ -302,6 +302,20 @@ def test_minimal_worst_case_pinned_optima(canonical, optimum, digest, cap):
     assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == digest
 
 
+def test_minimal_worst_case_pins_z9():
+    # Z_9 = 6 over 60,480 candidates, past the default brute force cap. The
+    # digest is that of the search before conjugacy keys, which searched
+    # 55,997 states; the keys leave a third of them.
+    ops = enumerate_orbit(build_abelian([9]), cap=9)
+    stats = SearchStats()
+    depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
+    assert (len(ops), depth) == (60480, 6)
+    v = verify_query_tree(tree, ops)
+    assert v.ok and max(v.depths.values()) == depth
+    assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == "b6eaf73e29904010adda3513830016b6929285a92b56665182676d6a8de3f29c"
+    assert (stats.states, stats.conjugate_hits) == (18145, 41846)
+
+
 @pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 8 chain (~25 s, ~120 MB)")
 def test_minimal_worst_case_finds_the_sorting_number_s8():
     # 40,320 candidates over about 124,000 states. No digest is pinned: the
@@ -318,11 +332,12 @@ def test_minimal_worst_case_finds_the_sorting_number_s8():
 
 # Work counts of the symmetric search; they are deterministic, so a change to
 # the pruning shows here even when the optimum and the tree stay the same.
-# Ids 6 and 7 are the cyclic groups Z_6 and Z_7.
+# Ids 6 and 7 are the cyclic groups Z_6 and Z_7; a max chain answers every
+# query with x or y, so it starts no conjugacy key.
 PINNED_STATS = {
-    "6": (build_abelian([6]), SearchStats(states=168, memo_hits=32, queries_scanned=172, queries_skipped=1381, fresh_skipped=82, floor_cutoffs=41, aborted=77, capped=45, settled=114)),
-    "7": (build_abelian([7]), SearchStats(states=378, memo_hits=218, queries_scanned=1214, queries_skipped=6940, fresh_skipped=171, floor_cutoffs=141, aborted=602, capped=195, settled=338)),
-    "C_5": (build_max_chain(5), SearchStats(states=155, memo_hits=12, queries_scanned=307, queries_skipped=85, fresh_skipped=0, floor_cutoffs=155, aborted=112, capped=0, settled=132)),
+    "6": (build_abelian([6]), SearchStats(states=123, memo_hits=8, conjugate_hits=117, queries_scanned=103, queries_skipped=1115, floor_cutoffs=41, aborted=38, capped=11, settled=109)),
+    "7": (build_abelian([7]), SearchStats(states=209, memo_hits=21, conjugate_hits=160, queries_scanned=350, queries_skipped=3630, floor_cutoffs=177, aborted=106, capped=26, settled=420)),
+    "C_5": (build_max_chain(5), SearchStats(states=155, memo_hits=12, conjugate_hits=0, queries_scanned=307, queries_skipped=85, floor_cutoffs=155, aborted=112, capped=0, settled=132)),
 }
 
 
