@@ -4,8 +4,9 @@ Each function takes an oracle promised to hide an operation from a specific
 class and returns the full table plus the number of queries spent:
 
 - abelian groups: exactly n queries, by growing a tower of subgroups
-  (power chain of one element, then repeated coset extensions), whose
-  table is kept in tower positions and filled by one copy per step;
+  (power chain of one element, then repeated coset extensions); the table
+  over tower positions depends only on the tower's shape, is built from it
+  once (and cached for n <= 16) and renamed to elements by one gather;
 - cyclic groups of odd prime order: at most n - 2 queries (one power chain,
   with the tail of the chain forced instead of queried);
 - cyclic groups of order 11: exactly 8 queries, a hand-tuned schedule whose
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -87,13 +88,14 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
     subgroup. Each step costs exactly the number of elements it adds, so
     the whole run telescopes to n queries.
 
-    All other products follow from (s*b^i)(t*b^j) = (st)b^(i+j). The tower
-    keeps its table in positions, one copy per step (``_coset_step``), and
-    one gather renames the last table to elements: O(n^2) work in all.
+    All other products follow from (s*b^i)(t*b^j) = (st)b^(i+j). The steps
+    only list the tower's elements in position order and record its shape,
+    each step's chain length k and the position of b^k in H. The table over
+    positions depends on that shape alone (``_tower_positions``), and one
+    gather renames it to elements: O(n^2) work in all.
     """
     n = oracle.n
     start = oracle.count
-    dtype = _table_dtype(n)
 
     a = 0
     chain = [a]
@@ -106,14 +108,15 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
             raise NotInClassError(f"query ({chain[-1]}, {a}) -> {nxt} revisits the power chain without closing it")
         chain.append(nxt)
         seen.add(nxt)
-    # a^k * a = a forces a^k to be the identity: the step by a over H = {e}
-    powers = np.array([[chain[-1]] + chain[:-1]], dtype=dtype)  # powers[0, i] = a^i
-    order, pos = _coset_step(np.zeros((1, 1), dtype=dtype), 0, powers)
+    # a^k * a = a forces a^k to be the identity: the step by a over H = {e},
+    # where both layouts list a^i at position i
+    e = chain[-1]
+    order = [e] + chain[:-1]  # order[u] is the element at position u
+    shape = [(len(chain), 0)]
 
     members = set(chain)
     tower = [len(chain)]
     step_queries = [len(chain)]
-    where = np.empty(n, dtype=np.intp)  # where[s] = position of s in the tower order
 
     b = 0
     while len(members) < n:
@@ -132,34 +135,36 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
                 raise NotInClassError(f"coset chain of {b} exceeded {n} elements; not a group")
         bpow = bchain[:-1]  # bpow[i - 1] = b^i for 0 < i < k, with b^k back inside H
 
-        # rows[r] lists base[r]*b^i for 0 <= i < k, queried in element order
-        base = np.sort(order)
-        e = order[0]  # the identity keeps position 0 in every layout
+        # rows[s] lists s*b^i for 0 <= i < k, queried in element order
         used = set(members)
         used.update(bpow)
-        rows = []
-        for s in base.tolist():
-            row = [s]
+        rows = {e: [e] + bpow}
+        for s in sorted(members):
             if s == e:
-                row += bpow
-            else:
-                for bi in bpow:
-                    z = oracle.query(s, bi)
-                    if z in used:
-                        raise NotInClassError(f"query ({s}, {bi}) -> {z} collides with an element already placed")
-                    used.add(z)
-                    row.append(z)
-            rows.append(row)
+                continue
+            row = [s]
+            for bi in bpow:
+                z = oracle.query(s, bi)
+                if z in used:
+                    raise NotInClassError(f"query ({s}, {bi}) -> {z} collides with an element already placed")
+                used.add(z)
+                row.append(z)
+            rows[s] = row
 
-        where[order] = np.arange(len(order))
-        elem = np.empty((len(order), len(bchain)), dtype=dtype)  # elem[q, i] = order[q]*b^i
-        elem[where[base]] = rows
-        order, pos = _coset_step(pos, where[bchain[-1]], elem)
+        k = len(bchain)
+        shape.append((k, order.index(bchain[-1])))
+        grid = [rows[s] for s in order]
+        if _exponent_major(len(order), k):
+            grid = zip(*grid)
+        order = [z for row in grid for z in row]
         members = used
         tower.append(len(members))
         step_queries.append(oracle.count - step_start)
 
-    where = order.argsort()  # order is a permutation now
+    shape = tuple(shape)
+    pos = _cached_tower_positions(shape) if n * n <= _CACHED_ENTRIES else _tower_positions(shape)
+    order = np.array(order, dtype=pos.dtype)  # a permutation now
+    where = order.argsort()
     return RecoveryResult(
         OpTable(order.take(pos.take(where, 0).take(where, 1))),
         _spent(oracle, start, n, "abelian"),
@@ -170,40 +175,67 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
     )
 
 
-def _coset_step(pos: np.ndarray, pb: int, elem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tower order and position table of H<b> from those of H.
+def _exponent_major(h: int, k: int) -> bool:
+    """Whether a coset step of chain length k over H (|H| = h) lists s_q*b^t
+    at position t*h + q (exponent-major) rather than q*k + t (subgroup-major).
 
-    ``pos`` is the h x h table of H over its tower order, ``elem[q, t]`` is
-    s_q*b^t for the element s_q at position q, and b^k, k = elem.shape[1], is
-    the first power of b in H, at position ``pb``. The new order lists
-    s_q*b^t at t*h + q (exponent-major) when h >= k, else at q*k + t
-    (subgroup-major), so the copy's inner loop runs over the longer axis.
-    Since (s_r b^i)(s_c b^j) = (s_r s_c) b^(i+j), the block of exponent sum
-    t is pos shifted to exponent t, for t < k, and for k <= t <= 2k - 2 the
+    Either way the copy in ``_coset_step`` runs its inner loop over the longer axis.
+    """
+    return h >= k
+
+
+def _tower_positions(shape: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The position table of a tower of shape ``((k, pb), ...)``, one ``_coset_step`` per step."""
+    pos = np.zeros((1, 1), dtype=_table_dtype(math.prod(k for k, _ in shape)))
+    for k, pb in shape:
+        pos = _coset_step(pos, pb, k)
+    return pos
+
+
+# Every table of at most _CACHED_ENTRIES entries (n <= 16) comes from one of
+# 501 shapes, so this cache holds them all in about 0.3 MB.
+# Larger n build theirs per call: the copy dominates there and shapes rarely repeat.
+_CACHED_ENTRIES = 256
+
+
+@lru_cache(maxsize=512)
+def _cached_tower_positions(shape: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``_tower_positions``, read-only and cached."""
+    pos = _tower_positions(shape)
+    pos.setflags(write=False)
+    return pos
+
+
+def _coset_step(pos: np.ndarray, pb: int, k: int) -> np.ndarray:
+    """The position table of H<b> from that of H.
+
+    ``pos`` is the h x h table of H over its tower order, and b^k is the
+    first power of b in H, at position ``pb``. The new order lists s_q*b^t,
+    for the element s_q at position q, as ``_exponent_major`` says. Since
+    (s_r b^i)(s_c b^j) = (s_r s_c) b^(i+j), the block of exponent sum t is
+    pos shifted to exponent t, for t < k, and for k <= t <= 2k - 2 the
     block of pos[:, pb][pos] at exponent t - k; the new table is one copy of
     the window view [i, r, j, c] -> block[i + j][r, c], O((hk)^2) work, so
     the steps of a tower sum to O(n^2).
     """
-    h, k = elem.shape
+    h = len(pos)
     folded = pos[:, pb].take(pos)  # position of s_r s_c b^k in H
     t = np.arange(k, dtype=pos.dtype)
-    if h >= k:
+    if _exponent_major(h, k):
         t *= h
         blocks = np.empty((2 * k - 1, h, h), dtype=pos.dtype)  # blocks[t, r, c]
         np.add(pos, t[:, None, None], out=blocks[:k])
         np.add(folded, t[: k - 1, None, None], out=blocks[k:])
         s_t, s_r, s_c = blocks.strides
         shape, strides = (k, h, k, h), (s_t, s_r, s_t, s_c)  # [i, r, j, c]
-        order = elem.T.ravel()
     else:
         blocks = np.empty((h, h, 2 * k - 1), dtype=pos.dtype)  # blocks[r, c, t]
         np.add((pos * k)[..., None], t, out=blocks[..., :k])
         np.add((folded * k)[..., None], t[: k - 1], out=blocks[..., k:])
         s_r, s_c, s_t = blocks.strides
         shape, strides = (h, k, h, k), (s_r, s_t, s_c, s_t)  # [r, i, c, j]
-        order = elem.ravel()
     window = np.ndarray(shape, dtype=pos.dtype, buffer=blocks, strides=strides)
-    return order, window.reshape(h * k, h * k)  # the one copy
+    return window.reshape(h * k, h * k)  # the one copy
 
 
 def _spent(oracle: Oracle, start: int, expected: int, method: str) -> int:

@@ -52,7 +52,7 @@ from opquery import (
     tree_to_dict,
 )
 from opquery.algebra import _relabelings, _table_dtype, are_isomorphic
-from opquery.recovery import RecoveryResult, _additive_closure, _merge_sort, _spent
+from opquery.recovery import RecoveryResult, _additive_closure, _cached_tower_positions, _merge_sort, _spent
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
@@ -962,10 +962,15 @@ def _assert_abelian_matches_reference(truth: OpTable) -> None:
 
 
 def test_abelian_fill_matches_the_reference_on_honest_oracles():
+    # each truth twice: its first run builds its tower's position table (and
+    # caches it at n <= 16), the second reads that table from the cache
     for n in range(1, 65):
         for factors in abelian_invariant_factorizations(n):
             for seed in (0, 1, 7):
-                _assert_abelian_matches_reference(new_hidden(AbelianSpec(factors), seed).truth)
+                truth = new_hidden(AbelianSpec(factors), seed).truth
+                _cached_tower_positions.cache_clear()
+                _assert_abelian_matches_reference(truth)
+                _assert_abelian_matches_reference(truth)
     # seed 3 makes 0 the identity, so the first coset step is by 1; on Z_256 it
     # is one step with k = n
     assert recover_abelian(oracle_for(new_hidden(AbelianSpec((256,)), 3))).tower == (1, 256)

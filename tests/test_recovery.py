@@ -29,6 +29,7 @@ from opquery import (
     recover_order11,
     recover_ring_full,
     recover_ring_multiplication,
+    recovery,
     replay_matches,
     ring_oracles,
     verify_recovery,
@@ -80,6 +81,36 @@ class TestAbelian:
         o = Oracle(__import__("opquery").OpTable(t))
         with pytest.raises(NotInClassError):
             recover_abelian(o)
+
+    def test_one_tower_shape_shares_one_cached_position_table(self, monkeypatch):
+        # in Z_2^4 every step has chain length 2 and b^2 = e at position 0,
+        # so two labelings where 0 is not the identity share the shape
+        cached = recovery._cached_tower_positions
+        cached.cache_clear()
+        seen = []
+
+        def spy(shape):
+            seen.append((shape, cached(shape)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(recovery, "_cached_tower_positions", spy)
+        for seed in (0, 1):
+            run_abelian((2, 2, 2, 2), seed)
+        (shape, pos), (again, same) = seen
+        assert shape == again == ((2, 0),) * 4 and same is pos
+        assert cached.cache_info().currsize == 1
+        with pytest.raises(ValueError):
+            pos[0, 0] = 1
+
+    def test_only_tables_up_to_n_16_are_cached(self):
+        # caching larger n would hold their O(n^2) tables for shapes that rarely repeat
+        cached = recovery._cached_tower_positions
+        cached.cache_clear()
+        run_abelian((17,), 1)
+        run_abelian((2, 4, 4), 1)
+        assert cached.cache_info().currsize == 0
+        run_abelian((16,), 1)
+        assert cached.cache_info().currsize == 1
 
     @pytest.mark.parametrize("factors", [(256,), (16, 16), (2,) * 8])
     def test_fill_peaks_under_18_bytes_per_entry(self, factors):

@@ -46,6 +46,54 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def _unbounded_caches(source: str) -> list[str]:
+    """functools caches in a module without an integer bound: ``@cache``, a bare
+    ``@lru_cache`` (its default bound is easy to miss) and ``maxsize=None``."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "functools" for a in n.names}
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "functools"}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            kind = names.get(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            kind = node.attr
+        else:
+            continue
+        if kind not in ("cache", "lru_cache"):
+            continue
+        call = calls.get(id(node))
+        bound = None
+        if kind == "lru_cache" and call is not None:
+            bound = call.args[0] if call.args else next((kw.value for kw in call.keywords if kw.arg == "maxsize"), None)
+        if not (isinstance(bound, ast.Constant) and type(bound.value) is int):
+            found.append(f"{kind} (line {node.lineno})")
+    return found
+
+
+def test_unbounded_cache_check_sees_every_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache as lc\n"
+        "@cache\ndef a(): pass\n"
+        "@lc\ndef b(): pass\n"
+        "@lc(maxsize=None)\ndef c(): pass\n"
+        "@functools.lru_cache(None)\ndef d(): pass\n"
+        "@lc(64)\ndef e(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef f(): pass\n"
+        "g = functools.cache(len)\n"
+        "h = lc(maxsize=4)(len)\n"
+    )
+    assert _unbounded_caches(source) == ["cache (line 3)", "lru_cache (line 5)", "lru_cache (line 7)", "lru_cache (line 9)", "cache (line 15)"]
+
+
+def test_every_cache_in_package_is_bounded():
+    # a cache keyed by tables, states or shapes must not grow with the run
+    found = [f"{path.name}: {entry}" for path in SOURCES for entry in _unbounded_caches(path.read_text())]
+    assert found == []
+
+
 def _unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private names (``_x``) of a package that nothing reads.
 
