@@ -26,10 +26,11 @@ has not mentioned, so the search scans one query per orbit of that
 stabiliser. Below the first answer that a path had not mentioned, a state
 also has a conjugacy key, equal for states that a permutation fixing that
 answer's state maps onto each other, so each set of conjugate answer blocks
-is solved once and the witness tree reads their values; neither changes a
-value or the witness tree. ``enumerate_orbit`` walks an orbit by the star
-transpositions (0 i) when that takes fewer relabelings than running all n!
-permutations.
+is solved once. The witness tree reads a conjugate's value and the query its
+scan chose, mapped back through the key's names, instead of searching the
+block again; neither changes a value or the witness tree. ``enumerate_orbit``
+walks an orbit by the star transpositions (0 i) when that takes fewer
+relabelings than running all n! permutations.
 """
 
 from __future__ import annotations
@@ -428,6 +429,7 @@ class SearchStats:
     aborted: int = 0  # queries dropped: their largest block's floor, or a solved block, reached the best value
     capped: int = 0  # states that failed high: the search stopped at a lower bound >= its cap
     settled: int = 0  # states valued 1 without a scan: two candidates, or a searched state one query separates
+    conjugate_reads: int = 0  # witness nodes whose query was read from the recorded scan of a conjugate state
 
 
 def _blocks(ids: tuple[int, ...], zs: np.ndarray) -> dict[int, tuple[int, ...]]:
@@ -521,13 +523,20 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     mention (``_key_name``). States with equal keys are images of each other
     under a permutation that fixes the anchor state, so they have the same
     value, and exact values and fail-high bounds are kept under both. Every
-    set of conjugate fresh blocks is so solved once. The witness tree looks
-    up the value v of a block that a conjugate's key answered, and searches
-    it with floor v and cap v + 1, which stops at the first query reaching
-    v. Any other set is searched with every label mentioned, which scans
-    every query and starts no key; nor does a max chain, whose every answer
-    is x or y. Values and witness trees are the same either way; ``stats``
-    counts the work.
+    set of conjugate fresh blocks is so solved once, and the key keeps that
+    state's named labels and the queries its scan found optimal: the chosen
+    one, every query before it in the scan being worth more, or at value 1
+    all that separate the state. For a block that only a conjugate's key
+    valued, at v, the witness tree maps its representatives back to the
+    conjugate's through the names (fixed labels stay, ``named`` in order,
+    the unmentioned labels in order) and takes the first whose image is
+    known optimal. A representative before it whose image came after the
+    chosen query has a value the scan did not settle; those are grouped in
+    order and their blocks solved at cap v, and the first whose blocks all
+    stay below v wins. Any other set is searched with every label
+    mentioned, which scans every query and starts no key; nor does a max
+    chain, whose every answer is x or y. Values and witness trees are the
+    same either way; ``stats`` counts the work.
     """
     m = len(ops)
     _check_budget(m, budget)
@@ -545,6 +554,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     memo_choice: dict[tuple[int, ...], int] = {}  # column x*n + y of the chosen query; build regroups
     memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
     conj_value: dict[tuple[int, ...], int] = {}  # exact values, by conjugacy key
+    conj_scan: dict[tuple[int, ...], tuple] = {}  # (named, optimal) of the state that gave the exact value, by key
     conj_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high, by conjugacy key
     anchors: dict[tuple[tuple[int, ...], int], int] = {}  # serial of each anchor state, by (ids, mentioned)
 
@@ -650,21 +660,70 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         if frame is not None:
             conj_bound.pop(frame[0], None)
             conj_value[frame[0]] = best
+            # every query the scan reached before its choice is worth more; at 1, the optimal ones are those that separate
+            conj_scan[frame[0]] = frame[2], (frozenset(cols[widths == len(ids)].tolist()) if best == 1 else best_choice)
         return best
+
+    def reaches(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, value: int) -> bool:
+        """True iff the query at column splits state ids into blocks all worth less than value."""
+        groups = _blocks(ids, answers[ids, column])
+        if len(groups) == 1:  # the query does not split the state
+            return False
+        x, y = divmod(column, n)
+        after = mentioned | bits[x] | bits[y]
+        for z in sorted(groups, key=lambda z: (-len(groups[z]), z)):
+            block = groups[z]
+            sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 else None
+            if solve(block, after | bits.get(z, 0), value, sub) >= value:
+                return False
+        return True
+
+    def read(ids: tuple[int, ...], mentioned: int, frame: tuple, value: int) -> int:
+        """The first query of state ids worth value, read from the scan of the conjugate state its key recorded.
+
+        Both states mention the fixed labels, and their named labels in the
+        same order; the permutation that maps the recorded state's labels
+        onto these, and its unmentioned labels onto these in order, maps
+        that state onto this one and its representatives onto these.
+        """
+        stats.conjugate_reads += 1
+        named, optimal = conj_scan[frame[0]]
+        back = list(range(n))  # back[v]: the recorded state's label that v stands for
+        recorded = frame[1]  # the labels the recorded state mentions
+        for v, u in zip(frame[2], named):
+            back[v] = u
+            recorded |= bits[u]
+        unmentioned = iter([u for u in range(n) if not recorded >> u & 1])
+        for v in range(n):
+            if not mentioned >> v & 1:
+                back[v] = next(unmentioned)
+        for column in _representatives(mentioned, n).tolist():
+            x, y = divmod(column, n)
+            image = back[x] * n + back[y]  # the recorded state's representative for this one
+            if value == 1:  # the recorded optima are all its separating queries
+                if image in optimal:
+                    return column
+            # an image the recorded scan reached before its choice is worth more; one after it is unsettled
+            elif image == optimal or image > optimal and reaches(ids, mentioned, frame, column, value):
+                return column
+        raise AssertionError("a conjugate state's representatives map onto this state's")
 
     def build(ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> QueryTree:
         if len(ids) == 1:
             return Leaf(ids[0])
         if len(ids) == 2:  # settled by solve in closed form; the first query the pair differs on heads its
             # stabiliser orbit, so it is the representative the scan would have picked
-            column, value = int((answers[ids[0]] != answers[ids[1]]).argmax()), 1
-        else:
-            if ids not in memo_choice:
-                value = conj_value.get(frame[0]) if frame else None
-                if value is None:  # valued on another path only: search it below its parent's value
-                    solve(ids, mentioned, cap, frame)
-                else:  # valued by a conjugate: the scan stops at the first query reaching that value
-                    search(ids, mentioned, value + 1, value, frame)
+            a, b = ids
+            column = int((answers[a] != answers[b]).argmax())
+            za, zb = answers.item(a, column), answers.item(b, column)
+            return Node(divmod(column, n), {za: Leaf(a), zb: Leaf(b)} if za < zb else {zb: Leaf(b), za: Leaf(a)})
+        if ids in memo_choice:
+            column, value = memo_choice[ids], memo_value[ids]
+        elif frame is not None and frame[0] in conj_scan:  # valued by a conjugate
+            value = conj_value[frame[0]]
+            column = read(ids, mentioned, frame, value)
+        else:  # valued on another path only: search it below its parent's value
+            solve(ids, mentioned, cap, frame)
             column, value = memo_choice[ids], memo_value[ids]
         x, y = divmod(column, n)
         after, groups = mentioned | bits[x] | bits[y], _blocks(ids, answers[ids, column])

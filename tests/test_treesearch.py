@@ -305,7 +305,8 @@ def test_minimal_worst_case_pinned_optima(canonical, optimum, digest, cap):
 def test_minimal_worst_case_pins_z9():
     # Z_9 = 6 over 60,480 candidates, past the default brute force cap. The
     # digest is that of the search before conjugacy keys, which searched
-    # 55,997 states; the keys leave a third of them.
+    # 55,997 states; the keys, with the witness tree reading each conjugate's
+    # recorded scan, leave 1,437 of them.
     ops = enumerate_orbit(build_abelian([9]), cap=9)
     stats = SearchStats()
     depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
@@ -313,7 +314,7 @@ def test_minimal_worst_case_pins_z9():
     v = verify_query_tree(tree, ops)
     assert v.ok and max(v.depths.values()) == depth
     assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == "b6eaf73e29904010adda3513830016b6929285a92b56665182676d6a8de3f29c"
-    assert (stats.states, stats.conjugate_hits) == (18145, 41846)
+    assert (stats.states, stats.conjugate_hits) == (1437, 1406)
 
 
 @pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 8 chain (~25 s, ~120 MB)")
@@ -335,8 +336,8 @@ def test_minimal_worst_case_finds_the_sorting_number_s8():
 # Ids 6 and 7 are the cyclic groups Z_6 and Z_7; a max chain answers every
 # query with x or y, so it starts no conjugacy key.
 PINNED_STATS = {
-    "6": (build_abelian([6]), SearchStats(states=123, memo_hits=8, conjugate_hits=117, queries_scanned=103, queries_skipped=1115, floor_cutoffs=41, aborted=38, capped=11, settled=109)),
-    "7": (build_abelian([7]), SearchStats(states=209, memo_hits=21, conjugate_hits=160, queries_scanned=350, queries_skipped=3630, floor_cutoffs=177, aborted=106, capped=26, settled=420)),
+    "6": (build_abelian([6]), SearchStats(states=34, memo_hits=6, conjugate_hits=40, queries_scanned=43, queries_skipped=329, floor_cutoffs=11, aborted=15, capped=12, settled=30, conjugate_reads=90)),
+    "7": (build_abelian([7]), SearchStats(states=49, memo_hits=21, conjugate_hits=148, queries_scanned=190, queries_skipped=1138, floor_cutoffs=17, aborted=106, capped=26, settled=363, conjugate_reads=160)),
     "C_5": (build_max_chain(5), SearchStats(states=155, memo_hits=12, conjugate_hits=0, queries_scanned=307, queries_skipped=85, floor_cutoffs=155, aborted=112, capped=0, settled=132)),
 }
 
@@ -348,6 +349,47 @@ def test_minimal_worst_case_stats_are_pinned(name):
     stats = SearchStats()
     minimal_worst_case(ops, budget=len(ops), stats=stats)
     assert stats == pinned
+
+
+def _blocks_below_the_root(tree, ops):
+    """(candidate ids, subtree) of every node of tree below its root with three or more candidates."""
+    answers = ops.tables.reshape(len(ops), -1)
+    found, stack = [], [(tree, list(range(len(ops))))]
+    while stack:
+        node, ids = stack.pop()
+        if isinstance(node, Node) and len(ids) >= 3:
+            if len(ids) < len(ops):
+                found.append((ids, node))
+            column = node.query[0] * ops.n + node.query[1]
+            stack.extend((child, [i for i in ids if answers[i, column] == z]) for z, child in node.children.items())
+    return found
+
+
+def _leaves_renamed(tree, ids):
+    if isinstance(tree, Leaf):
+        return Leaf(ids[tree.op_id])
+    return Node(tree.query, {z: _leaves_renamed(child, ids) for z, child in tree.children.items()})
+
+
+@pytest.mark.parametrize("canonical", [build_abelian([6]), build_abelian([2, 2, 2]), build_abelian([7])], ids=["Z_6", "Z_2xZ_2xZ_2", "Z_7"])
+def test_every_witness_subtree_is_the_open_search_of_its_block(canonical):
+    # A block below the root is a proper subset of one orbit, so it is not
+    # closed under relabeling, and searching it alone scans every query and
+    # starts no key. Its subtree in the witness tree is its lexicographically
+    # first optimal tree over every query, so the open search gives it again.
+    # The closed search reads some of those queries from the recorded scans
+    # of conjugate blocks; it must not fall back to scanning every block.
+    ops = enumerate_orbit(canonical)
+    stats = SearchStats()
+    _, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
+    assert stats.conjugate_reads > 0
+    blocks = _blocks_below_the_root(tree, ops)
+    assert blocks
+    for ids, node in blocks:
+        open_stats = SearchStats()
+        _, sub = minimal_worst_case(OperationSet(ops.tables[ids]), budget=len(ids), stats=open_stats)
+        assert (open_stats.conjugate_hits, open_stats.queries_skipped) == (0, 0)
+        assert _leaves_renamed(sub, ids) == node
 
 
 def test_minimal_worst_case_memory_on_the_c6_orbit():
