@@ -6,8 +6,10 @@ narrowest integer type for n (``_table_dtype``) however it was made. The three
 table families used throughout are finite abelian groups (given by their
 invariant factor chain), the "later element wins" max table of a chain, and
 finite commutative rings (Z_n, GF(p^r), and direct products of those).
-Cyclic group tables, GF(p^r)* included, are one gather over the powers of
-a generator (``_cyclic_table``).
+Cyclic group tables, GF(p^r)* included, are the exponent-sum table (i + j)
+mod n, cached per order, renamed by the powers of a generator
+(``_cyclic_table``). Renaming a table maps its values a bounded block of
+rows at a time (``_renamed``), and two tables compare by their bytes.
 
 Law checks look only at generators. By Light's associativity test, a
 table is associative as soon as (x*g)*y = x*(g*y) holds for every g in a
@@ -87,7 +89,14 @@ class OpTable:
         return int(self.entries[x, y])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpTable) and np.array_equal(self.entries, other.entries)
+        if not isinstance(other, OpTable):
+            return False
+        a, b = self.entries, other.entries
+        if a.shape != b.shape:
+            return False
+        # both are in _table_dtype(n), so equal bytes mean equal entries;
+        # copying them out beats array_equal up to about 32 KB
+        return a.tobytes() == b.tobytes() if a.nbytes <= _BYTES_COMPARED else np.array_equal(a, b)
 
     def __hash__(self) -> int:
         return hash((self.n, self.entries.tobytes()))
@@ -95,9 +104,8 @@ class OpTable:
     def relabel(self, perm: Sequence[int]) -> "OpTable":
         """The same operation carried through the renaming x -> perm[x]."""
         p = _as_permutation(perm, self.n)
-        inv = p.argsort()
         # a valid table renamed by a permutation is valid: skip the re-check
-        entries = p.take(self.entries.take(inv, 0).take(inv, 1))
+        entries = _renamed(self.entries, p, p.argsort())
         entries.flags.writeable = False
         return _trusted(OpTable, entries=entries)
 
@@ -110,6 +118,32 @@ class OpTable:
         if t.n != int(d["n"]):
             raise ValidationError("declared n does not match table shape")
         return t
+
+
+# Tables up to this many bytes compare by their bytes, larger ones by array_equal.
+_BYTES_COMPARED = 1 << 15
+# ``take`` casts a narrow index to intp, 8 bytes an entry; past this many
+# entries ``_renamed`` maps a block of rows at a time.
+_RENAME_BLOCK = 1 << 15
+
+
+def _renamed(t: np.ndarray, p: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The n x n table t carried through x -> p[x], in p's dtype, given inv = p.argsort().
+
+    Entry [u, v] is p[t[inv[u], inv[v]]]. Past ``_RENAME_BLOCK`` entries the
+    rows go a block at a time, so the intp index never spans the whole table
+    and the peak stays near twice the result.
+    """
+    n = len(p)
+    if n * n <= _RENAME_BLOCK:
+        return p.take(t.take(inv, 0).take(inv, 1))
+    step = max(1, _RENAME_BLOCK // n)
+    out = np.empty((n, n), dtype=p.dtype)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        # every entry is in range, so "clip" never clips; it only spares take a buffered copy of out
+        p.take(t.take(inv[rows], 0).take(inv, 1), out=out[rows], mode="clip")
+    return out
 
 
 def _table_dtype(n: int) -> type:
@@ -374,12 +408,32 @@ def build_abelian(spec: AbelianSpec | Sequence[int]) -> OpTable:
     return _build_abelian_cached(spec.factors)
 
 
+# Cyclic tables below this order read a cached exponent-sum index, at most
+# 32 KB each; larger ones build theirs per call.
+_CACHED_CYCLIC_ORDER = 64
+
+
+@lru_cache(maxsize=64)
+def _exponent_sums(n: int) -> np.ndarray:
+    """The read-only n x n intp index (i + j) mod n: the exponent of a^i a^j in a cyclic group of order n."""
+    i = np.arange(n)
+    sums = (i[:, None] + i) % n
+    sums.setflags(write=False)
+    return sums
+
+
 def _cyclic_table(powers: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Table of a cyclic group, in ``_table_dtype(n)``, from the element at each exponent (``powers[0]`` the identity)."""
+    """Table of a cyclic group, in ``_table_dtype(n)``, from the element at each exponent (``powers[0]`` the identity).
+
+    The product of a^i and a^j is a^((i + j) mod n), so the table is the
+    exponent-sum index renamed by x -> powers[x]: one ``_renamed`` gather over
+    the index that ``_exponent_sums`` caches for each order below
+    ``_CACHED_CYCLIC_ORDER`` (every order-11 and GF(q)* table among them).
+    """
     n = len(powers)
     p = np.asarray(powers, dtype=_table_dtype(n))
-    logs = p.argsort()
-    return p[(logs[:, None] + logs) % n]
+    sums = _exponent_sums(n) if n < _CACHED_CYCLIC_ORDER else _exponent_sums.__wrapped__(n)
+    return _renamed(sums, p, p.argsort())
 
 
 @lru_cache(maxsize=512)

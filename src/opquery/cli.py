@@ -128,14 +128,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         name = args.group.strip().lower()
         if not (name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1):
             raise ValidationError(f"--group expects z<n> with n >= 1, got {args.group!r}")
-        canonical = algebra.build_abelian([int(name[1:])] if int(name[1:]) > 1 else [])
-        label = name
+        n, label = int(name[1:]), name
     else:
-        canonical = algebra.build_max_chain(args.maxchain)
-        label = f"maxchain{args.maxchain}"
-    # refuse from the candidate count before the orbit is built: a max chain
-    # has no automorphism but the identity, and a group's count is closed form
-    algebra._check_cap(canonical.n, args.cap, "enumerate_orbit")
+        n, label = args.maxchain, f"maxchain{args.maxchain}"
+    # refuse on n before any table is built, then on the candidate count before
+    # the orbit is: a max chain has no automorphism but the identity, and a
+    # group's count is closed form
+    algebra._check_cap(n, args.cap, "enumerate_orbit")
+    canonical = algebra.build_abelian([n] if n > 1 else []) if args.group is not None else algebra.build_max_chain(n)
     x_size = bounds.orbit_size(canonical) if args.group is not None else math.factorial(canonical.n)
     treesearch._check_budget(x_size, args.budget)
     ops = treesearch.enumerate_orbit(canonical, cap=args.cap)

@@ -93,6 +93,16 @@ class Oracle:
 
     def query(self, x: int, y: int) -> int:
         """The product x*y. Coordinates must be integers (not bools) in [0, n)."""
+        n = self._n
+        # exact ints in range, as every recovery asks, need no normalizing
+        if not (x.__class__ is int and y.__class__ is int and 0 <= x < n and 0 <= y < n):
+            x, y = self._coordinates(x, y)
+        z = self._item(x, y)
+        self._transcript.append((x, y, z))
+        return z
+
+    def _coordinates(self, x: object, y: object) -> tuple[int, int]:
+        """x and y as ints, if they are integers (not bools) in [0, n); else ValidationError."""
         try:
             if x.__class__ is bool or y.__class__ is bool:
                 raise TypeError("bool")
@@ -102,9 +112,7 @@ class Oracle:
         n = self._n
         if not (0 <= x < n and 0 <= y < n):
             raise ValidationError(f"query ({x}, {y}) out of range for n = {n}")
-        z = self._item(x, y)
-        self._transcript.append((x, y, z))
-        return z
+        return x, y
 
 
 def random_permutation(n: int, seed: int) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ class and returns the full table plus the number of queries spent:
 - cyclic groups of order 11: exactly 8 queries, a hand-tuned schedule whose
   final two answers pin down the four elements the power ladder missed;
 - max tables of a total order: merge sort driven by the oracle, at most
-  n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries, the table read off the ranks;
+  n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries, the canonical chain renamed
+  by the sorted order;
 - ring multiplication over a known addition table: exactly |A|^2 queries
   for a greedy generating set A with |A| <= log2 n, everything else
   rebuilt by distributivity along the order the generators reached it.
@@ -44,7 +45,9 @@ from .algebra import (
     _cyclic_table,
     _distributive_on,
     _generators,
+    _renamed,
     _table_dtype,
+    build_max_chain,
     check_axioms,
     identity_of,
     is_prime,
@@ -164,9 +167,8 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
     shape = tuple(shape)
     pos = _cached_tower_positions(shape) if n * n <= _CACHED_ENTRIES else _tower_positions(shape)
     order = np.array(order, dtype=pos.dtype)  # a permutation now
-    where = order.argsort()
     return RecoveryResult(
-        OpTable(order.take(pos.take(where, 0).take(where, 1))),
+        OpTable(_renamed(pos, order, order.argsort())),
         _spent(oracle, start, n, "abelian"),
         "abelian",
         trace=oracle.transcript_since(start),
@@ -297,7 +299,24 @@ def recover_abelian_prime(oracle: Oracle) -> RecoveryResult:
     return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "prime", trace=oracle.transcript_since(start))
 
 
+_ANCHOR_EXPONENTS = (0, 1, 2, 3, 4, 5, 7)
 _LEFTOVER_EXPONENTS = tuple(permutations((6, 8, 9, 10)))
+
+
+def _leftover_match() -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """The exponent assignments (of b, c, d, f in turn) that fit each pair of answers to b*c and b*d.
+
+    An answer is named by its exponent when it is an anchor, and by 11 + i
+    when it is the i-th leftover; the key is the pair of names.
+    """
+    match: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for exps in _LEFTOVER_EXPONENTS:
+        names = [exps.index(t) + 11 if t in exps else t for t in ((exps[0] + exps[1]) % 11, (exps[0] + exps[2]) % 11)]
+        match.setdefault(tuple(names), []).append(exps)
+    return {key: tuple(fits) for key, fits in match.items()}
+
+
+_LEFTOVER_MATCH = _leftover_match()
 
 
 def recover_order11(oracle: Oracle) -> RecoveryResult:
@@ -307,12 +326,14 @@ def recover_order11(oracle: Oracle) -> RecoveryResult:
     the identity and element 1 generates. Four more queries climb the ladder
     to the generator's powers 3, 4, 5 and 7, and when the identity is still
     unknown it falls out of power7 * power4 = power11. That names seven of
-    the eleven elements, leaving four with exponents {6, 8, 9, 10} in some
-    order. Querying b*c and b*d for three of the leftovers b, c, d gives two
-    constraints, and exactly one of the 24 exponent assignments satisfies
-    both (pairwise sums of {6,8,9,10} are distinct mod 11, so each answer
-    pins the pair it came from). Any other survivor count means the oracle
-    was not an order-11 group.
+    the eleven elements, leaving four, b < c < d < f, with exponents
+    {6, 8, 9, 10} in some order. Querying b*c and b*d gives two constraints,
+    and exactly one of the 24 exponent assignments satisfies both (pairwise
+    sums of {6,8,9,10} are distinct mod 11, so each answer pins the pair it
+    came from). ``_LEFTOVER_MATCH``, built once from the 24 assignments,
+    maps the two answers, each named by its anchor exponent or its leftover
+    index, to the assignments that fit them. Any other survivor count means
+    the oracle was not an order-11 group.
     """
     if oracle.n != 11:
         raise ValidationError(f"method is specific to n = 11, oracle has n = {oracle.n}")
@@ -340,23 +361,21 @@ def recover_order11(oracle: Oracle) -> RecoveryResult:
     if len(set(anchors)) != 7:
         raise NotInClassError("power ladder collided; oracle is not a cyclic group of order 11")
     powers: list[int] = [-1] * 11
-    for exp, elt in zip((0, 1, 2, 3, 4, 5, 7), anchors):
+    for exp, elt in zip(_ANCHOR_EXPONENTS, anchors):
         powers[exp] = elt  # type: ignore[assignment]
 
     rest = sorted(set(range(11)) - set(anchors))
-    b, c, d, f = rest
+    b, c, d, _ = rest
     zbc = q(b, c)
     zbd = q(b, d)
 
-    survivors = []
-    for sb, sc, sd, sf in _LEFTOVER_EXPONENTS:
-        powers[sb], powers[sc], powers[sd], powers[sf] = b, c, d, f
-        if powers[(sb + sc) % 11] == zbc and powers[(sb + sd) % 11] == zbd:
-            survivors.append((sb, sc, sd, sf))
+    name = dict(zip(anchors, _ANCHOR_EXPONENTS))
+    name.update(zip(rest, range(11, 15)))
+    survivors = _LEFTOVER_MATCH.get((name[zbc], name[zbd]), ())
     if len(survivors) != 1:
         raise NotInClassError(f"{len(survivors)} exponent assignments fit the final two answers; oracle is not an order-11 group")
-    sb, sc, sd, sf = survivors[0]
-    powers[sb], powers[sc], powers[sd], powers[sf] = b, c, d, f
+    for exp, elt in zip(survivors[0], rest):
+        powers[exp] = elt
 
     queries = _spent(oracle, start, 8, "eleven8")
     return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "eleven8", trace=oracle.transcript_since(start))
@@ -407,8 +426,8 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
     queries = oracle.count - start
     if queries > merge_sort_worst_case(n):
         raise NotInClassError("comparison count exceeded the sorting bound; answers were inconsistent")
-    rank = order.argsort().astype(order.dtype)  # rank[x] = place of x in the order
-    table = OpTable(order.take(np.maximum.outer(rank, rank)))
+    # the canonical chain i*j = max(i, j) over places, renamed by the order
+    table = OpTable(_renamed(build_max_chain(n).entries, order, order.argsort()))
     return RecoveryResult(table, queries, "maxchain", trace=oracle.transcript_since(start))
 
 

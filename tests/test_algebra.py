@@ -37,7 +37,10 @@ from opquery import (
     verify_recovery,
 )
 from opquery.algebra import (
+    _CACHED_CYCLIC_ORDER,
     CONWAY_POLYNOMIALS,
+    _cyclic_table,
+    _exponent_sums,
     _table_dtype,
     are_isomorphic,
     canonical_table,
@@ -446,6 +449,77 @@ def test_hiding_and_recovering_a_long_chain_stays_near_its_table_size():
         assert recover_max_chain(oracle_for(inst)).table == inst.truth
 
     assert _peak_bytes(run) < 20 * n * n
+
+
+def test_relabel_and_max_chain_recovery_peak_under_four_times_their_result():
+    # taking through the whole narrow index cast it to intp, 8 bytes an
+    # entry: 3.15 MB for the relabel and 3.5 MB for the recovery at n = 512
+    n = 512
+    t = build_max_chain(n)
+    perm = random_permutation(n, 3)
+    oracle = oracle_for(new_hidden(MaxChainSpec(n), 3))
+    result_bytes = n * n * np.dtype(_table_dtype(n)).itemsize
+    assert _peak_bytes(lambda: t.relabel(perm)) < 4 * result_bytes
+    assert _peak_bytes(lambda: recover_max_chain(oracle)) < 4 * result_bytes
+
+
+@pytest.mark.parametrize("n", [2, 181, 182, 200, 512])
+def test_relabel_in_row_blocks_is_the_renaming(n):
+    # from n = 182 on the table has more than _RENAME_BLOCK entries and is renamed a block of rows at a time
+    t = new_hidden(AbelianSpec.from_cyclic([n]), 1).truth
+    perm = np.array(random_permutation(n, 2))
+    want = np.empty((n, n), dtype=np.int64)
+    want[perm[:, None], perm] = perm[t.entries]  # perm[x] * perm[y] = perm[x * y]
+    got = t.relabel(perm)
+    assert got.entries.dtype == _table_dtype(n)
+    assert np.array_equal(got.entries, want)
+
+
+def test_optable_equality_reads_values_at_every_size():
+    for n in (1, 5, 128, 129, 300):
+        t = build_abelian([n]) if n > 1 else build_abelian([])
+        same = OpTable(t.entries.astype(np.int64))
+        assert t == same and hash(t) == hash(same)
+        if n > 1:
+            other = t.entries.copy()
+            other[-1, -1] = (other[-1, -1] + 1) % n
+            assert t != OpTable(other)
+        assert t != build_max_chain(n + 1) and t != t.entries
+    # a transposed view stores the same values in another memory order
+    c = build_max_chain(300)
+    assert c == OpTable(np.ascontiguousarray(c.entries.T).T)
+
+
+def _old_cyclic_table(powers) -> np.ndarray:
+    """The formula before the exponent-sum index was cached."""
+    n = len(powers)
+    p = np.asarray(powers, dtype=_table_dtype(n))
+    logs = p.argsort()
+    return p[(logs[:, None] + logs) % n]
+
+
+def test_cyclic_table_matches_the_old_formula():
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 41), 63, 64, 200]:
+        for _ in range(3):
+            powers = rng.permutation(n)
+            got, want = _cyclic_table(powers), _old_cyclic_table(powers)
+            assert got.dtype == want.dtype == _table_dtype(n)
+            assert np.array_equal(got, want), n
+        assert np.array_equal(_cyclic_table(list(powers)), want)
+
+
+def test_cyclic_exponent_index_is_cached_and_read_only():
+    _exponent_sums.cache_clear()
+    sums = _exponent_sums(11)
+    assert _exponent_sums(11) is sums
+    assert not sums.flags.writeable
+    with pytest.raises(ValueError):
+        sums[0, 0] = 1
+    assert np.array_equal(sums, np.add.outer(np.arange(11), np.arange(11)) % 11)
+    _cyclic_table(np.arange(11)[::-1])
+    _cyclic_table(np.arange(_CACHED_CYCLIC_ORDER))  # past the cached orders: built per call
+    assert _exponent_sums.cache_info().currsize == 1
 
 
 def test_light_test_memory_is_quadratic_on_a_max_chain():

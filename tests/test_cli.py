@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -237,6 +238,21 @@ def test_search_z11_is_refused_before_enumerating(capsys):
     code, out, err = run(capsys, "search", "--group", "z11")
     assert (code, out) == (3, "")
     assert err.startswith("capability: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [("--group", "z3000"), ("--maxchain", "3000")])
+def test_search_past_the_cap_builds_no_table(capsys, flags):
+    # building the n = 3000 canonical table first peaked at 216 MB for the group
+    # and 90 MB for the chain; the cap on n now refuses before any table exists
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "search", *flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("capability: ")
+    assert peak < 2**20
 
 
 def test_bounds_abelian_past_the_cap_is_exact(capsys):

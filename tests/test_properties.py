@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import operator
 import random
-from itertools import permutations
+from enum import IntEnum
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -711,6 +713,75 @@ def test_enumerate_orbit_matches_the_kernel_on_abelian_groups_up_to_8(seed):
         got = enumerate_orbit(t).tables
         assert (got.dtype, got.shape) == (want.dtype, want.shape), factors
         assert got.tobytes() == want.tobytes(), factors
+
+
+# ---------------------------------------------------------------------------
+# Oracle.query: exact ints in range skip the normalizing checks, and nothing
+# else may change
+
+
+class _Coordinate(IntEnum):
+    LOW = 0
+    MID = 5
+    HIGH = 11
+
+
+def _reference_query(truth: OpTable, transcript: list, x, y) -> int:
+    """``Oracle.query`` as it was before exact ints in range took a shorter path."""
+    try:
+        if x.__class__ is bool or y.__class__ is bool:
+            raise TypeError("bool")
+        x, y = operator.index(x), operator.index(y)
+    except TypeError:
+        raise ValidationError(f"query ({x!r}, {y!r}) needs integer coordinates") from None
+    n = truth.n
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValidationError(f"query ({x}, {y}) out of range for n = {n}")
+    z = truth.entries.item(x, y)
+    transcript.append((x, y, z))
+    return z
+
+
+def _assert_queries_as_before(truth: OpTable, pairs) -> None:
+    """Each query answers or raises as ``_reference_query`` does, and both record the same transcript."""
+    oracle, reference = Oracle(truth), []
+    for x, y in pairs:
+        outcomes = []
+        for query in (oracle.query, lambda x, y: _reference_query(truth, reference, x, y)):
+            try:
+                z = query(x, y)
+                outcomes.append((type(z), z))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (x, y)
+    assert oracle.count == len(reference)
+    assert [tuple(map(type, entry)) for entry in oracle.transcript] == [(int, int, int)] * len(reference)
+    assert oracle.transcript == tuple(reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_oracle_query_on_every_exact_int_pair_at_and_around_the_range(n):
+    _assert_queries_as_before(new_hidden(AbelianSpec.from_cyclic([n]), 7).truth, list(product(range(-1, n + 2), repeat=2)))
+
+
+coordinates = st.one_of(
+    st.integers(-2, 13),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-3, 13).map(np.int64),
+    st.integers(-3, 13).map(np.int8),
+    st.integers(0, 13).map(np.uint16),
+    st.sampled_from(_Coordinate),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+)
+
+
+@given(st.integers(1, 12), seeds, st.lists(st.tuples(coordinates, coordinates), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_oracle_query_accepts_rejects_and_records_as_before(n, seed, pairs):
+    _assert_queries_as_before(new_hidden(AbelianSpec.from_cyclic([n]), seed).truth, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from opquery import (
     AbelianSpec,
     MaxChainSpec,
     NotInClassError,
+    OpTable,
     Oracle,
     ValidationError,
     abelian_invariant_factorizations,
@@ -34,6 +35,7 @@ from opquery import (
     ring_oracles,
     verify_recovery,
 )
+from opquery.algebra import _cyclic_table
 
 
 def run_abelian(factors, seed):
@@ -192,6 +194,65 @@ class TestOrder11:
         o = Oracle(build_max_chain(11))
         with pytest.raises(NotInClassError):
             recover_order11(o)
+
+    @pytest.mark.parametrize("identity_at_0", [True, False])
+    def test_lookup_equals_the_24_way_loop_for_every_pair_of_final_answers(self, identity_at_0):
+        # the final queries b*c and b*d read entries the ladder never reads, so
+        # writing any pair of answers there keeps the first six or seven
+        instances = (new_hidden(AbelianSpec((11,)), seed) for seed in range(200))
+        inst = next(i for i in instances if (i.truth[0, 0] == 0) == identity_at_0)
+        (b, c, _), (_, d, _) = recover_order11(oracle_for(inst)).trace[-2:]
+        fits = 0
+        for zbc, zbd in itertools.product(range(11), repeat=2):
+            entries = inst.truth.entries.copy()
+            entries[b, c], entries[b, d] = zbc, zbd
+            outcomes = []
+            for recover in (recover_order11, _order11_by_loop):
+                try:
+                    res = recover(Oracle(OpTable(entries)))
+                    outcomes.append((res.table, res.queries_used, res.trace))
+                except NotInClassError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (zbc, zbd)
+            fits += not isinstance(outcomes[0], str)
+        assert fits == 24  # each of the 24 assignments of the leftovers fits one pair
+
+
+def _order11_by_loop(oracle: Oracle):
+    """``recover_order11`` as it was with its final 24-way loop over the leftover exponents."""
+    q = oracle.query
+    a = 0
+    asq = q(a, a)
+    if asq == a:
+        e, a1 = a, 1
+        a2 = q(a1, a1)
+    else:
+        e, a1, a2 = None, a, asq
+    a3 = q(a2, a1)
+    a4 = q(a3, a1)
+    a5 = q(a4, a1)
+    a7 = q(a5, a2)
+    if asq != a:
+        e = q(a7, a4)
+    anchors = (e, a1, a2, a3, a4, a5, a7)
+    if len(set(anchors)) != 7:
+        raise NotInClassError("power ladder collided; oracle is not a cyclic group of order 11")
+    powers = [-1] * 11
+    for exp, elt in zip((0, 1, 2, 3, 4, 5, 7), anchors):
+        powers[exp] = elt
+    b, c, d, f = sorted(set(range(11)) - set(anchors))
+    zbc = q(b, c)
+    zbd = q(b, d)
+    survivors = []
+    for sb, sc, sd, sf in itertools.permutations((6, 8, 9, 10)):
+        powers[sb], powers[sc], powers[sd], powers[sf] = b, c, d, f
+        if powers[(sb + sc) % 11] == zbc and powers[(sb + sd) % 11] == zbd:
+            survivors.append((sb, sc, sd, sf))
+    if len(survivors) != 1:
+        raise NotInClassError(f"{len(survivors)} exponent assignments fit the final two answers; oracle is not an order-11 group")
+    sb, sc, sd, sf = survivors[0]
+    powers[sb], powers[sc], powers[sd], powers[sf] = b, c, d, f
+    return recovery.RecoveryResult(OpTable(_cyclic_table(powers)), oracle.count, "eleven8", trace=oracle.transcript)
 
 
 class TestMaxChain:

@@ -331,6 +331,23 @@ def test_minimal_worst_case_finds_the_sorting_number_s8():
     assert depth == 16 == math.ceil(math.log2(math.factorial(8))) == sum(math.ceil(math.log2(3 * k / 4)) for k in range(1, 9))
 
 
+@pytest.mark.skipif(
+    os.environ.get("OPQUERY_EXHAUSTIVE") != "1",
+    reason="set OPQUERY_EXHAUSTIVE=1 to search Z_10 (orbit ~10 s, search ~40 s, verification ~6 s, ~1.1 GB max RSS)",
+)
+def test_minimal_worst_case_pins_z10():
+    # Z_10 = 8 over 907,200 candidates, two above the information floor of 6;
+    # the paper's budget for an abelian group of order 10 is 10 queries
+    ops = enumerate_orbit(build_abelian([10]), cap=10)
+    stats = SearchStats()
+    depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
+    assert (len(ops), depth) == (907200, 8)
+    v = verify_query_tree(tree, ops)
+    assert v.ok and max(v.depths.values()) == depth
+    assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == "bf8f507a1e691aba98dcf1b6f9ab7e40548df1f6d6ca7383147e9d853061628a"
+    assert stats.states == 34771
+
+
 # Work counts of the symmetric search; they are deterministic, so a change to
 # the pruning shows here even when the optimum and the tree stay the same.
 # Ids 6 and 7 are the cyclic groups Z_6 and Z_7; a max chain answers every
