@@ -123,7 +123,7 @@ class OpTable:
 # Tables up to this many bytes compare by their bytes, larger ones by array_equal.
 _BYTES_COMPARED = 1 << 15
 # ``take`` casts a narrow index to intp, 8 bytes an entry; past this many
-# entries ``_renamed`` maps a block of rows at a time.
+# entries ``_renamed`` and the max-chain fill go a block of rows at a time.
 _RENAME_BLOCK = 1 << 15
 
 

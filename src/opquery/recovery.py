@@ -12,8 +12,8 @@ class and returns the full table plus the number of queries spent:
 - cyclic groups of order 11: exactly 8 queries, a hand-tuned schedule whose
   final two answers pin down the four elements the power ladder missed;
 - max tables of a total order: merge sort driven by the oracle, at most
-  n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries, the canonical chain renamed
-  by the sorted order;
+  n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries, then x*y is the element of
+  the larger rank, one gather over a block of rows at a time;
 - ring multiplication over a known addition table: exactly |A|^2 queries
   for a greedy generating set A with |A| <= log2 n, everything else
   rebuilt by distributivity along the order the generators reached it.
@@ -45,9 +45,9 @@ from .algebra import (
     _cyclic_table,
     _distributive_on,
     _generators,
+    _RENAME_BLOCK,
     _renamed,
     _table_dtype,
-    build_max_chain,
     check_axioms,
     identity_of,
     is_prime,
@@ -385,32 +385,62 @@ def merge_sort_worst_case(n: int) -> int:
     """Worst-case comparison count of top-down merge sort on n items."""
     if n < 1:
         raise ValidationError("need n >= 1")
-    if n == 1:
-        return 0
-    c = math.ceil(math.log2(n))
+    c = (n - 1).bit_length()  # ceil(log2 n), exact for every n
     return n * c - 2**c + 1
 
 
+@lru_cache(maxsize=64)
+def _merge_schedule(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The (lo, mid, hi) merges of top-down merge sort on n items, in the order it runs them.
+
+    mid = lo + (hi - lo) // 2, the left half goes first, and each merge comes
+    after both of its halves. Cached: it depends on n alone, and building it
+    at n = 512 costs about as much as the in-place merge saves.
+    """
+    out: list[tuple[int, int, int]] = []
+    stack = [(0, n, False)]
+    while stack:
+        lo, hi, halves_done = stack.pop()
+        mid = lo + (hi - lo) // 2
+        if halves_done:
+            out.append((lo, mid, hi))
+        elif hi - lo > 1:
+            stack += ((lo, hi, True), (mid, hi, False), (lo, mid, False))
+    return tuple(out)
+
+
 def _merge_sort(items: list[int], query: Callable[[int, int], int]) -> list[int]:
-    """Top-down merge sort by ``query(x, y)``, the larger of x and y; any other answer raises NotInClassError."""
-    if len(items) <= 1:
-        return items
-    mid = len(items) // 2
-    left, right, nr = _merge_sort(items[:mid], query), _merge_sort(items[mid:], query), len(items) - mid
-    merged: list[int] = []
-    i = j = 0
-    while i < mid and j < nr:
-        x, y = left[i], right[j]
-        z = query(x, y)
-        if z == y:
-            merged.append(x)
-            i += 1
-        elif z == x:
-            merged.append(y)
-            j += 1
-        else:
-            raise NotInClassError(f"query ({x}, {y}) -> {z} is outside the pair; not a max table")
-    return merged + left[i:] + right[j:]
+    """Sort ``items`` in place by ``query(x, y)``, the larger of x and y, and return it.
+
+    Top-down merge sort run as the merges of ``_merge_schedule``: each one
+    copies its left half out and merges it with the right half in place, so
+    the queries come in the order of the recursive sort. An answer other than
+    x or y raises NotInClassError.
+    """
+    for lo, mid, hi in _merge_schedule(len(items)):
+        left, nl = items[lo:mid], mid - lo
+        i, j, k = 0, mid, lo
+        x, y = left[0], items[mid]
+        while True:
+            z = query(x, y)
+            if z == y:
+                items[k] = x
+                k += 1
+                i += 1
+                if i == nl:  # the rest of the right half is in place already
+                    break
+                x = left[i]
+            elif z == x:
+                items[k] = y
+                k += 1
+                j += 1
+                if j == hi:
+                    items[k:hi] = left[i:]
+                    break
+                y = items[j]
+            else:
+                raise NotInClassError(f"query ({x}, {y}) -> {z} is outside the pair; not a max table")
+    return items
 
 
 def recover_max_chain(oracle: Oracle) -> RecoveryResult:
@@ -418,17 +448,25 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
 
     Each query x*y must answer x or y (the larger); merge sort then needs at
     most n*ceil(log2 n) - 2^ceil(log2 n) + 1 of them, and the sorted order
-    determines the whole table: x*y is the element of the larger rank.
+    determines the whole table: x*y = order[max(rank x, rank y)], filled a
+    bounded block of rows at a time so the intp index of ``take`` never spans
+    the whole table.
     """
     n = oracle.n
     start = oracle.count
-    order = np.array(_merge_sort(list(range(n)), oracle.query), dtype=_table_dtype(n))
+    dtype = _table_dtype(n)
+    order = np.array(_merge_sort(list(range(n)), oracle.query), dtype=dtype)
     queries = oracle.count - start
     if queries > merge_sort_worst_case(n):
         raise NotInClassError("comparison count exceeded the sorting bound; answers were inconsistent")
-    # the canonical chain i*j = max(i, j) over places, renamed by the order
-    table = OpTable(_renamed(build_max_chain(n).entries, order, order.argsort()))
-    return RecoveryResult(table, queries, "maxchain", trace=oracle.transcript_since(start))
+    rank = order.argsort().astype(dtype)  # narrow, so each block's maximum is too
+    out = np.empty((n, n), dtype=dtype)
+    step = max(1, _RENAME_BLOCK // n)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        # every index is in range, so "clip" never clips; it only spares take a buffered copy of out
+        order.take(np.maximum(rank[rows, None], rank), out=out[rows], mode="clip")
+    return RecoveryResult(OpTable(out), queries, "maxchain", trace=oracle.transcript_since(start))
 
 
 # ---------------------------------------------------------------------------

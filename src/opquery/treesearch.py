@@ -358,8 +358,9 @@ def _count_leaves(tree: QueryTree, max_depth: int) -> int:
 def verify_query_tree(tree: QueryTree, ops: OperationSet) -> TreeVerification:
     """Walk every candidate through the tree and check the leaf map is a bijection.
 
-    ok is True iff every walk ends at a leaf (no missing answer branch), no
-    two candidates share a leaf, and no leaf is left unused.
+    ok is True iff every walk ends at a leaf (no missing answer branch), every
+    leaf that names an ``op_id`` is reached by that candidate, no two
+    candidates share a leaf, and no leaf is left unused.
     """
     n = ops.n
     leaf_count = _count_leaves(tree, max_depth=n * n)
@@ -383,6 +384,8 @@ def verify_query_tree(tree: QueryTree, ops: OperationSet) -> TreeVerification:
             path.append(z)
             node = nxt
         else:
+            if node.op_id is not None and node.op_id != i:
+                failure = failure or f"operation {i} reaches the leaf of operation {node.op_id}"
             leaf_map[i] = tuple(path)
             depths[i] = len(path)
     complete = len(leaf_map) == len(ops)
@@ -393,7 +396,7 @@ def verify_query_tree(tree: QueryTree, ops: OperationSet) -> TreeVerification:
     if complete and injective and not onto:
         failure = failure or f"tree has {leaf_count} leaves for {len(ops)} candidates"
     return TreeVerification(
-        ok=complete and injective and onto,
+        ok=failure is None,
         leaf_map=leaf_map,
         depths=depths,
         leaf_count=leaf_count,

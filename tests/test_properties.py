@@ -54,7 +54,7 @@ from opquery import (
     tree_to_dict,
 )
 from opquery.algebra import _relabelings, _table_dtype, are_isomorphic
-from opquery.recovery import RecoveryResult, _additive_closure, _cached_tower_positions, _merge_sort, _spent
+from opquery.recovery import RecoveryResult, _additive_closure, _cached_tower_positions, _merge_schedule, _merge_sort, _spent
 
 # invariant factor chains with n = prod(factors) <= 24
 factor_chains = st.lists(st.integers(2, 12), min_size=0, max_size=3).map(
@@ -114,6 +114,12 @@ def test_merge_sort_worst_case_recurrence(n):
         return 0 if m <= 1 else w((m + 1) // 2) + w(m // 2) + m - 1
 
     assert merge_sort_worst_case(n) == w(n)
+
+
+def test_merge_sort_worst_case_counts_every_comparison_of_the_merge_schedule():
+    # a merge of hi - lo items makes at most hi - lo - 1 comparisons
+    for n in range(1, 1025):
+        assert merge_sort_worst_case(n) == sum(hi - lo - 1 for lo, _, hi in _merge_schedule(n)), n
 
 
 @given(st.sampled_from(["z4", "z8", "z9", "gf4", "gf8", "gf9", "z2xz2", "z2xgf4", "z6"]), seeds)
@@ -759,9 +765,15 @@ def _assert_queries_as_before(truth: OpTable, pairs) -> None:
     assert oracle.transcript == tuple(reference)
 
 
-@pytest.mark.parametrize("n", [1, 2, 11])
+@pytest.mark.parametrize("n", [1, 2, 11, 127, 128])
 def test_oracle_query_on_every_exact_int_pair_at_and_around_the_range(n):
+    # int8 tables end at n = 127
     _assert_queries_as_before(new_hidden(AbelianSpec.from_cyclic([n]), 7).truth, list(product(range(-1, n + 2), repeat=2)))
+
+
+def test_oracle_query_on_a_seeded_sample_of_pairs_of_a_large_table():
+    rng = random.Random(300)
+    _assert_queries_as_before(new_hidden(MaxChainSpec(300), 7).truth, [(rng.randrange(300), rng.randrange(300)) for _ in range(5000)])
 
 
 coordinates = st.one_of(
@@ -927,6 +939,17 @@ def test_max_chain_merge_matches_the_reference_merge(n, kind, seed):
         assert result == want
     else:
         assert result[1] == want[1] and result[0].table == build_max_chain(n).relabel(want[0])
+
+
+@pytest.mark.parametrize("n", [127, 128, 181, 182, 255, 256, 512])
+def test_honest_max_chain_recovery_matches_the_reference_merge_across_the_fill_switches(n):
+    # tables past n = 127 are int16, and past 181 rows (181^2 <= 2^15 < 182^2) the fill goes a block of rows at a time
+    truth = new_hidden(MaxChainSpec(n), n).truth
+    order, transcript = _outcome(_reference_max_chain_order, Oracle(truth))
+    assert _outcome(lambda oracle: _merge_sort(list(range(n)), oracle.query), Oracle(truth)) == (order, transcript)
+    result, trace = _outcome(recover_max_chain, Oracle(truth))
+    assert trace == result.trace == transcript
+    assert result.table == build_max_chain(n).relabel(order) == truth
 
 
 def _reference_recover_abelian(oracle: Oracle) -> RecoveryResult:

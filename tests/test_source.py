@@ -5,8 +5,10 @@ import importlib
 from pathlib import Path
 
 import opquery
+from opquery import Oracle
 
 SOURCES = sorted(Path(opquery.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -157,12 +159,16 @@ def _opquery_names(path: Path) -> set[tuple[str, str]]:
 def test_names_used_by_bench_and_demos_resolve():
     # the package's import block is its only list of public names; the
     # benchmark and the demos must keep finding what they use there
-    root = Path(__file__).resolve().parent.parent
-    scripts = sorted(root.glob("bench/*.py")) + sorted(root.glob("demos/*.py"))
-    used = {(path.relative_to(root).as_posix(), module, name) for path in scripts for module, name in _opquery_names(path)}
+    scripts = sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    used = {(path.relative_to(ROOT).as_posix(), module, name) for path in scripts for module, name in _opquery_names(path)}
     assert {name for _, module, name in used if module == "opquery"} >= {"query_budget", "recover_abelian_prime", "Oracle"}
     missing = [entry for entry in sorted(used) if not hasattr(importlib.import_module(entry[1]), entry[2])]
     assert missing == []
+
+
+def _all_scripts() -> list[Path]:
+    """The package, its tests, the benchmark and the demos."""
+    return SOURCES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 TRUSTED = "_trusted"  # algebra's constructor that skips a table's checks
@@ -195,7 +201,24 @@ def test_trusted_reference_check_sees_every_use():
 
 def test_only_relabel_skips_table_validation():
     # recovery outputs and file input must always run the table checks
-    root = Path(__file__).resolve().parent.parent
-    files = SOURCES + sorted(root.glob("tests/*.py")) + sorted(root.glob("bench/*.py")) + sorted(root.glob("demos/*.py"))
-    found = [f"{path.name}:{scope}" for path in files for scope in _trusted_references(path.read_text())]
+    found = [f"{path.name}:{scope}" for path in _all_scripts() for scope in _trusted_references(path.read_text())]
     assert sorted(found) == ["algebra.py:OpTable.relabel", "algebra.py:RingTables.relabel"]
+
+
+def _oracle_internal_reads(source: str) -> list[str]:
+    """Every attribute a module reads whose name is one of ``Oracle.__slots__``."""
+    private = set(Oracle.__slots__)
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr in private]
+
+
+def test_oracle_internal_read_check_sees_attribute_reads():
+    source = "def peek(oracle, _entry):\n    return oracle._entry[0, 0], _entry, oracle.query(0, 0)\n"
+    assert _oracle_internal_reads(source) == ["_entry (line 2)"]
+
+
+def test_only_the_oracle_module_reads_oracle_internals():
+    # the oracle is a black-box cost meter: everything else asks through
+    # query and reads its count and transcript, whatever its internals are tuned for
+    assert all(name.startswith("_") for name in Oracle.__slots__)
+    found = [f"{path.name}: {entry}" for path in _all_scripts() if path.name != "oracle.py" for entry in _oracle_internal_reads(path.read_text())]
+    assert found == []

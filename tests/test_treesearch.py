@@ -195,6 +195,18 @@ def test_verify_rejects_non_separating_tree():
     assert not v.ok
 
 
+def test_verify_rejects_a_leaf_that_names_another_candidate():
+    ops = enumerate_orbit(build_max_chain(2))
+    _, tree = minimal_worst_case(ops, budget=len(ops))
+    assert tree == Node((0, 1), {0: Leaf(0), 1: Leaf(1)}) and verify_query_tree(tree, ops).ok
+    v = verify_query_tree(Node((0, 1), {0: Leaf(1), 1: Leaf(0)}), ops)
+    assert not v.ok and v.failure == "operation 0 reaches the leaf of operation 1"
+    v = verify_query_tree(Node((0, 1), {0: Leaf(0), 1: Leaf(5)}), ops)
+    assert not v.ok and v.failure == "operation 1 reaches the leaf of operation 5"
+    # a leaf that names no candidate claims nothing to check
+    assert verify_query_tree(Node((0, 1), {0: Leaf(0), 1: tree_from_dict({"leaf": None})}), ops).ok
+
+
 def test_tree_stats_raises_on_bad_tree():
     ops = enumerate_orbit(build_max_chain(3))
     with pytest.raises(ValidationError):
