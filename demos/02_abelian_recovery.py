@@ -58,7 +58,10 @@ for p in (5, 7, 11, 13):
     assert res.table == inst.truth
     print(f"prime {p}: {res.queries_used} queries (= p - 2)")
 
-# and order 11 goes further still: 8 suffice; 7 is the information floor
+# and order 11 goes further still: 8 suffice, and 8 is optimal. 7 is the
+# information floor, but the exact search over all 3,991,680 candidate
+# tables finds no tree that always needs fewer than 8 queries (the gated
+# test_8_queries_are_optimal_for_order_11 in tests/test_exhaustive_order11.py)
 from opquery import recover_order11
 
 inst = new_hidden(AbelianSpec((11,)), seed=3)

@@ -103,7 +103,10 @@ class OpTable:
 
     def relabel(self, perm: Sequence[int]) -> "OpTable":
         """The same operation carried through the renaming x -> perm[x]."""
-        p = _as_permutation(perm, self.n)
+        return self._relabeled(_as_permutation(perm, self.n))
+
+    def _relabeled(self, perm: Sequence[int]) -> "OpTable":
+        p = np.asarray(perm, dtype=_table_dtype(self.n))  # a permutation already: not checked again
         # a valid table renamed by a permutation is valid: skip the re-check
         entries = _renamed(self.entries, p, p.argsort())
         entries.flags.writeable = False
@@ -166,10 +169,10 @@ def _as_permutation(perm: Sequence[int], n: int) -> np.ndarray:
 def _trusted(cls, **fields):
     """An instance of ``cls`` holding ``fields`` as given, without ``__post_init__``.
 
-    Only the relabel methods may use it: they carry a table that passed its
-    checks through a permutation that passed ``_as_permutation``, and every
-    check is invariant under such a renaming. Everything else, every recovery
-    output included, goes through the validating constructor.
+    Only the ``_relabeled`` methods may use it: they rename a valid table by a
+    permutation that ``_as_permutation`` checked or ``random_permutation``
+    built, and every check is invariant under that. Everything else, every
+    recovery output included, goes through the validating constructor.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -210,8 +213,11 @@ class RingTables:
         return hash((self.add, self.mul))
 
     def relabel(self, perm: Sequence[int]) -> "RingTables":
+        return self._relabeled(_as_permutation(perm, self.n))
+
+    def _relabeled(self, perm: Sequence[int]) -> "RingTables":
         # the ring laws are invariant under renaming: skip the re-check
-        return _trusted(RingTables, add=self.add.relabel(perm), mul=self.mul.relabel(perm))
+        return _trusted(RingTables, add=self.add._relabeled(perm), mul=self.mul._relabeled(perm))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "add": self.add.entries.tolist(), "mul": self.mul.entries.tolist()}
@@ -384,9 +390,7 @@ def is_prime(m: int) -> bool:
 
 @lru_cache(maxsize=512)
 def _build_abelian_cached(factors: tuple[int, ...]) -> OpTable:
-    n = math.prod(factors) if factors else 1
-    if not factors:
-        return OpTable(np.zeros((1, 1), dtype=np.int64))
+    n = math.prod(factors)  # 1 for the trivial group, whose table is [[0]]
     idx = np.arange(n)
     table = np.zeros((n, n), dtype=np.int64)
     stride = 1
@@ -711,11 +715,10 @@ def abelian_type(t: OpTable) -> Optional[tuple[int, ...]]:
 # symmetry counting
 
 
-def _check_cap(n: int, cap: Optional[int], what: str) -> int:
+def _check_cap(n: int, cap: Optional[int], what: str) -> None:
     limit = BRUTE_FORCE_CAP if cap is None else cap
     if n > limit:
         raise CapabilityError(f"{what} is brute force over {n}! permutations; cap is {limit} (pass a larger cap to override)")
-    return limit
 
 
 def _relabelings(stack: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -8,9 +8,9 @@ code is expected to cache its own answers. A query accepts only integer
 coordinates (not bools) in range and reads the one entry it asks for; a
 rejected query is neither charged nor recorded.
 
-Hiding a table costs little more than one gather: a canonical table that
-passed its checks stays valid under a permutation, so ``relabel`` does not
-check it again, and ``RingTables.relabel`` does not re-check the ring laws.
+Hiding a table costs little more than one gather: a valid table stays
+valid under a permutation, so neither it, nor the ring laws, nor the
+permutation ``random_permutation`` has just built is checked again.
 
 The permutation stream is an explicitly coded Fisher-Yates shuffle driven by
 ``random.Random`` (Mersenne Twister) bits, so a seed pins down the same
@@ -136,7 +136,7 @@ def new_hidden(spec: StructureSpec, seed: int) -> HiddenInstance:
         raise ValidationError("ring specs hide two tables; use new_hidden_ring")
     canonical = canonical_table(spec)
     perm = random_permutation(canonical.n, seed)
-    return HiddenInstance(spec, seed, canonical, perm, canonical.relabel(perm))
+    return HiddenInstance(spec, seed, canonical, perm, canonical._relabeled(perm))
 
 
 def new_hidden_ring(spec: RingSpec | str, seed: int) -> HiddenRingInstance:
@@ -144,7 +144,7 @@ def new_hidden_ring(spec: RingSpec | str, seed: int) -> HiddenRingInstance:
         spec = RingSpec(spec)
     canonical = build_ring(spec)
     perm = random_permutation(canonical.n, seed)
-    return HiddenRingInstance(spec, seed, canonical, perm, canonical.relabel(perm))
+    return HiddenRingInstance(spec, seed, canonical, perm, canonical._relabeled(perm))
 
 
 def oracle_for(instance: HiddenInstance) -> Oracle:

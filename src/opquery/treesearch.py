@@ -157,7 +157,9 @@ class OperationSet:
     """An indexed set of distinct candidate tables on one carrier.
 
     Stored as a single (m, n, n) integer array so the search can slice
-    answers cheaply; ``ops[i]`` materializes candidate i as an OpTable.
+    answers cheaply; ``ops[i]`` materializes candidate i as an OpTable. The
+    read-only stack of an orbit from ``enumerate_orbit`` stays distinct and
+    closed under relabeling, so ``minimal_worst_case`` checks only other sets.
     """
 
     def __init__(self, tables: np.ndarray, check_distinct: bool = True):
@@ -168,7 +170,7 @@ class OperationSet:
             raise ValidationError("candidate set must be nonempty")
         if check_distinct and len(_sorted_distinct(_byte_keys(arr))) != len(arr):
             raise ValidationError("candidate tables must be pairwise distinct")
-        self._tables = arr
+        self._tables, self._orbit = arr, False  # enumerate_orbit alone marks an orbit, on a read-only stack
 
     @property
     def n(self) -> int:
@@ -292,23 +294,28 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
     by the star transpositions, n - 1 relabelings per table; otherwise all
     n! permutations run through the chunked kernel of ``algebra`` and are
     deduped. Both give the same stack, and memory stays O(orbit + chunk).
+    It is read-only, so it stays the orbit that ``minimal_worst_case`` trusts.
     """
     n = canonical.n
     _check_cap(n, cap, "enumerate_orbit")
     start = canonical.entries[None]
     if _walk_is_shorter(canonical):
-        return OperationSet(_walk_orbit(start), check_distinct=False)
-    seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
-    fresh: list[np.ndarray] = []  # keys of the chunks since the last merge
-    for perms, images in _relabelings(start):
-        fresh.append(_byte_keys(images[0]))
-        # merging once the fresh keys outnumber the kept ones holds memory to
-        # O(orbit + chunk) and the sorting to O(n! log n!)
-        if sum(map(len, fresh)) > len(seen):
-            seen = _sorted_distinct(np.concatenate([seen, *fresh]))
-            fresh = []
-    stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(start.dtype).reshape(-1, n, n)
-    return OperationSet(stack, check_distinct=False)
+        stack = _walk_orbit(start)
+    else:
+        seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
+        fresh: list[np.ndarray] = []  # keys of the chunks since the last merge
+        for perms, images in _relabelings(start):
+            fresh.append(_byte_keys(images[0]))
+            # merging once the fresh keys outnumber the kept ones holds memory to
+            # O(orbit + chunk) and the sorting to O(n! log n!)
+            if sum(map(len, fresh)) > len(seen):
+                seen = _sorted_distinct(np.concatenate([seen, *fresh]))
+                fresh = []
+        stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(start.dtype).reshape(-1, n, n)
+    stack.flags.writeable = False
+    orbit = OperationSet(stack, check_distinct=False)
+    orbit._orbit = True
+    return orbit
 
 
 def _walk_orbit(start: np.ndarray) -> np.ndarray:
@@ -512,13 +519,14 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     from which a higher cap searches again. Exact values come out the same
     under any cap above them, and so does the first query reaching them.
 
-    When ``ops`` is closed under relabeling (checked once, by the star
-    transpositions), a state is fixed by every permutation of the labels
-    its path has not mentioned as x, y or answer. Queries in one orbit of
-    that stabiliser have the same value, so the scan takes only the
-    lexicographically first of each (``_representatives``): the first query
-    with the best value is among them. States below an answer that the path
-    had not mentioned get a conjugacy key as well as their ids. The key
+    When ``ops`` is closed under relabeling (checked on every call by the star
+    transpositions, unless ``enumerate_orbit`` built it), a state is fixed by
+    every permutation of the labels its path has not mentioned as x, y or
+    answer. Queries in one orbit of that stabiliser have the same value, so
+    the scan takes only the lexicographically first of each
+    (``_representatives``): the first query with the best value is among them.
+    States below an answer that the path had not mentioned get a conjugacy key
+    as well as their ids. The key
     starts at that first fresh answer: the serial of the anchor state (its
     ids and mentioned labels) and its query (x, y). Below, each query and
     answer adds (x, y, z), where the labels mentioned at or above the anchor
@@ -546,10 +554,12 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     n = ops.n
     stats = SearchStats() if stats is None else stats
     tables = ops.tables
-    keys = np.sort(_byte_keys(tables))
-    if (keys[1:] == keys[:-1]).any():
-        raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
-    closed = all(_contains(keys, _byte_keys(images)).all() for images in _star_relabelings(tables))
+    closed = ops._orbit and not tables.flags.writeable  # an orbit enumerate_orbit built is distinct and closed
+    if not closed:
+        keys = np.sort(_byte_keys(tables))
+        if (keys[1:] == keys[:-1]).any():
+            raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
+        closed = all(_contains(keys, _byte_keys(images)).all() for images in _star_relabelings(tables))
     answers = tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 

@@ -174,17 +174,17 @@ def _all_scripts() -> list[Path]:
 TRUSTED = "_trusted"  # algebra's constructor that skips a table's checks
 
 
-def _trusted_references(source: str) -> list[str]:
-    """'Class.function' around every read or import of ``_trusted`` in a module."""
+def _trusted_references(source: str, name: str = TRUSTED) -> list[str]:
+    """'Class.function' around every read or import of ``name`` in a module."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope += (node.name,)
         if (
-            (isinstance(node, ast.Name) and node.id == TRUSTED)
-            or (isinstance(node, ast.Attribute) and node.attr == TRUSTED)
-            or (isinstance(node, ast.alias) and TRUSTED in (node.name, node.asname))
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
         ):
             found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
@@ -202,7 +202,18 @@ def test_trusted_reference_check_sees_every_use():
 def test_only_relabel_skips_table_validation():
     # recovery outputs and file input must always run the table checks
     found = [f"{path.name}:{scope}" for path in _all_scripts() for scope in _trusted_references(path.read_text())]
-    assert sorted(found) == ["algebra.py:OpTable.relabel", "algebra.py:RingTables.relabel"]
+    assert sorted(found) == ["algebra.py:OpTable._relabeled", "algebra.py:RingTables._relabeled"]
+    # _relabeled does not check its permutation either: relabel calls it after
+    # checking one, new_hidden and new_hidden_ring with the one random_permutation built
+    found = [f"{path.name}:{scope}" for path in _all_scripts() for scope in _trusted_references(path.read_text(), "_relabeled")]
+    assert sorted(found) == [
+        "algebra.py:OpTable.relabel",
+        "algebra.py:RingTables._relabeled",
+        "algebra.py:RingTables._relabeled",
+        "algebra.py:RingTables.relabel",
+        "oracle.py:new_hidden",
+        "oracle.py:new_hidden_ring",
+    ]
 
 
 def _oracle_internal_reads(source: str) -> list[str]:

@@ -122,6 +122,7 @@ def test_checked_operation_set_leaves_numpy_ma_unimported():
         "OperationSet(enumerate_orbit(build_abelian([2, 2])).tables)\n"
         "ops = enumerate_orbit(build_abelian([2, 2, 2]))\n"
         "assert minimal_worst_case(ops, budget=len(ops))[0] == 4\n"
+        "assert minimal_worst_case(OperationSet(ops.tables.copy()), budget=len(ops))[0] == 4\n"  # checked, not trusted
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)))
@@ -345,7 +346,7 @@ def test_minimal_worst_case_finds_the_sorting_number_s8():
 
 @pytest.mark.skipif(
     os.environ.get("OPQUERY_EXHAUSTIVE") != "1",
-    reason="set OPQUERY_EXHAUSTIVE=1 to search Z_10 (orbit ~10 s, search ~40 s, verification ~6 s, ~1.1 GB max RSS)",
+    reason="set OPQUERY_EXHAUSTIVE=1 to search Z_10 (orbit ~10 s, search ~23 s, verification ~5 s, ~50 s in all, ~1.1 GB max RSS)",
 )
 def test_minimal_worst_case_pins_z10():
     # Z_10 = 8 over 907,200 candidates, two above the information floor of 6;
@@ -378,6 +379,52 @@ def test_minimal_worst_case_stats_are_pinned(name):
     stats = SearchStats()
     minimal_worst_case(ops, budget=len(ops), stats=stats)
     assert stats == pinned
+
+
+# The five exact_search classes of the benchmark, and Z_3 x Z_3 on 9 points.
+TRUSTED_ORBITS = [
+    ("Z_5", build_abelian([5]), None),
+    ("Z_6", build_abelian([6]), None),
+    ("Z_2xZ_2xZ_2", build_abelian([2, 2, 2]), None),
+    ("C_4", build_max_chain(4), None),
+    ("C_5", build_max_chain(5), None),
+    ("Z_3xZ_3", build_abelian([3, 3]), 9),
+]
+
+
+@pytest.mark.parametrize("canonical, cap", [row[1:] for row in TRUSTED_ORBITS], ids=[row[0] for row in TRUSTED_ORBITS])
+def test_trusting_an_orbit_changes_nothing(canonical, cap):
+    # the search takes enumerate_orbit's set as distinct and closed without
+    # checking; a writable copy of its stack is checked, and must search alike
+    orbit = enumerate_orbit(canonical, cap=cap)
+    runs = []
+    for ops in (orbit, OperationSet(orbit.tables.copy())):
+        stats = SearchStats()
+        depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
+        runs.append((depth, tree_to_dict(tree), stats))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("canonical", [build_abelian([4]), build_abelian([2, 2, 2])], ids=["kernel", "walk"])
+def test_an_orbit_stack_cannot_be_written(canonical):
+    assert _walk_is_shorter(canonical) == (canonical.n == 8)
+    tables = enumerate_orbit(canonical).tables
+    with pytest.raises(ValueError):
+        tables[1] = tables[0]
+
+
+def test_sets_the_search_does_not_trust_are_checked():
+    # an orbit whose stack was made writable again, and a user-built
+    # read-only stack, each holding a duplicate
+    orbit = enumerate_orbit(build_abelian([4]))
+    orbit.tables.flags.writeable = True
+    orbit.tables[1] = orbit.tables[0]
+    chain = enumerate_orbit(build_max_chain(3)).tables
+    stack = np.concatenate([chain, chain[:1]])
+    stack.flags.writeable = False
+    for ops in (orbit, OperationSet(stack, check_distinct=False)):
+        with pytest.raises(ValidationError):
+            minimal_worst_case(ops, budget=len(ops))
 
 
 def _blocks_below_the_root(tree, ops):
