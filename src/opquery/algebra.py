@@ -154,11 +154,18 @@ def _table_dtype(n: int) -> type:
     return np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
 
 
+def _as_int(v: object) -> int:
+    """v as an int if it is an integer and not a bool, the rule for every label, coordinate and answer read from outside; else TypeError."""
+    if v.__class__ is bool:
+        raise TypeError("bool")
+    return operator.index(v)
+
+
 def _as_permutation(perm: Sequence[int], n: int) -> np.ndarray:
-    """``perm`` as an array in ``_table_dtype(n)``, if it lists 0..n-1 once each as integers (not bools)."""
+    """``perm`` as an array in ``_table_dtype(n)``, if it lists 0..n-1 once each as integers (``_as_int``)."""
     try:
-        p = [operator.index(v) for v in perm]
-        ok = sorted(p) == list(range(n)) and bool not in map(type, perm)
+        p = [_as_int(v) for v in perm]
+        ok = sorted(p) == list(range(n))
     except TypeError:
         ok = False
     if not ok:

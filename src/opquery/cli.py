@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -29,9 +28,12 @@ from . import algebra, bounds, oracle, recovery, treesearch
 from .errors import CapabilityError, NotInClassError, ValidationError
 
 
+def _spec_flags(args: argparse.Namespace) -> list[str]:
+    return [name for name in ("abelian", "maxchain", "ring") if getattr(args, name) is not None]
+
+
 def _parse_spec(args: argparse.Namespace) -> algebra.StructureSpec:
-    chosen = [name for name in ("abelian", "maxchain", "ring") if getattr(args, name, None) is not None]
-    if len(chosen) != 1:
+    if len(_spec_flags(args)) != 1:
         raise ValidationError("choose exactly one of --abelian / --maxchain / --ring")
     if args.abelian is not None:
         try:
@@ -82,6 +84,8 @@ def _run_method(method: recovery.Method, inst: oracle.AnyInstance) -> tuple[tupl
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
+    if args.infile and _spec_flags(args):
+        raise ValidationError("--in takes the class from the file; give no --abelian / --maxchain / --ring with it")
     inst = oracle.load_instance(args.infile) if args.infile else _new_instance(_parse_spec(args), args.seed)
     method = recovery.METHODS[args.method] if args.method else _default_method(inst.spec)
     if args.trace and len(method.tables) > 1:
@@ -106,14 +110,16 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    spec = _parse_spec(args)
+def _bounds_report(spec: algebra.StructureSpec, cap: Optional[int] = None) -> bounds.BoundsReport:
     if isinstance(spec, algebra.AbelianSpec):
-        rep = bounds.bounds_for_abelian(spec)
-    elif isinstance(spec, algebra.MaxChainSpec):
-        rep = bounds.bounds_for_max_chain(spec.n)
-    else:
-        rep = bounds.bounds_for_ring(spec, args.cap)
+        return bounds.bounds_for_abelian(spec)
+    if isinstance(spec, algebra.MaxChainSpec):
+        return bounds.bounds_for_max_chain(spec.n)
+    return bounds.bounds_for_ring(spec, cap)
+
+
+def cmd_bounds(args: argparse.Namespace) -> int:
+    rep = _bounds_report(_parse_spec(args), args.cap)
     if args.format == "csv":
         _write(args.out, bounds.reports_to_csv([rep]))
     else:
@@ -122,23 +128,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if (args.group is None) == (args.maxchain is None):
-        raise ValidationError("choose exactly one of --group / --maxchain")
-    if args.group is not None:
-        name = args.group.strip().lower()
-        if not (name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1):
-            raise ValidationError(f"--group expects z<n> with n >= 1, got {args.group!r}")
-        n, label = int(name[1:]), name
-    else:
-        n, label = args.maxchain, f"maxchain{args.maxchain}"
-    # refuse on n before any table is built, then on the candidate count before
-    # the orbit is: a max chain has no automorphism but the identity, and a
-    # group's count is closed form
-    algebra._check_cap(n, args.cap, "enumerate_orbit")
-    canonical = algebra.build_abelian([n] if n > 1 else []) if args.group is not None else algebra.build_max_chain(n)
-    x_size = bounds.orbit_size(canonical) if args.group is not None else math.factorial(canonical.n)
-    treesearch._check_budget(x_size, args.budget)
-    ops = treesearch.enumerate_orbit(canonical, cap=args.cap)
+    spec = _parse_spec(args)
+    if isinstance(spec, algebra.RingSpec):
+        raise ValidationError("search takes --abelian or --maxchain; a ring hides two tables")
+    # the closed-form count refuses a class over budget before any table is built
+    rep = _bounds_report(spec)
+    treesearch._check_budget(rep.x_size, args.budget)
+    # either path of enumerate_orbit relabels at most (n - 1) |X| tables, so the budget bounds it, not n
+    ops = treesearch.enumerate_orbit(algebra.canonical_table(spec), cap=spec.n)
     stats = treesearch.SearchStats()
     depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget, stats=stats)
     if args.stats:
@@ -148,8 +145,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"verification failed: search reported optimum {depth} but its tree has depth {worst}", file=sys.stderr)
         return 1
     payload = {
-        "class": label,
-        "x_size": x_size,
+        "class": rep.label,
+        "x_size": rep.x_size,
         "optimal_worst_case": depth,
         "average_depth": avg,
         "tree": treesearch.tree_to_dict(tree),
@@ -224,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("search", help="exact optimal query tree for a small class")
-    p.add_argument("--group", metavar="zN", help="cyclic group, e.g. z4")
-    p.add_argument("--maxchain", type=int, metavar="N")
+    _add_spec_flags(p)
     p.add_argument("--budget", type=int, default=treesearch.SEARCH_BUDGET, help="candidate set size cap")
-    p.add_argument("--cap", type=int, help="raise the brute force cap")
     p.add_argument("--render", action="store_true", help="print the tree as indented text")
     p.add_argument("--stats", action="store_true", help="print the search's work counts (SearchStats) on stderr")
     p.add_argument("--out", help="output path (default stdout)")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from operator import index
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -30,6 +29,7 @@ from .algebra import (
     RingSpec,
     RingTables,
     StructureSpec,
+    _as_int,
     build_ring,
     canonical_table,
     spec_from_dict,
@@ -105,9 +105,7 @@ class Oracle:
     def _coordinates(self, x: object, y: object) -> tuple[int, int]:
         """x and y as ints, if they are integers (not bools) in [0, n); else ValidationError."""
         try:
-            if x.__class__ is bool or y.__class__ is bool:
-                raise TypeError("bool")
-            x, y = index(x), index(y)
+            x, y = _as_int(x), _as_int(y)
         except TypeError:
             raise ValidationError(f"query ({x!r}, {y!r}) needs integer coordinates") from None
         n = self._n
@@ -169,10 +167,7 @@ def verify_recovery(oracle: Oracle, claimed: OpTable) -> tuple[bool, int]:
 def _transcript_entry(entry: object, n: Optional[int] = None) -> tuple[int, int, int]:
     """(x, y, z) as ints by the rule of ``Oracle.query``: integers, not bools, x and y in [0, n) if n is given."""
     try:
-        x, y, z = entry
-        if bool in (x.__class__, y.__class__, z.__class__):
-            raise TypeError
-        x, y, z = index(x), index(y), index(z)
+        x, y, z = map(_as_int, entry)
     except (TypeError, ValueError):
         raise ValidationError(f"transcript entry {entry!r} is not three integers") from None
     if n is not None and not (0 <= x < n and 0 <= y < n):

@@ -266,34 +266,20 @@ def recover_abelian_prime(oracle: Oracle) -> RecoveryResult:
         return recover_abelian(oracle)
 
     start = oracle.count
-    a = 0
-    asq = oracle.query(a, a)
-    if asq != a:
-        gen = a
-        chain = [a, asq]  # a^1, a^2
-        while len(chain) < n - 1:
-            nxt = oracle.query(chain[-1], gen)
-            if nxt in chain or nxt == asq:
-                raise NotInClassError(f"query ({chain[-1]}, {gen}) -> {nxt} repeats a power; order of {gen} is not {n}")
-            chain.append(nxt)
-        rest = set(range(n)) - set(chain)
-        if len(rest) != 1:
-            raise NotInClassError("power chain failed to cover n - 1 distinct elements")
-        e = rest.pop()  # a^n would be the identity; it is the only element left
-        powers = [e] + chain
-    else:
-        e = a
-        gen = 1
-        chain = [gen]  # gen^1 .. gen^(n-2)
-        while len(chain) < n - 2:
-            nxt = oracle.query(chain[-1], gen)
-            if nxt == e or nxt in chain:
-                raise NotInClassError(f"query ({chain[-1]}, {gen}) -> {nxt} closes the chain early; order of {gen} is not {n}")
-            chain.append(nxt)
-        rest = set(range(n)) - {e} - set(chain)
-        if len(rest) != 1:
-            raise NotInClassError("power chain failed to cover n - 2 distinct elements")
-        powers = [e] + chain + [rest.pop()]  # the leftover must be gen^(n-1)
+    asq = oracle.query(0, 0)
+    gen, chain = (1, [1]) if asq == 0 else (0, [0, asq])
+    seen = {0, *chain}
+    while len(seen) < n - 1:
+        nxt = oracle.query(chain[-1], gen)
+        if nxt in seen:
+            raise NotInClassError(f"query ({chain[-1]}, {gen}) -> {nxt} repeats an element; order of {gen} is not {n}")
+        seen.add(nxt)
+        chain.append(nxt)
+    rest = set(range(n)) - seen
+    if len(rest) != 1:
+        raise NotInClassError("power chain failed to cover n - 1 distinct elements")
+    # the leftover is gen^(n-1) after the identity 0, or else the identity itself
+    powers = [0, *chain, rest.pop()] if gen else [rest.pop(), *chain]
 
     queries = _spent(oracle, start, n - 2, "prime")
     return RecoveryResult(OpTable(_cyclic_table(powers)), queries, "prime", trace=oracle.transcript_since(start))

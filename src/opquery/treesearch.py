@@ -40,12 +40,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from operator import index
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .algebra import _PERMUTATION_CHUNK, OpTable, _check_cap, _cyclic_table, _factorize, _relabelings, abelian_type, is_prime
+from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _check_cap, _cyclic_table, _factorize, _relabelings, abelian_type, is_prime
 from .bounds import abelian_automorphism_count
 from .errors import CapabilityError, ValidationError
 
@@ -84,11 +83,9 @@ def tree_to_dict(tree: QueryTree) -> dict:
 
 
 def _integer(v: object, what: str) -> int:
-    """v as an int by the rule of ``Oracle.query``: integers, not bools; else ValidationError."""
+    """v as an int by ``_as_int``; else ValidationError naming ``what``."""
     try:
-        if v.__class__ is bool:
-            raise TypeError("bool")
-        return index(v)
+        return _as_int(v)
     except TypeError:
         raise ValidationError(f"{what} needs an integer, got {v!r}") from None
 
@@ -423,7 +420,9 @@ def tree_stats(tree: QueryTree, ops: OperationSet) -> tuple[int, float]:
 
 def _check_budget(m: int, budget: int) -> None:
     if m > budget:
-        raise CapabilityError(f"|X| = {m} exceeds the search budget {budget} (pass a larger budget to override)")
+        # str() refuses an int past 4,300 digits (about 14,000 bits), so a count this large gives its size
+        size = f"= {m}" if m.bit_length() < 10_000 else f">= 2^{m.bit_length() - 1}"
+        raise CapabilityError(f"|X| {size} exceeds the search budget {budget} (pass a larger budget to override)")
 
 
 @dataclass

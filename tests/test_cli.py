@@ -4,14 +4,16 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import opquery
-from opquery.cli import main
+from opquery.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -162,6 +164,16 @@ def test_recover_malformed_instance_file_is_usage_error(tmp_path, capsys, conten
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [("--maxchain", "5"), ("--abelian", "11"), ("--ring", "gf4")])
+def test_recover_from_file_refuses_a_spec_flag(tmp_path, capsys, flags):
+    # the file names its class, so a spec flag beside it could only be ignored
+    inst = str(tmp_path / "inst.json")
+    run(capsys, "gen", "--abelian", "11", "--seed", "0", "--out", inst)
+    code, out, err = run(capsys, "recover", "--in", inst, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_recover_missing_instance_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "recover", "--in", str(tmp_path / "missing.json"))
     assert code == 2
@@ -204,7 +216,7 @@ def test_bounds_requires_exactly_one_spec(capsys):
 
 def test_search_tree_round_trips(tmp_path, capsys):
     path = str(tmp_path / "tree.json")
-    code, _, _ = run(capsys, "search", "--group", "z4", "--out", path)
+    code, _, _ = run(capsys, "search", "--abelian", "4", "--out", path)
     assert code == 0
     d = json.loads(open(path).read())
     assert d["optimal_worst_case"] == 2 and d["x_size"] == 12
@@ -216,9 +228,9 @@ def test_search_tree_round_trips(tmp_path, capsys):
 
 
 def test_search_stats_go_to_stderr_and_leave_stdout_alone(capsys):
-    code, plain, err = run(capsys, "search", "--group", "z6", "--budget", "360", "--render")
+    code, plain, err = run(capsys, "search", "--abelian", "6", "--budget", "360", "--render")
     assert (code, err) == (0, "")
-    code, out, err = run(capsys, "search", "--group", "z6", "--budget", "360", "--render", "--stats")
+    code, out, err = run(capsys, "search", "--abelian", "6", "--budget", "360", "--render", "--stats")
     assert (code, out) == (0, plain)
     # the counts pinned for Z_6 in test_treesearch.py
     assert err == (
@@ -227,23 +239,71 @@ def test_search_stats_go_to_stderr_and_leave_stdout_alone(capsys):
     )
 
 
-def test_search_over_cap_is_capability_error(capsys):
-    code, _, err = run(capsys, "search", "--group", "z30")
+# Z_3 x Z_3 has 9 points, past the brute force cap of 8; the digests are those
+# of PINNED_OPTIMA in test_treesearch.py
+@pytest.mark.parametrize(
+    "factors, budget, optimum, digest",
+    [
+        ("3,3", "7560", 5, "8fbefbffbc4ab1bf62822f6bbf8fd192f37cc55805c18f96874fd20b626735ac"),
+        ("2,2,2", "240", 4, "c5c406db09cef7ec376b681398a919808df9055596c0aa3ee777728bc9f70965"),
+    ],
+)
+def test_search_by_class_spec_reproduces_pinned_optima(capsys, factors, budget, optimum, digest):
+    code, out, err = run(capsys, "search", "--abelian", factors, "--budget", budget)
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert (d["x_size"], d["optimal_worst_case"]) == (int(budget), optimum)
+    assert hashlib.sha256(json.dumps(d["tree"], sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags", [("--abelian", "4"), ("--abelian", "2,2,2"), ("--abelian", ""), ("--maxchain", "4")])
+def test_search_reports_the_class_and_count_of_bounds(capsys, flags):
+    code, out, _ = run(capsys, "bounds", *flags)
+    assert code == 0
+    rep = json.loads(out)
+    code, out, _ = run(capsys, "search", *flags, "--budget", "240")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["class"], d["x_size"]) == (rep["class"], rep["x_size"])
+
+
+@pytest.mark.parametrize("name", ["gf4", "z4xgf9"])
+def test_search_refuses_a_ring_before_any_work(capsys, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring was counted or enumerated")
+
+    monkeypatch.setattr(opquery.bounds, "bounds_for_ring", refuse)
+    monkeypatch.setattr(opquery.treesearch, "enumerate_orbit", refuse)
+    code, out, err = run(capsys, "search", "--ring", name)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [("--group", "z4"), ("--abelian", "4", "--cap", "9")], ids=["group", "cap"])
+def test_search_has_one_bound_and_takes_a_class_spec(flags):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["search", *flags])
+
+
+@pytest.mark.parametrize("flags", [("--abelian", "30"), ("--abelian", "5", "--budget", "10")], ids=["z30", "z5-budget10"])
+def test_search_budget_exceeded_is_capability_error(capsys, flags):
+    code, _, err = run(capsys, "search", *flags)
     assert code == 3
     assert "cap" in err
 
 
 def test_search_z11_is_refused_before_enumerating(capsys):
-    # 11! relabelings are past the brute force cap: one line, no work done
-    code, out, err = run(capsys, "search", "--group", "z11")
+    # 3,991,680 candidates are past the default budget: one line, no work done
+    code, out, err = run(capsys, "search", "--abelian", "11")
     assert (code, out) == (3, "")
     assert err.startswith("capability: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags", [("--group", "z3000"), ("--maxchain", "3000")])
-def test_search_past_the_cap_builds_no_table(capsys, flags):
+@pytest.mark.parametrize("flags", [("--abelian", "3000"), ("--maxchain", "3000")])
+def test_search_of_a_huge_class_builds_no_table(capsys, flags):
     # building the n = 3000 canonical table first peaked at 216 MB for the group
-    # and 90 MB for the chain; the cap on n now refuses before any table exists
+    # and 90 MB for the chain; the closed-form count now refuses before any
+    # table exists, and a count of 30,000 bits is given by its size
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "search", *flags)
@@ -251,7 +311,7 @@ def test_search_past_the_cap_builds_no_table(capsys, flags):
     finally:
         tracemalloc.stop()
     assert (code, out) == (3, "")
-    assert err.startswith("capability: ")
+    assert err.startswith("capability: |X| >= 2^") and err.count("\n") == 1
     assert peak < 2**20
 
 
@@ -261,19 +321,14 @@ def test_bounds_abelian_past_the_cap_is_exact(capsys):
     assert json.loads(out)["x_size"] == 39916800  # 12! / 12
 
 
-def test_search_budget_exceeded_is_capability_error(capsys):
-    code, _, _ = run(capsys, "search", "--group", "z5", "--budget", "10")
-    assert code == 3
-
-
 def test_search_refuses_over_budget_before_enumerating(capsys, monkeypatch):
-    # z8 has 10,080 candidates, past the default budget of 200; orbit_size
-    # counts them in closed form, so the orbit is never built
+    # z8 has 10,080 candidates, past the default budget of 200; bounds counts
+    # them in closed form, so the orbit is never built
     def no_orbit(*args, **kwargs):
         raise AssertionError("enumerate_orbit ran before the budget check")
 
     monkeypatch.setattr(opquery.treesearch, "enumerate_orbit", no_orbit)
-    code, out, err = run(capsys, "search", "--group", "z8")
+    code, out, err = run(capsys, "search", "--abelian", "8")
     assert (code, out) == (3, "")
     assert err == "capability: |X| = 10080 exceeds the search budget 200 (pass a larger budget to override)\n"
     code, out, err = run(capsys, "search", "--maxchain", "6")
@@ -281,10 +336,13 @@ def test_search_refuses_over_budget_before_enumerating(capsys, monkeypatch):
     assert "|X| = 720 exceeds the search budget 200" in err
 
 
-def test_search_rejects_group_of_order_zero(capsys):
-    code, _, err = run(capsys, "search", "--group", "z0")
+def test_search_rejects_a_class_of_size_zero(capsys):
+    code, _, err = run(capsys, "search", "--maxchain", "0")
     assert code == 2
     assert "n >= 1" in err
+    code, _, err = run(capsys, "search", "--abelian", "0")
+    assert code == 2
+    assert ">= 2" in err
 
 
 def test_sweep_into_closed_pipe_exits_quietly():
@@ -343,3 +401,15 @@ def test_unknown_field_is_capability_error(capsys):
     # 11^2 is past the stored reduction polynomials
     code, _, _ = run(capsys, "gen", "--ring", "gf121")
     assert code == 3
+
+
+def test_readme_command_lines_parse():
+    # every opquery line of the README's "Command line" block names only flags
+    # the parser knows; nothing runs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "opquery"]
+    assert len(commands) >= 6
+    for argv in commands:
+        build_parser().parse_args(argv)
