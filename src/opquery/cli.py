@@ -17,6 +17,7 @@ command quietly with status 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -56,6 +57,17 @@ def _write(path: Optional[str], text: str) -> None:
 
 def _write_json(path: Optional[str], payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@contextlib.contextmanager
+def _exact_integers():
+    """Let str() write an integer of any length, such as the 9,131 digits of 3000!; the default limit is 4,300."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _new_instance(spec: algebra.StructureSpec, seed: int) -> oracle.AnyInstance:
@@ -120,10 +132,11 @@ def _bounds_report(spec: algebra.StructureSpec, cap: Optional[int] = None) -> bo
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     rep = _bounds_report(_parse_spec(args), args.cap)
-    if args.format == "csv":
-        _write(args.out, bounds.reports_to_csv([rep]))
-    else:
-        _write_json(args.out, rep.to_dict())
+    with _exact_integers():  # the candidate count is exact at any n
+        if args.format == "csv":
+            _write(args.out, bounds.reports_to_csv([rep]))
+        else:
+            _write_json(args.out, rep.to_dict())
     return 0
 
 
@@ -131,9 +144,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = _parse_spec(args)
     if isinstance(spec, algebra.RingSpec):
         raise ValidationError("search takes --abelian or --maxchain; a ring hides two tables")
-    # the closed-form count refuses a class over budget before any table is built
+    # |X| = n! / |Aut| is held to the budget before any table is built, by a product that stops past it
+    automorphisms = 1 if isinstance(spec, algebra.MaxChainSpec) else bounds.abelian_automorphism_count(spec.factors)
+    treesearch._check_orbit_budget(spec.n, automorphisms, args.budget)
     rep = _bounds_report(spec)
-    treesearch._check_budget(rep.x_size, args.budget)
     # either path of enumerate_orbit relabels at most (n - 1) |X| tables, so the budget bounds it, not n
     ops = treesearch.enumerate_orbit(algebra.canonical_table(spec), cap=spec.n)
     stats = treesearch.SearchStats()

@@ -23,14 +23,17 @@ witness tree regroups its states as it is built.
 Every class searched here is closed under relabeling (S_n). A state of a
 closed set is then fixed by every permutation of the labels its transcript
 has not mentioned, so the search scans one query per orbit of that
-stabiliser. Below the first answer that a path had not mentioned, a state
-also has a conjugacy key, equal for states that a permutation fixing that
-answer's state maps onto each other, so each set of conjugate answer blocks
-is solved once. The witness tree reads a conjugate's value and the query its
-scan chose, mapped back through the key's names, instead of searching the
-block again; neither changes a value or the witness tree. ``enumerate_orbit``
-walks an orbit by the star transpositions (0 i) when that takes fewer
-relabelings than running all n! permutations.
+stabiliser. In a group, a state below the first answer that its path had
+not mentioned also has a conjugacy key, equal for states that a permutation
+fixing that answer's state maps onto each other. In the orbit of a max
+chain, a state is the set of linear extensions of the poset its answers
+imply, and every state is keyed by the canonical form of that poset
+(``_poset_form``). Either way each set of conjugate states is solved once.
+The witness tree reads a conjugate's value and the query its scan chose,
+mapped back through the key's names, instead of searching the state again;
+neither changes a value or the witness tree. ``enumerate_orbit`` walks an
+orbit by the star transpositions (0 i) when that takes fewer relabelings
+than running all n! permutations.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations, product
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -425,6 +429,21 @@ def _check_budget(m: int, budget: int) -> None:
         raise CapabilityError(f"|X| {size} exceeds the search budget {budget} (pass a larger budget to override)")
 
 
+def _check_orbit_budget(n: int, automorphisms: int, budget: int) -> None:
+    """``_check_budget`` on |X| = n! / automorphisms, which refuses a class far past the budget before n! is formed.
+
+    The product 2 * 3 * ... stops once it passes both the budget and 2^10,000
+    times the automorphisms, so such a refusal gives a lower bound on the size of |X|.
+    """
+    limit = max(budget, 1 << 10_000) * automorphisms
+    product = 1
+    for k in range(2, n + 1):
+        product *= k
+        if product > limit:
+            break
+    _check_budget(product // automorphisms, budget)
+
+
 @dataclass
 class SearchStats:
     """What one ``minimal_worst_case`` run did; pass one as ``stats=`` to fill it."""
@@ -486,6 +505,132 @@ def _key_name(v: int, n: int, fixed: int, named: tuple[int, ...]) -> tuple[int, 
     return n + named.index(v), named
 
 
+def _is_max_table(t: np.ndarray) -> bool:
+    """True iff the (n, n) table t is x*y = the larger of x and y in some total order of its labels."""
+    labels = np.arange(len(t))
+    wins = (t == labels[:, None]).sum(axis=1)  # in a max table, x*y = x for y = x and the y below x
+    if not (np.sort(wins) == labels + 1).all():
+        return False
+    return bool((t == np.where(wins[:, None] >= wins, labels[:, None], labels)).all())
+
+
+def _poset_form(below: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical form of a poset on the labels 0..n-1, and a labelling that gives it.
+
+    below[v] is the bitmask of the labels under v, transitively closed. The
+    labelling lists every label: those in some relation first, in an order
+    that gives the least key, then the isolated ones in label order. The key
+    is the below masks of the related labels, each label renamed by its place
+    in that list, so two posets get equal keys iff they are isomorphic.
+
+    The related labels are coloured by (#below, #above), and the cells of
+    equal colour take the places in colour order. A label's cell comes after
+    the cells of every label under it, so once the cells before it are placed,
+    the masks of a cell are known, and sorting the cell by them gives the
+    least key over its orders; this refines each cell by the cells before it.
+    Only labels with equal masks are left, and only they are tried in every
+    order: each arrangement is kept while its key stays least, apart from
+    twins (equal masks above as well), which an automorphism swaps, so they
+    go in label order.
+    """
+    n = len(below)
+    above = [0] * n
+    unders = []  # the labels under each label
+    for v, under in enumerate(below):
+        labels = []
+        while under:
+            low = under & -under
+            labels.append(low.bit_length() - 1)
+            above[labels[-1]] |= 1 << v
+            under ^= low
+        unders.append(labels)
+    colours: dict[tuple[int, int], list[int]] = {}
+    isolated = []
+    for v, under in enumerate(below):
+        if under or above[v]:
+            colours.setdefault((under.bit_count(), above[v].bit_count()), []).append(v)
+        else:
+            isolated.append(v)
+    key: list[int] = []
+    order: list[int] = []
+    place = [0] * n  # the bit of each placed label's place
+    partial = [(order, place)]  # every order so far that gives the least key so far
+    for _, cell in sorted(colours.items()):
+        if len(partial) == 1 and len(cell) == 1:
+            v = cell[0]
+            key.append(sum(map(place.__getitem__, unders[v])))
+            place[v] = 1 << len(order)
+            order.append(v)
+            continue
+        least, keep = None, []
+        for order, place in partial:
+            masks = sorted([(sum(map(place.__getitem__, unders[v])), v) for v in cell])
+            segment = [mask for mask, _ in masks]
+            if least is None or segment < least:
+                least, keep = segment, []
+            if segment == least:
+                keep.append((order, place, masks))
+        key += least
+        partial = []
+        for order, place, masks in keep:
+            arrangements = _arrangements(masks, above) if len(set(least)) < len(least) else [[v for _, v in masks]]
+            for arranged in arrangements:
+                if len(keep) > 1 or len(arrangements) > 1:
+                    place = place.copy()
+                for i, v in enumerate(arranged, len(order)):
+                    place[v] = 1 << i
+                partial.append((order + arranged, place))
+        order, place = partial[0]
+    return tuple(key), (*order, *isolated)
+
+
+def _arrangements(masks: list[tuple[int, int]], above: list[int]) -> list[list[int]]:
+    """The orders of a cell, given as its (mask, label) pairs sorted, that keep it sorted by mask."""
+    runs = [_twin_orders([v for _, v in run], above) for _, run in groupby(masks, key=itemgetter(0))]
+    return [[v for run in choice for v in run] for choice in product(*runs)]
+
+
+def _twin_orders(labels: list[int], above: list[int]) -> list[list[int]]:
+    """Every order of labels, up to swapping twins: labels with equal masks above stay in label order."""
+    if len(labels) <= 1:
+        return [labels]
+    firsts = {}  # the least label of each twin class
+    for v in labels:
+        firsts.setdefault(above[v], v)
+    return [[v, *tail] for _, v in sorted(firsts.items()) for tail in _twin_orders([u for u in labels if u != v], above)]
+
+
+@lru_cache(maxsize=8192)
+def _poset_step(key: tuple[int, ...], low: int, high: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``_poset_form`` of a canonical poset once low < high is added, and the place of each label in its order.
+
+    The canonical poset of key on the labels 0..n-1 has the below masks key
+    on its first len(key) labels and leaves the others isolated. The steps
+    depend on n alone, so every search of a max chain shares them (a C_5
+    search takes 47, an S(8) search 1,436).
+    """
+    below = [*key, *[0] * (n - len(key))]
+    under = below[low] | 1 << low
+    key, order = _poset_form(tuple([b | under if v == high or b >> high & 1 else b for v, b in enumerate(below)]))
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = i
+    return key, order, tuple(place)
+
+
+@lru_cache(maxsize=8192)
+def _unordered(key: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """The places p < q that the canonical poset of key on 0..n-1 leaves unordered, up to its isolated labels.
+
+    These are the pairs among its related labels and the first isolated one,
+    and the first two isolated ones: the representatives of the queries
+    that split a state with that poset.
+    """
+    k = len(key)
+    pairs = [(p, q) for q in range(min(k + 1, n)) for p in range(q) if q == k or not (key[q] >> p | key[p] >> q) & 1]
+    return tuple(pairs + [(k, k + 1)] * (k + 1 < n))
+
+
 def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Optional[SearchStats] = None) -> tuple[int, QueryTree]:
     """Exact minimum worst-case query count over all trees solving ``ops``,
 
@@ -524,9 +669,9 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     answer. Queries in one orbit of that stabiliser have the same value, so
     the scan takes only the lexicographically first of each
     (``_representatives``): the first query with the best value is among them.
-    States below an answer that the path had not mentioned get a conjugacy key
-    as well as their ids. The key
-    starts at that first fresh answer: the serial of the anchor state (its
+    In a group, states below an answer that the path had not mentioned get a
+    conjugacy key as well as their ids, a frame key. The key starts at that
+    first fresh answer: the serial of the anchor state (its
     ids and mentioned labels) and its query (x, y). Below, each query and
     answer adds (x, y, z), where the labels mentioned at or above the anchor
     keep their names and every later label is named by its order of first
@@ -543,10 +688,25 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     known optimal. A representative before it whose image came after the
     chosen query has a value the scan did not settle; those are grouped in
     order and their blocks solved at cap v, and the first whose blocks all
-    stay below v wins. Any other set is searched with every label
-    mentioned, which scans every query and starts no key; nor does a max
-    chain, whose every answer is x or y. Values and witness trees are the
-    same either way; ``stats`` counts the work.
+    stay below v wins.
+
+    A max chain answers every query with x or y, so no answer is fresh and
+    no frame key starts. When ``ops`` holds n! tables and its first is a max
+    table (``_is_max_table``), it is the orbit of a max chain: the answers
+    on a path imply a poset, a state is its set of linear extensions, and
+    every state of three or more candidates is keyed by the canonical form
+    of its poset instead (``_poset_form``). Its frame carries the canonical
+    labelling down the path: an answer x < y adds one relation to the
+    canonical poset, whose own canonical form (``_poset_step``) is composed
+    with the state's labelling to name the block. As (y, x) splits such a
+    state as (x, y) does, the scan takes only x < y. The witness tree reads
+    a conjugate's scan through the two labellings, which list the
+    unmentioned labels last and in order: each pair of places that the
+    canonical poset leaves unordered (``_unordered``) names a representative
+    x < y in both states, and whether a recorded query reaches its value is
+    kept for every conjugate that asks. Any other set is searched with every label mentioned, which scans
+    every query and starts no key. Values and witness trees are the same
+    either way; ``stats`` counts the work.
     """
     m = len(ops)
     _check_budget(m, budget)
@@ -559,6 +719,8 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         if (keys[1:] == keys[:-1]).any():
             raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
         closed = all(_contains(keys, _byte_keys(images)).all() for images in _star_relabelings(tables))
+    # a closed set of all n! tables that holds a max table holds every max table: a state is a poset
+    chain = closed and m == math.factorial(n) and _is_max_table(tables[0])
     answers = tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 
@@ -566,14 +728,22 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     memo_choice: dict[tuple[int, ...], int] = {}  # column x*n + y of the chosen query; build regroups
     memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
     conj_value: dict[tuple[int, ...], int] = {}  # exact values, by conjugacy key
-    conj_scan: dict[tuple[int, ...], tuple] = {}  # (named, optimal) of the state that gave the exact value, by key
+    conj_scan: dict[tuple[int, ...], tuple] = {}  # (labelling, optimal) of the state that gave the exact value, by key
     conj_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high, by conjugacy key
     anchors: dict[tuple[tuple[int, ...], int], int] = {}  # serial of each anchor state, by (ids, mentioned)
+    verdicts: dict[tuple[tuple[int, ...], int], bool] = {}  # in a max chain, whether a recorded state's query reaches its value
 
-    # A frame is None or (key, fixed, named): the conjugacy key of a state, the
-    # labels mentioned at or above its anchor, and the later labels in order of mention.
+    # A frame is None or a state's conjugacy key with what names its labels. In a
+    # group it is (key, fixed, named): the labels mentioned at or above its anchor,
+    # and the later labels in order of mention. In a max chain it is (key, order,
+    # place): the canonical form of the state's poset, the labels in the order that
+    # gives it, and each label's place in that order.
     def frame_of(frame: Optional[tuple], ids: tuple[int, ...], mentioned: int, x: int, y: int, z: int) -> Optional[tuple]:
         """The frame of the answer-z block of query (x, y) at state ids; without a frame there, z must be fresh."""
+        if chain:  # z is the larger of x and y; the step from the canonical poset, in its places, names the block
+            key, order, place = frame
+            key, step_order, step_place = _poset_step(key, place[x + y - z], place[z], n)
+            return key, tuple([order[i] for i in step_order]), tuple([step_place[i] for i in place])
         if frame is None:  # the key starts at this first fresh answer
             return (anchors.setdefault((ids, mentioned), len(anchors)), x, y), mentioned | bits[x] | bits[y], (z,)
         key, fixed, named = frame
@@ -581,6 +751,13 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         cy, named = _key_name(y, n, fixed, named)
         cz, named = _key_name(z, n, fixed, named)
         return key + (cx, cy, cz), fixed, named
+
+    def labelling(frame: tuple, mentioned: int) -> tuple[int, ...]:
+        """Every label, in the order the frame's key names them: the mentioned ones, then the others ascending."""
+        if chain:
+            return frame[1]
+        _, fixed, named = frame
+        return (*[v for v in range(n) if fixed >> v & 1], *named, *[v for v in range(n) if not mentioned >> v & 1])
 
     def solve(ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> int:
         """The value of state ids if it is below cap, else a lower bound >= cap."""
@@ -632,7 +809,10 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             stats.settled += 1
             best, best_choice, splitting = 1, int(cols[widths.argmax()]), []
         else:
-            best, best_choice, splitting = cap, None, (widths > 1).nonzero()[0].tolist()
+            split = widths > 1
+            if chain:  # (y, x) splits a state of a max chain as (x, y) does, and comes later
+                split &= cols // n < cols % n
+            best, best_choice, splitting = cap, None, split.nonzero()[0].tolist()
         low = len(ids)  # least lower bound of a refused query; every query is worth less than |state|
         seen: set[tuple[tuple[int, ...], ...]] = set()  # partitions already tried here
         for j in splitting:
@@ -673,7 +853,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             conj_bound.pop(frame[0], None)
             conj_value[frame[0]] = best
             # every query the scan reached before its choice is worth more; at 1, the optimal ones are those that separate
-            conj_scan[frame[0]] = frame[2], (frozenset(cols[widths == len(ids)].tolist()) if best == 1 else best_choice)
+            conj_scan[frame[0]] = labelling(frame, mentioned), (frozenset(cols[widths == len(ids)].tolist()) if best == 1 else best_choice)
         return best
 
     def reaches(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, value: int) -> bool:
@@ -685,38 +865,50 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         after = mentioned | bits[x] | bits[y]
         for z in sorted(groups, key=lambda z: (-len(groups[z]), z)):
             block = groups[z]
+            if chain and len(block) > 1 << (value - 1):  # two-way answers: the block needs value queries or more
+                return False
             sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 else None
             if solve(block, after | bits.get(z, 0), value, sub) >= value:
                 return False
         return True
 
+    def settles(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, image: int, value: int) -> bool:
+        """``reaches`` for a query whose image in the recorded state is unsettled; a chain keeps the answer for its conjugates."""
+        if not chain:
+            return reaches(ids, mentioned, frame, column, value)
+        key = frame[0]
+        verdict = verdicts.get((key, image))
+        if verdict is None:
+            verdict = verdicts[key, image] = reaches(ids, mentioned, frame, column, value)
+        return verdict
+
+    def pair_column(labels: tuple[int, ...], p: int, q: int) -> int:
+        """The column x*n + y, x < y, of the labels at places p and q."""
+        return min(labels[p], labels[q]) * n + max(labels[p], labels[q])
+
     def read(ids: tuple[int, ...], mentioned: int, frame: tuple, value: int) -> int:
         """The first query of state ids worth value, read from the scan of the conjugate state its key recorded.
 
-        Both states mention the fixed labels, and their named labels in the
-        same order; the permutation that maps the recorded state's labels
-        onto these, and its unmentioned labels onto these in order, maps
-        that state onto this one and its representatives onto these.
+        The permutation that maps each label of the recorded state's labelling
+        onto the label at the same place in this state's maps that state onto
+        this one; both labellings list the unmentioned labels last and in
+        order, so it maps that state's representatives onto these.
         """
         stats.conjugate_reads += 1
-        named, optimal = conj_scan[frame[0]]
-        back = list(range(n))  # back[v]: the recorded state's label that v stands for
-        recorded = frame[1]  # the labels the recorded state mentions
-        for v, u in zip(frame[2], named):
-            back[v] = u
-            recorded |= bits[u]
-        unmentioned = iter([u for u in range(n) if not recorded >> u & 1])
-        for v in range(n):
-            if not mentioned >> v & 1:
-                back[v] = next(unmentioned)
-        for column in _representatives(mentioned, n).tolist():
-            x, y = divmod(column, n)
-            image = back[x] * n + back[y]  # the recorded state's representative for this one
+        recorded, optimal = conj_scan[frame[0]]
+        if chain:  # each pair of places the poset leaves unordered, as the column x < y here and there
+            pairs = sorted((pair_column(frame[1], p, q), pair_column(recorded, p, q)) for p, q in _unordered(frame[0], n))
+        else:
+            back = [0] * n  # back[v]: the recorded state's label that v stands for
+            for v, u in zip(labelling(frame, mentioned), recorded):
+                back[v] = u
+            pairs = [(column, back[column // n] * n + back[column % n]) for column in _representatives(mentioned, n).tolist()]
+        for column, image in pairs:  # image: the recorded state's representative for this one
             if value == 1:  # the recorded optima are all its separating queries
                 if image in optimal:
                     return column
             # an image the recorded scan reached before its choice is worth more; one after it is unsettled
-            elif image == optimal or image > optimal and reaches(ids, mentioned, frame, column, value):
+            elif image == optimal or image > optimal and settles(ids, mentioned, frame, column, image, value):
                 return column
         raise AssertionError("a conjugate state's representatives map onto this state's")
 
@@ -748,4 +940,5 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
 
     # no state of k candidates needs more than k - 1 queries, so a cap of m is never reached
     root, mentioned = tuple(range(m)), 0 if closed else (1 << n) - 1
-    return solve(root, mentioned, m, None), build(root, mentioned, m, None)
+    frame = ((), tuple(range(n)), tuple(range(n))) if chain else None  # the empty poset is its own canonical form
+    return solve(root, mentioned, m, frame), build(root, mentioned, m, frame)

@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -319,6 +321,33 @@ def test_bounds_abelian_past_the_cap_is_exact(capsys):
     code, out, _ = run(capsys, "bounds", "--abelian", "2,6")
     assert code == 0
     assert json.loads(out)["x_size"] == 39916800  # 12! / 12
+
+
+@pytest.mark.parametrize("flags, automorphisms", [(("--maxchain", "3000"), 1), (("--abelian", "3000"), 800)])
+def test_bounds_of_a_huge_class_prints_its_exact_count(capsys, flags, automorphisms):
+    # 3000! has 9,131 digits, past the default limit of 4,300 on int <-> str; Z_3000 has phi(3000) = 800 automorphisms
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "bounds", *flags)
+    code_csv, out_csv, _ = run(capsys, "bounds", *flags, "--format", "csv")
+    assert (code, code_csv) == (0, 0)
+    assert sys.get_int_max_str_digits() == limit  # lifted only while the count is written
+    sys.set_int_max_str_digits(0)
+    try:
+        x_size = math.factorial(3000) // automorphisms
+        assert json.loads(out)["x_size"] == x_size
+        assert out_csv.splitlines()[1].split(",")[2] == str(x_size)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("flags", [("--maxchain", "1000000"), ("--abelian", "1000000")])
+def test_search_refuses_a_huge_class_before_counting_it(capsys, flags):
+    # n! at n = 10^6 takes about 14 s; the product that counts |X| stops soon after the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", *flags)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err.startswith("capability: |X| >= 2^") and err.count("\n") == 1
 
 
 def test_search_refuses_over_budget_before_enumerating(capsys, monkeypatch):

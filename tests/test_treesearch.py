@@ -1,6 +1,7 @@
 """Query tree enumeration, verification, and exact minimax search."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from opquery import (
     tree_to_dict,
     verify_query_tree,
 )
-from opquery.treesearch import _walk_is_shorter, iter_cyclic_prime_tables
+from opquery.treesearch import _is_max_table, _poset_form, _walk_is_shorter, iter_cyclic_prime_tables
 
 
 def test_enumerate_orbit_sizes():
@@ -330,18 +331,29 @@ def test_minimal_worst_case_pins_z9():
     assert (stats.states, stats.conjugate_hits) == (1437, 1406)
 
 
-@pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 8 chain (~25 s, ~120 MB)")
 def test_minimal_worst_case_finds_the_sorting_number_s8():
-    # 40,320 candidates over about 124,000 states. No digest is pinned: the
-    # search before the caps would take hours here, so there is no older tree
-    # to compare against, only the known optimum.
+    # 40,320 candidates in 570 states; the digest is that of the tree the
+    # search gave when it memoised states by candidate ids alone (about 25 s)
     ops = enumerate_orbit(build_max_chain(8), cap=9)
-    depth, tree = minimal_worst_case(ops, budget=len(ops))
+    stats = SearchStats()
+    depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
     v = verify_query_tree(tree, ops)
     assert v.ok and max(v.depths.values()) == depth
     # S(8) = 16: the information floor ceil(log2 8!) is reached, and it is the
     # comparison count of Ford & Johnson's merge insertion, sum ceil(log2(3k/4))
     assert depth == 16 == math.ceil(math.log2(math.factorial(8))) == sum(math.ceil(math.log2(3 * k / 4)) for k in range(1, 9))
+    assert hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest() == "01a9e34be7575f1574c2fd205b0c0a4df0444317ce174220947bc0726263cbf9"
+    assert stats.states == 570
+
+
+@pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 9 chain (orbit ~1 s, search ~20 s, verification ~3 s, ~450 MB max RSS)")
+def test_minimal_worst_case_finds_the_sorting_number_s9():
+    ops = enumerate_orbit(build_max_chain(9), cap=9)
+    depth, tree = minimal_worst_case(ops, budget=len(ops))
+    v = verify_query_tree(tree, ops)
+    assert len(ops) == 362880 and v.ok and max(v.depths.values()) == depth
+    # S(9) = 19, the information floor and Ford & Johnson's count again
+    assert depth == 19 == math.ceil(math.log2(math.factorial(9))) == sum(math.ceil(math.log2(3 * k / 4)) for k in range(1, 10))
 
 
 @pytest.mark.skipif(
@@ -363,12 +375,12 @@ def test_minimal_worst_case_pins_z10():
 
 # Work counts of the symmetric search; they are deterministic, so a change to
 # the pruning shows here even when the optimum and the tree stay the same.
-# Ids 6 and 7 are the cyclic groups Z_6 and Z_7; a max chain answers every
-# query with x or y, so it starts no conjugacy key.
+# Ids 6 and 7 are the cyclic groups Z_6 and Z_7; every state of the max chain
+# C_5 is keyed by its canonical poset.
 PINNED_STATS = {
     "6": (build_abelian([6]), SearchStats(states=34, memo_hits=6, conjugate_hits=40, queries_scanned=43, queries_skipped=329, floor_cutoffs=11, aborted=15, capped=12, settled=30, conjugate_reads=90)),
     "7": (build_abelian([7]), SearchStats(states=49, memo_hits=21, conjugate_hits=148, queries_scanned=190, queries_skipped=1138, floor_cutoffs=17, aborted=106, capped=26, settled=363, conjugate_reads=160)),
-    "C_5": (build_max_chain(5), SearchStats(states=155, memo_hits=12, conjugate_hits=0, queries_scanned=307, queries_skipped=85, floor_cutoffs=155, aborted=112, capped=0, settled=132)),
+    "C_5": (build_max_chain(5), SearchStats(states=23, memo_hits=1, conjugate_hits=24, queries_scanned=35, queries_skipped=54, floor_cutoffs=23, aborted=9, capped=0, settled=13, conjugate_reads=54)),
 }
 
 
@@ -447,7 +459,9 @@ def _leaves_renamed(tree, ids):
     return Node(tree.query, {z: _leaves_renamed(child, ids) for z, child in tree.children.items()})
 
 
-@pytest.mark.parametrize("canonical", [build_abelian([6]), build_abelian([2, 2, 2]), build_abelian([7])], ids=["Z_6", "Z_2xZ_2xZ_2", "Z_7"])
+@pytest.mark.parametrize(
+    "canonical", [build_abelian([6]), build_abelian([2, 2, 2]), build_abelian([7]), build_max_chain(5)], ids=["Z_6", "Z_2xZ_2xZ_2", "Z_7", "C_5"]
+)
 def test_every_witness_subtree_is_the_open_search_of_its_block(canonical):
     # A block below the root is a proper subset of one orbit, so it is not
     # closed under relabeling, and searching it alone scans every query and
@@ -468,10 +482,55 @@ def test_every_witness_subtree_is_the_open_search_of_its_block(canonical):
         assert _leaves_renamed(sub, ids) == node
 
 
+def _posets(n):
+    """Every labelled poset on n points, as the mask of the labels below each label."""
+    pairs = list(itertools.combinations(range(n), 2))
+    found = []
+    for choice in itertools.product((None, 0, 1), repeat=len(pairs)):
+        less = {(a, b) if c == 0 else (b, a) for (a, b), c in zip(pairs, choice) if c is not None}
+        if all((a, d) in less for a, b in less for c, d in less if b == c):  # transitive
+            found.append(tuple(sum(1 << u for u in range(n) if (u, v) in less) for v in range(n)))
+    return found
+
+
+def _renamed(below, name):
+    """The poset below with each label v renamed name[v]."""
+    out = [0] * len(below)
+    for v, under in enumerate(below):
+        out[name[v]] = sum(1 << name[u] for u in range(len(below)) if under >> u & 1)
+    return tuple(out)
+
+
+def test_poset_form_keys_the_isomorphism_classes_of_posets_on_4_points():
+    posets = _posets(4)
+    assert len(posets) == 219
+    forms = {below: _poset_form(below) for below in posets}
+    for a in posets:
+        isomorphic = {_renamed(a, p) for p in itertools.permutations(range(4))}
+        assert {b for b in posets if forms[b][0] == forms[a][0]} == isomorphic
+    assert len({key for key, _ in forms.values()}) == 16
+    for below, (key, order) in forms.items():
+        # the labelling gives the key, the related labels first and the isolated ones after them in label order
+        assert _renamed(below, {v: i for i, v in enumerate(order)}) == key + (0,) * (4 - len(key))
+        isolated = order[len(key) :]
+        assert list(isolated) == sorted(isolated)
+        assert not any(below[v] or any(under >> v & 1 for under in below) for v in isolated)
+
+
+def test_is_max_table():
+    assert all(_is_max_table(t) for t in enumerate_orbit(build_max_chain(4)).tables)
+    assert _is_max_table(np.minimum.outer(np.arange(4), np.arange(4)))  # the max table of the reversed order
+    assert not _is_max_table(build_abelian([2]).entries)  # an orbit of 2! tables that are no max tables
+    broken = np.maximum.outer(np.arange(3), np.arange(3))
+    broken[0, 1] = 2  # every label still wins as often as in a max table
+    assert not _is_max_table(broken)
+
+
 def test_minimal_worst_case_memory_on_the_c6_orbit():
     # the memo keeps one column per exact state and stores no two-candidate
-    # state; the traced peak over the 720 candidates is about 0.68 MB, and it
-    # was 1.42 MB when every exact state kept its answer blocks
+    # state; the traced peak over the 720 candidates is about 0.53 MB (0.39 MB
+    # once the poset steps are cached), and it was 1.42 MB when every exact
+    # state kept its answer blocks
     ops = enumerate_orbit(build_max_chain(6))
     tracemalloc.start()
     try:
