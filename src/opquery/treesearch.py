@@ -18,7 +18,8 @@ earlier partition are skipped, and ties keep the first winner, so the returned
 witness tree is canonical and runs reproduce bit identical results. A state
 of two candidates, or one that some query separates completely, is valued 1
 without a scan. The memo keeps only the query each state chose, and the
-witness tree regroups its states as it is built.
+witness tree regroups its states as it is built; its nodes worth 1 take the
+first query that separates their candidates, found in one batch at the end.
 
 Every class searched here is closed under relabeling (S_n). A state of a
 closed set is then fixed by every permutation of the labels its transcript
@@ -30,10 +31,11 @@ chain, a state is the set of linear extensions of the poset its answers
 imply, and every state is keyed by the canonical form of that poset
 (``_poset_form``). Either way each set of conjugate states is solved once.
 The witness tree reads a conjugate's value and the query its scan chose,
-mapped back through the key's names, instead of searching the state again;
-neither changes a value or the witness tree. ``enumerate_orbit`` walks an
-orbit by the star transpositions (0 i) when that takes fewer relabelings
-than running all n! permutations.
+mapped back through the key's names, instead of searching the state again,
+and keeps whether a later query of that scan reaches its value for every
+conjugate; neither changes a value or the witness tree. ``enumerate_orbit``
+walks an orbit by the star transpositions (0 i) when that takes fewer
+relabelings than running all n! permutations.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, permutations, product
+from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Union
 
@@ -57,16 +59,18 @@ SEARCH_BUDGET = 200  # default cap on |X| for exact search
 # at most max(1, _STAR_ENTRIES // n^2) star transpositions per gather.
 _STAR_CHUNK = 256
 _STAR_ENTRIES = 4096
+# The witness tree settles its states worth 1 by gathering at most this many answers at a time.
+_SETTLE_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """Terminal claim; op_id names the surviving candidate when known."""
 
     op_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """One query (x, y) with a subtree per distinct answer."""
 
@@ -457,7 +461,8 @@ class SearchStats:
     aborted: int = 0  # queries dropped: their largest block's floor, or a solved block, reached the best value
     capped: int = 0  # states that failed high: the search stopped at a lower bound >= its cap
     settled: int = 0  # states valued 1 without a scan: two candidates, or a searched state one query separates
-    conjugate_reads: int = 0  # witness nodes whose query was read from the recorded scan of a conjugate state
+    conjugate_reads: int = 0  # witness nodes worth 2 or more whose query was read from the recorded scan of a conjugate state
+    witness_states: int = 0  # states searched while the witness tree was built, counted in states as well
 
 
 def _blocks(ids: tuple[int, ...], zs: np.ndarray) -> dict[int, tuple[int, ...]]:
@@ -646,9 +651,13 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     the tie. No state of two or more candidates is worth less than 1, so
     a state of two distinct candidates is settled at 1 with no sort, and a
     state that some query separates completely takes the first such query
-    with no scan; either witness is the query the scan would have picked.
-    The memo keeps only each state's chosen query, and the witness tree
-    groups a state's answers again when it is built.
+    with no scan. The memo keeps only each state's chosen query, and the
+    witness tree groups a state's answers again when it is built. Its nodes
+    worth 1 (every block of two candidates, and every block below a node
+    worth 2) wait until the walk is done, and one gather per block size, in
+    chunks, then gives each the first column on which its candidates all
+    differ: that column heads its stabiliser orbit, so it is the query the
+    scan picks.
 
     Each state is solved up to a cap, the value it must beat: below the cap
     the value is exact, at or above it the search stops with a lower bound
@@ -678,17 +687,17 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     mention (``_key_name``). States with equal keys are images of each other
     under a permutation that fixes the anchor state, so they have the same
     value, and exact values and fail-high bounds are kept under both. Every
-    set of conjugate fresh blocks is so solved once, and the key keeps that
-    state's named labels and the queries its scan found optimal: the chosen
-    one, every query before it in the scan being worth more, or at value 1
-    all that separate the state. For a block that only a conjugate's key
-    valued, at v, the witness tree maps its representatives back to the
-    conjugate's through the names (fixed labels stay, ``named`` in order,
-    the unmentioned labels in order) and takes the first whose image is
-    known optimal. A representative before it whose image came after the
-    chosen query has a value the scan did not settle; those are grouped in
-    order and their blocks solved at cap v, and the first whose blocks all
-    stay below v wins.
+    set of conjugate fresh blocks is so solved once, and for a value of 2 or
+    more the key keeps that state's labelling and chosen query, every query
+    before it in the scan being worth more (``conj_scan``). For a block that
+    only a conjugate's key valued, at v >= 2, the witness tree maps its
+    representatives one at a time back to the conjugate's through the names
+    (fixed labels stay, ``named`` in order, the unmentioned labels in order)
+    and stops at the first whose image is known optimal. A representative
+    before it whose image came after the chosen query has a value the scan
+    did not settle; its blocks are solved at cap v, the first whose blocks
+    all stay below v wins and hands them to the tree, and the verdict is
+    kept by (key, image) for every conjugate that asks.
 
     A max chain answers every query with x or y, so no answer is fresh and
     no frame key starts. When ``ops`` holds n! tables and its first is a max
@@ -703,10 +712,9 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     a conjugate's scan through the two labellings, which list the
     unmentioned labels last and in order: each pair of places that the
     canonical poset leaves unordered (``_unordered``) names a representative
-    x < y in both states, and whether a recorded query reaches its value is
-    kept for every conjugate that asks. Any other set is searched with every label mentioned, which scans
-    every query and starts no key. Values and witness trees are the same
-    either way; ``stats`` counts the work.
+    x < y in both states. Any other set is searched with every label
+    mentioned, which scans every query and starts no key. Values and witness
+    trees are the same either way; ``stats`` counts the work.
     """
     m = len(ops)
     _check_budget(m, budget)
@@ -728,10 +736,11 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     memo_choice: dict[tuple[int, ...], int] = {}  # column x*n + y of the chosen query; build regroups
     memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
     conj_value: dict[tuple[int, ...], int] = {}  # exact values, by conjugacy key
-    conj_scan: dict[tuple[int, ...], tuple] = {}  # (labelling, optimal) of the state that gave the exact value, by key
+    conj_scan: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}  # (labelling, chosen column) of the state that gave an exact value >= 2, by key
     conj_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high, by conjugacy key
     anchors: dict[tuple[tuple[int, ...], int], int] = {}  # serial of each anchor state, by (ids, mentioned)
-    verdicts: dict[tuple[tuple[int, ...], int], bool] = {}  # in a max chain, whether a recorded state's query reaches its value
+    verdicts: dict[tuple[tuple[int, ...], int], bool] = {}  # whether a recorded state's query reaches its value, by (key, column)
+    pending: dict[int, list[tuple[dict, object, tuple[int, ...]]]] = {}  # (children, answer, ids) of witness nodes worth 1, by |ids|
 
     # A frame is None or a state's conjugacy key with what names its labels. In a
     # group it is (key, fixed, named): the labels mentioned at or above its anchor,
@@ -852,93 +861,120 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         if frame is not None:
             conj_bound.pop(frame[0], None)
             conj_value[frame[0]] = best
-            # every query the scan reached before its choice is worth more; at 1, the optimal ones are those that separate
-            conj_scan[frame[0]] = labelling(frame, mentioned), (frozenset(cols[widths == len(ids)].tolist()) if best == 1 else best_choice)
+            if best > 1:  # every query the scan reached before its choice is worth more
+                conj_scan[frame[0]] = labelling(frame, mentioned), best_choice
         return best
 
-    def reaches(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, value: int) -> bool:
-        """True iff the query at column splits state ids into blocks all worth less than value."""
+    def reaches(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, value: int) -> Optional[dict[int, tuple[int, ...]]]:
+        """The answer blocks of the query at column on state ids if it splits the state and they are all worth less than value, else None."""
         groups = _blocks(ids, answers[ids, column])
         if len(groups) == 1:  # the query does not split the state
-            return False
+            return None
         x, y = divmod(column, n)
         after = mentioned | bits[x] | bits[y]
         for z in sorted(groups, key=lambda z: (-len(groups[z]), z)):
             block = groups[z]
             if chain and len(block) > 1 << (value - 1):  # two-way answers: the block needs value queries or more
-                return False
+                return None
             sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 else None
             if solve(block, after | bits.get(z, 0), value, sub) >= value:
-                return False
-        return True
+                return None
+        return groups
 
-    def settles(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, image: int, value: int) -> bool:
-        """``reaches`` for a query whose image in the recorded state is unsettled; a chain keeps the answer for its conjugates."""
-        if not chain:
-            return reaches(ids, mentioned, frame, column, value)
-        key = frame[0]
-        verdict = verdicts.get((key, image))
-        if verdict is None:
-            verdict = verdicts[key, image] = reaches(ids, mentioned, frame, column, value)
-        return verdict
-
-    def pair_column(labels: tuple[int, ...], p: int, q: int) -> int:
-        """The column x*n + y, x < y, of the labels at places p and q."""
-        return min(labels[p], labels[q]) * n + max(labels[p], labels[q])
-
-    def read(ids: tuple[int, ...], mentioned: int, frame: tuple, value: int) -> int:
-        """The first query of state ids worth value, read from the scan of the conjugate state its key recorded.
+    def read(ids: tuple[int, ...], mentioned: int, frame: tuple, value: int) -> tuple[int, Optional[dict[int, tuple[int, ...]]]]:
+        """The first query of state ids worth value >= 2, read from the scan its key recorded, and its blocks if grouped here.
 
         The permutation that maps each label of the recorded state's labelling
         onto the label at the same place in this state's maps that state onto
         this one; both labellings list the unmentioned labels last and in
-        order, so it maps that state's representatives onto these.
+        order, so it maps that state's representatives onto these. Whether an
+        image the recorded scan left unsettled reaches value is kept by key for
+        every conjugate that asks.
         """
         stats.conjugate_reads += 1
-        recorded, optimal = conj_scan[frame[0]]
+        key = frame[0]
+        recorded, chosen = conj_scan[key]
         if chain:  # each pair of places the poset leaves unordered, as the column x < y here and there
-            pairs = sorted((pair_column(frame[1], p, q), pair_column(recorded, p, q)) for p, q in _unordered(frame[0], n))
+            labels = [(frame[1][p], frame[1][q], recorded[p], recorded[q]) for p, q in _unordered(key, n)]
+            pairs = sorted([(a * n + b if a < b else b * n + a, c * n + d if c < d else d * n + c) for a, b, c, d in labels])
         else:
             back = [0] * n  # back[v]: the recorded state's label that v stands for
             for v, u in zip(labelling(frame, mentioned), recorded):
                 back[v] = u
-            pairs = [(column, back[column // n] * n + back[column % n]) for column in _representatives(mentioned, n).tolist()]
+            pairs = ((column, back[column // n] * n + back[column % n]) for column in _representatives(mentioned, n).tolist())
         for column, image in pairs:  # image: the recorded state's representative for this one
-            if value == 1:  # the recorded optima are all its separating queries
-                if image in optimal:
-                    return column
             # an image the recorded scan reached before its choice is worth more; one after it is unsettled
-            elif image == optimal or image > optimal and settles(ids, mentioned, frame, column, image, value):
-                return column
+            if image == chosen:
+                return column, None
+            if image > chosen:
+                verdict = verdicts.get((key, image))
+                if verdict is None:
+                    groups = reaches(ids, mentioned, frame, column, value)
+                    verdicts[key, image] = groups is not None
+                    if groups is not None:
+                        return column, groups
+                elif verdict:
+                    return column, None
         raise AssertionError("a conjugate state's representatives map onto this state's")
 
-    def build(ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> QueryTree:
+    def build(into: dict, at: object, ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> None:
+        """Put the witness tree of state ids, worth less than cap, at into[at]; a state worth 1 waits there for ``settle``."""
         if len(ids) == 1:
-            return Leaf(ids[0])
-        if len(ids) == 2:  # settled by solve in closed form; the first query the pair differs on heads its
-            # stabiliser orbit, so it is the representative the scan would have picked
-            a, b = ids
-            column = int((answers[a] != answers[b]).argmax())
-            za, zb = answers.item(a, column), answers.item(b, column)
-            return Node(divmod(column, n), {za: Leaf(a), zb: Leaf(b)} if za < zb else {zb: Leaf(b), za: Leaf(a)})
+            into[at] = Leaf(ids[0])
+            return
+        if len(ids) == 2 or cap == 2:  # a pair, or a block below a node worth 2: none is worth less than 1
+            value = 1
+        else:
+            value = memo_value.get(ids)
+            if value is None and frame is not None:
+                value = conj_value.get(frame[0])
+            if value is None:  # valued on another path only: search it below its parent's value
+                value = solve(ids, mentioned, cap, frame)
+        if value == 1:
+            into[at] = None  # holds the answer's place among its siblings
+            pending.setdefault(len(ids), []).append((into, at, ids))
+            return
         if ids in memo_choice:
-            column, value = memo_choice[ids], memo_value[ids]
-        elif frame is not None and frame[0] in conj_scan:  # valued by a conjugate
-            value = conj_value[frame[0]]
-            column = read(ids, mentioned, frame, value)
-        else:  # valued on another path only: search it below its parent's value
-            solve(ids, mentioned, cap, frame)
-            column, value = memo_choice[ids], memo_value[ids]
+            column, groups = memo_choice[ids], None
+        else:  # valued by a conjugate
+            column, groups = read(ids, mentioned, frame, value)
+        if groups is None:
+            groups = _blocks(ids, answers[ids, column])
         x, y = divmod(column, n)
-        after, groups = mentioned | bits[x] | bits[y], _blocks(ids, answers[ids, column])
-        children = {}
+        after, children = mentioned | bits[x] | bits[y], {}
+        into[at] = Node((x, y), children)
         for z, block in sorted(groups.items()):
             bit = bits.get(z, 0)
-            sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 and (frame or bit & ~after) else None
-            children[z] = build(block, after | bit, value, sub)
-        return Node((x, y), children)
+            sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 and value > 2 and (frame or bit & ~after) else None
+            build(children, z, block, after | bit, value, sub)
+
+    def settle() -> None:
+        """Give every state waiting in ``pending`` the first query on which its candidates all differ.
+
+        That query heads its stabiliser orbit, so it is the representative the
+        scan picks. The states of each size are gathered in chunks of at most
+        _SETTLE_ENTRIES answers, and ``pending`` is emptied.
+        """
+        for k, waiting in pending.items():
+            step = max(1, _SETTLE_ENTRIES // (k * n * n))
+            for start in range(0, len(waiting), step):
+                chunk = waiting[start : start + step]
+                ids = np.array([block for _, _, block in chunk], dtype=np.intp)
+                rows = answers[ids]  # (states, k, n^2)
+                apart = np.ones((len(chunk), n * n), dtype=bool)
+                for i, j in combinations(range(k), 2):  # k <= n in a group, 2 in a chain: far quicker than a sort along axis 1
+                    apart &= rows[:, i] != rows[:, j]
+                columns = apart.argmax(axis=1)
+                for (into, at, block), column, zs in zip(chunk, columns.tolist(), answers[ids, columns[:, None]].tolist()):
+                    into[at] = Node(divmod(column, n), {z: Leaf(i) for z, i in sorted(zip(zs, block))})
+        pending.clear()
 
     # no state of k candidates needs more than k - 1 queries, so a cap of m is never reached
     root, mentioned = tuple(range(m)), 0 if closed else (1 << n) - 1
     frame = ((), tuple(range(n)), tuple(range(n))) if chain else None  # the empty poset is its own canonical form
-    return solve(root, mentioned, m, frame), build(root, mentioned, m, frame)
+    value = solve(root, mentioned, m, frame)
+    searched, tree = stats.states, {}
+    build(tree, None, root, mentioned, m, frame)
+    settle()
+    stats.witness_states += stats.states - searched
+    return value, tree[None]

@@ -236,8 +236,8 @@ def test_search_stats_go_to_stderr_and_leave_stdout_alone(capsys):
     assert (code, out) == (0, plain)
     # the counts pinned for Z_6 in test_treesearch.py
     assert err == (
-        "search stats: states=34 memo_hits=6 conjugate_hits=40 queries_scanned=43 queries_skipped=329"
-        " floor_cutoffs=11 aborted=15 capped=12 settled=30 conjugate_reads=90\n"
+        "search stats: states=34 memo_hits=6 conjugate_hits=26 queries_scanned=43 queries_skipped=329"
+        " floor_cutoffs=11 aborted=15 capped=12 settled=26 conjugate_reads=30 witness_states=16\n"
     )
 
 

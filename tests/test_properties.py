@@ -623,6 +623,19 @@ def test_two_tables_are_told_apart_by_their_first_differing_query(stack, query):
     assert stats.states == 0 and stats.settled == 1
 
 
+@pytest.mark.parametrize("k", [3, 17, 40])
+def test_a_block_worth_1_takes_its_first_separating_query(k):
+    # (1, 0) is the first query to tell all k candidates apart, and (1, 1) the second
+    stack = np.random.default_rng(k).integers(-1, 2, size=(k, 2, 2))
+    stack[:, 1, 0] = np.arange(k) - k // 2
+    stack[:, 1, 1] = -np.arange(k)
+    # two copies told apart by (0, 1) alone: a root worth 2 over two blocks of k worth 1
+    twice = np.concatenate([stack, stack])
+    twice[:, 0, 1] = np.repeat([0, 5], k)
+    for rows in (stack, twice):
+        _assert_search_matches_reference(rows)
+
+
 @given(
     st.sampled_from([build_abelian([4]), build_abelian([2, 2]), build_abelian([5]), build_max_chain(3), build_max_chain(4)]),
     seeds,
