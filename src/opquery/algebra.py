@@ -48,6 +48,9 @@ BRUTE_FORCE_CAP = 8
 # entries at a time. At n = 8, chunks of 256 to 1,024 rows ran equally fast and
 # 256 kept the peak resident set lowest; 5,040 rows ran about 30 % slower.
 _PERMUTATION_CHUNK = 256
+# The chunks of an n with n! n^2 <= _KERNEL_ENTRIES (n <= 7, about 2.3 MB at
+# n = 7) are built once and cached; larger n build each chunk as they go.
+_KERNEL_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +337,7 @@ def invariant_factors_from_cyclic(moduli: Sequence[int]) -> tuple[int, ...]:
     >>> invariant_factors_from_cyclic([4, 6])
     (2, 12)
     """
-    by_prime: dict[int, list[int]] = {}
-    for m in moduli:
-        m = int(m)
-        if m < 1:
-            raise ValidationError(f"cyclic modulus must be >= 1, got {m}")
-        for p, e in _factorize(m).items():
-            by_prime.setdefault(p, []).append(e)
+    by_prime = _prime_power_exponents(moduli)
     if not by_prime:
         return ()
     width = max(len(v) for v in by_prime.values())
@@ -351,6 +348,18 @@ def invariant_factors_from_cyclic(moduli: Sequence[int]) -> tuple[int, ...]:
             factors[slot] *= p**e
     # largest prime powers were placed first; invariant chains run smallest first
     return tuple(d for d in reversed(factors) if d > 1)
+
+
+def _prime_power_exponents(moduli: Sequence[int]) -> dict[int, list[int]]:
+    """The exponent of every prime-power part of Z_m1 x ... x Z_mk, by prime, in the order of the moduli."""
+    by_prime: dict[int, list[int]] = {}
+    for m in moduli:
+        m = int(m)
+        if m < 1:
+            raise ValidationError(f"cyclic modulus must be >= 1, got {m}")
+        for p, e in _factorize(m).items():
+            by_prime.setdefault(p, []).append(e)
+    return by_prime
 
 
 def abelian_invariant_factorizations(n: int) -> list[tuple[int, ...]]:
@@ -656,16 +665,22 @@ def check_axioms(t: OpTable, which: AxiomClass) -> bool:
     the first failure, instead of the n^3 cube, exact for every table. The
     O(n^2) identity, inverse and commutativity tests run first.
     """
-    arr = t.entries
     if which not in ("groupoid", "semigroup", "group", "abelian_group"):
         raise ValidationError(f"unknown axiom class {which!r}")
     if which in ("group", "abelian_group"):
-        e = identity_of(t)
-        if e is None or not ((arr == e).any(axis=1).all() and (arr == e).any(axis=0).all()):
-            return False  # no identity, or no inverses
-        if which == "abelian_group" and not np.array_equal(arr, arr.T):
-            return False
-    return which == "groupoid" or _associative_on(arr, _generators(arr)[0])
+        return _group_identity(t, which == "abelian_group") is not None
+    return which == "groupoid" or _associative_on(t.entries, _generators(t.entries)[0])
+
+
+def _group_identity(t: OpTable, abelian: bool) -> Optional[int]:
+    """The identity of a group table, commutative if abelian is set; None for any other table."""
+    arr = t.entries
+    e = identity_of(t)
+    if e is None or not ((arr == e).any(axis=1).all() and (arr == e).any(axis=0).all()):
+        return None  # no identity, or no inverses
+    if abelian and not np.array_equal(arr, arr.T):
+        return None
+    return e if _associative_on(arr, _generators(arr)[0]) else None
 
 
 def distributive_laws_hold(add: np.ndarray, mul: np.ndarray) -> bool:
@@ -702,9 +717,10 @@ def abelian_type(t: OpTable) -> Optional[tuple[int, ...]]:
     >>> abelian_type(build_abelian([2, 6]).relabel([3, 1, 4, 0, 5, 2, 7, 6, 8, 11, 10, 9]))
     (2, 6)
     """
-    if not check_axioms(t, "abelian_group"):
+    e = _group_identity(t, abelian=True)
+    if e is None:
         return None
-    e, idx = identity_of(t), np.arange(t.n)
+    idx = np.arange(t.n)
     moduli = []
     for p, v in _factorize(t.n).items():
         counts, power = [1], idx  # power = x^(p^j) for every x
@@ -734,10 +750,28 @@ def _relabelings(stack: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     Walks the permutations p of 0..n-1 in lexicographic order and yields
     each chunk as a (k, n) array together with the (m, k, n, n) images in
     the stack's dtype: ``images[j, i]`` is table j carried through
-    x -> p_i[x], as ``OpTable.relabel`` gives it.
+    x -> p_i[x], as ``OpTable.relabel`` gives it. The chunks and their
+    gather indices depend on n alone: they are cached per n while n! n^2
+    stays within _KERNEL_ENTRIES (``_permutation_chunks``), and larger n
+    build one chunk at a time, so memory stays bounded by the chunk.
     """
     m, n = stack.shape[:2]
     flat = stack.reshape(m, -1).astype(np.intp)  # entries become indices into the chunk
+    chunks = _permutation_chunks(n) if math.factorial(n) * n * n <= _KERNEL_ENTRIES else _iter_permutation_chunks(n)
+    for p, gather, offset in chunks:
+        at = flat[:, gather]
+        at += offset
+        yield p, np.take(p.astype(stack.dtype), at)
+
+
+def _iter_permutation_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The permutations of 0..n-1 in lexicographic order, _PERMUTATION_CHUNK at a time; read-only.
+
+    Each chunk is the (k, n) array p, the (k, n, n) gather index and the
+    (k, 1, 1) row offsets: relabel(t, p_i)[u, v] = p_i[t[inv_i[u], inv_i[v]]],
+    so the index reads the entry t[inv_i[u], inv_i[v]] from a flat table,
+    and that entry plus i n is where p_i[entry] sits in the flat chunk.
+    """
     perms = permutations(range(n))
     while True:
         p = np.fromiter(chain.from_iterable(islice(perms, _PERMUTATION_CHUNK)), dtype=np.intp).reshape(-1, n)
@@ -745,11 +779,16 @@ def _relabelings(stack: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         if k == 0:
             return
         inv = np.argsort(p, axis=1)
-        # relabel(t, p)[u, v] = p[t[inv[u], inv[v]]]: gather the table entries
-        # of every row at once, then read them in that row of the flat chunk
-        at = flat[:, inv[:, :, None] * n + inv[:, None, :]]
-        at += (np.arange(k) * n)[:, None, None]
-        yield p, np.take(p.astype(stack.dtype), at)
+        gather = inv[:, :, None] * n + inv[:, None, :]
+        offset = (np.arange(k) * n)[:, None, None]
+        p.flags.writeable = gather.flags.writeable = offset.flags.writeable = False
+        yield p, gather, offset
+
+
+@lru_cache(maxsize=8)
+def _permutation_chunks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Every chunk of ``_iter_permutation_chunks(n)``, for an n with n! n^2 <= _KERNEL_ENTRIES; cached."""
+    return tuple(_iter_permutation_chunks(n))
 
 
 def _count_fixed(stack: np.ndarray) -> int:

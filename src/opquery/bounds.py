@@ -39,9 +39,9 @@ from .algebra import (
     build_ring,
     count_automorphisms,
     count_ring_automorphisms,
-    invariant_factors_from_cyclic,
     is_prime,
     _factorize,
+    _prime_power_exponents,
 )
 from .errors import CapabilityError, ValidationError
 
@@ -59,10 +59,9 @@ def abelian_automorphism_count(moduli: Sequence[int]) -> int:
     >>> abelian_automorphism_count([2, 2, 2])  # |GL(3, 2)|
     168
     """
-    factors = invariant_factors_from_cyclic(moduli)
     out = 1
-    for p in _factorize(math.prod(factors)):
-        exps = [_factorize(d)[p] for d in factors if d % p == 0]  # ascending along the chain
+    for p, exps in _prime_power_exponents(moduli).items():  # the p-part is the product of Z_p^e over e in exps
+        exps.sort()
         k = len(exps)
         for i, e in enumerate(exps, 1):
             c, d = exps.index(e) + 1, exps.index(e) + exps.count(e)

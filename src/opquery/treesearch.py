@@ -17,9 +17,10 @@ in lexicographic (x, y) order and solved largest first, queries that repeat an
 earlier partition are skipped, and ties keep the first winner, so the returned
 witness tree is canonical and runs reproduce bit identical results. A state
 of two candidates, or one that some query separates completely, is valued 1
-without a scan. The memo keeps only the query each state chose, and the
-witness tree regroups its states as it is built; its nodes worth 1 take the
-first query that separates their candidates, found in one batch at the end.
+without a scan. The memo keeps the query each state worth 2 or more chose
+with the answer blocks its scan grouped, so the witness tree regroups only
+the states it reads from a conjugate; its nodes worth 1 take the first
+query that separates their candidates, found in one batch at the end.
 
 Every class searched here is closed under relabeling (S_n). A state of a
 closed set is then fixed by every permutation of the labels its transcript
@@ -298,14 +299,23 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
     automorphisms (``_walk_is_shorter``), the orbit is walked breadth first
     by the star transpositions, n - 1 relabelings per table; otherwise all
     n! permutations run through the chunked kernel of ``algebra`` and are
-    deduped. Both give the same stack, and memory stays O(orbit + chunk).
-    It is read-only, so it stays the orbit that ``minimal_worst_case`` trusts.
+    deduped. A max table (``_is_max_table``) has one automorphism, so its
+    n! images are stacked as they come and sorted once, in place. Every path
+    gives the same stack, and memory stays O(orbit + chunk). It is
+    read-only, so it stays the orbit that ``minimal_worst_case`` trusts.
     """
     n = canonical.n
     _check_cap(n, cap, "enumerate_orbit")
     start = canonical.entries[None]
     if _walk_is_shorter(canonical):
         stack = _walk_orbit(start)
+    elif _is_max_table(canonical.entries):  # one automorphism: the n! images are distinct
+        stack = np.empty((math.factorial(n), n, n), dtype=start.dtype)
+        done = 0
+        for perms, images in _relabelings(start):
+            stack[done : done + len(perms)] = images[0]
+            done += len(perms)
+        _byte_keys(stack).sort()  # a view of the stack: its tables take byte order in place
     else:
         seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
         fresh: list[np.ndarray] = []  # keys of the chunks since the last merge
@@ -316,7 +326,9 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
             if sum(map(len, fresh)) > len(seen):
                 seen = _sorted_distinct(np.concatenate([seen, *fresh]))
                 fresh = []
-        stack = _sorted_distinct(np.concatenate([seen, *fresh])).view(start.dtype).reshape(-1, n, n)
+        if fresh:
+            seen = _sorted_distinct(np.concatenate([seen, *fresh]))
+        stack = seen.view(start.dtype).reshape(-1, n, n)
     stack.flags.writeable = False
     orbit = OperationSet(stack, check_distinct=False)
     orbit._orbit = True
@@ -651,13 +663,14 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     the tie. No state of two or more candidates is worth less than 1, so
     a state of two distinct candidates is settled at 1 with no sort, and a
     state that some query separates completely takes the first such query
-    with no scan. The memo keeps only each state's chosen query, and the
-    witness tree groups a state's answers again when it is built. Its nodes
-    worth 1 (every block of two candidates, and every block below a node
-    worth 2) wait until the walk is done, and one gather per block size, in
-    chunks, then gives each the first column on which its candidates all
-    differ: that column heads its stabiliser orbit, so it is the query the
-    scan picks.
+    with no scan. The memo keeps each state's chosen query with the answer
+    blocks the scan grouped for it (the tuples that key the states below),
+    so the witness tree groups answers only for the states it reads from a
+    conjugate. Its nodes worth 1 (every block of two candidates, and every
+    block below a node worth 2) wait until the walk is done, and one gather
+    per block size, in chunks, then gives each the first column on which
+    its candidates all differ: that column heads its stabiliser orbit, so
+    it is the query the scan picks.
 
     Each state is solved up to a cap, the value it must beat: below the cap
     the value is exact, at or above it the search stops with a lower bound
@@ -733,7 +746,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label
 
     memo_value: dict[tuple[int, ...], int] = {}  # exact values, by candidate ids
-    memo_choice: dict[tuple[int, ...], int] = {}  # column x*n + y of the chosen query; build regroups
+    memo_choice: dict[tuple[int, ...], tuple[int, dict[int, tuple[int, ...]]]] = {}  # (column x*n + y, answer blocks) of the query a state worth 2 or more chose
     memo_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high
     conj_value: dict[tuple[int, ...], int] = {}  # exact values, by conjugacy key
     conj_scan: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}  # (labelling, chosen column) of the state that gave an exact value >= 2, by key
@@ -814,14 +827,15 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
         floor = max(known, len(reach) - 1)
         if floor >= cap:
             return fail_high(ids, frame, floor)
+        best_choice = None  # (column, answer blocks) of the best query so far
         if widest == len(ids):  # the first query that separates every candidate reaches the floor of 1
             stats.settled += 1
-            best, best_choice, splitting = 1, int(cols[widths.argmax()]), []
+            best, splitting = 1, []
         else:
             split = widths > 1
             if chain:  # (y, x) splits a state of a max chain as (x, y) does, and comes later
                 split &= cols // n < cols % n
-            best, best_choice, splitting = cap, None, split.nonzero()[0].tolist()
+            best, splitting = cap, split.nonzero()[0].tolist()
         low = len(ids)  # least lower bound of a refused query; every query is worth less than |state|
         seen: set[tuple[tuple[int, ...], ...]] = set()  # partitions already tried here
         for j in splitting:
@@ -849,20 +863,21 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
                     low = min(low, 1 + worst)
                     break  # aborted: this query cannot beat the best one
             else:
-                best, best_choice = 1 + worst, int(cols[j])
+                best, best_choice = 1 + worst, (int(cols[j]), groups)
                 if best == floor:
                     stats.floor_cutoffs += 1
                     break
-        if best_choice is None:  # every query failed high
+        if best == cap:  # every query failed high
             return fail_high(ids, frame, low)
         memo_bound.pop(ids, None)
         memo_value[ids] = best
-        memo_choice[ids] = best_choice
+        if best > 1:  # a state worth 1 is settled in the witness tree without its choice
+            memo_choice[ids] = best_choice
         if frame is not None:
             conj_bound.pop(frame[0], None)
             conj_value[frame[0]] = best
             if best > 1:  # every query the scan reached before its choice is worth more
-                conj_scan[frame[0]] = labelling(frame, mentioned), best_choice
+                conj_scan[frame[0]] = labelling(frame, mentioned), best_choice[0]
         return best
 
     def reaches(ids: tuple[int, ...], mentioned: int, frame: tuple, column: int, value: int) -> Optional[dict[int, tuple[int, ...]]]:
@@ -934,12 +949,12 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             into[at] = None  # holds the answer's place among its siblings
             pending.setdefault(len(ids), []).append((into, at, ids))
             return
-        if ids in memo_choice:
-            column, groups = memo_choice[ids], None
+        if ids in memo_choice:  # blocks grouped by the scan
+            column, groups = memo_choice[ids]
         else:  # valued by a conjugate
             column, groups = read(ids, mentioned, frame, value)
-        if groups is None:
-            groups = _blocks(ids, answers[ids, column])
+            if groups is None:
+                groups = _blocks(ids, answers[ids, column])
         x, y = divmod(column, n)
         after, children = mentioned | bits[x] | bits[y], {}
         into[at] = Node((x, y), children)
@@ -977,4 +992,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     build(tree, None, root, mentioned, m, frame)
     settle()
     stats.witness_states += stats.states - searched
+    # solve and search call each other and build calls itself, so their closures
+    # form cycles; dropping them frees the memo now, not at the next full collection
+    del solve, search, build
     return value, tree[None]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -36,11 +37,16 @@ from opquery import (
     recover_max_chain,
     verify_recovery,
 )
+from opquery import algebra
 from opquery.algebra import (
     _CACHED_CYCLIC_ORDER,
+    _PERMUTATION_CHUNK,
     CONWAY_POLYNOMIALS,
     _cyclic_table,
     _exponent_sums,
+    _iter_permutation_chunks,
+    _permutation_chunks,
+    _relabelings,
     _table_dtype,
     are_isomorphic,
     canonical_table,
@@ -429,6 +435,60 @@ def test_permutation_kernel_memory_is_bounded_by_its_chunk():
     # few copies of it (one dict entry per table used to peak at 23 MB)
     orbit_bytes = math.factorial(8) * 64
     assert _peak_bytes(lambda: enumerate_orbit(t)) < 4 * orbit_bytes
+
+
+def test_max_chain_orbit_memory_is_its_stack():
+    # a max table has one automorphism, so its 8! images are stacked as they
+    # come and sorted in place: the peak is 1.24 times the 2.6 MB stack, and
+    # it was 3.02 times while every chunk's keys were deduped and merged
+    orbit_bytes = math.factorial(8) * 64
+    assert _peak_bytes(lambda: enumerate_orbit(build_max_chain(8))) < 1.5 * orbit_bytes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cached_permutation_chunks_are_the_streamed_ones(n):
+    cached, streamed = _permutation_chunks(n), list(_iter_permutation_chunks(n))
+    assert len(cached) == len(streamed) == -(-math.factorial(n) // _PERMUTATION_CHUNK)
+    for got, want in zip(cached, streamed):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+    assert [tuple(p) for chunk in cached for p in chunk[0].tolist()] == list(permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_yields_the_same_relabelings_cached_or_streamed(n, monkeypatch):
+    stack = np.random.default_rng(n).integers(0, n, size=(2, n, n)).astype(np.int8)
+    cached = list(_relabelings(stack))
+    monkeypatch.setattr(algebra, "_KERNEL_ENTRIES", 0)  # every n builds its chunks as it goes
+    streamed = list(_relabelings(stack))
+    assert len(cached) == len(streamed)
+    for (p, images), (q, want) in zip(cached, streamed):
+        assert np.array_equal(p, q) and images.dtype == want.dtype and np.array_equal(images, want)
+    # images[j, i] is table j relabelled by p_i, as OpTable.relabel gives it
+    p, images = cached[-1]
+    assert np.array_equal(images[1, -1], OpTable(stack[1]).relabel(p[-1].tolist()).entries)
+
+
+def test_kernel_results_are_the_same_cached_or_streamed(monkeypatch):
+    tables = [build_abelian([6]), build_abelian([2, 2]), build_abelian([7]), build_max_chain(5), OpTable(np.random.default_rng(5).integers(0, 5, size=(5, 5)))]
+    image = build_abelian([6]).relabel([5, 3, 0, 1, 2, 4])
+
+    def results():
+        return (
+            [count_automorphisms(t) for t in tables],
+            count_ring_automorphisms(build_gf(2, 2)),
+            are_isomorphic(build_abelian([6]), image),
+            are_isomorphic(build_abelian([6]), build_max_chain(6)),
+            [enumerate_orbit(t).tables.tobytes() for t in tables],
+        )
+
+    cached = results()
+    assert cached[:4] == ([2, 6, 6, 1, 1], 2, (5, 3, 0, 1, 2, 4), None)  # the values the kernel gave before its cache
+    monkeypatch.setattr(algebra, "_KERNEL_ENTRIES", 0)
+    assert results() == cached
 
 
 def test_orbit_walk_memory_is_bounded_by_its_orbit():

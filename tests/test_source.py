@@ -1,8 +1,11 @@
 """Source-level rules for the package itself."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+import numpy as np
 
 import opquery
 from opquery import Oracle
@@ -232,4 +235,62 @@ def test_only_the_oracle_module_reads_oracle_internals():
     # query and reads its count and transcript, whatever its internals are tuned for
     assert all(name.startswith("_") for name in Oracle.__slots__)
     found = [f"{path.name}: {entry}" for path in _all_scripts() if path.name != "oracle.py" for entry in _oracle_internal_reads(path.read_text())]
+    assert found == []
+
+
+# Sample arguments for every lru_cache function of the package, by module and
+# name; the rule below fails for a cache that has none, so new caches join it.
+CACHE_SAMPLES = {
+    "algebra._build_abelian_cached": [((2, 3),)],
+    "algebra._exponent_sums": [(5,)],
+    "algebra.build_max_chain": [(4,)],
+    "algebra._build_ring_cached": [("gf4",), ("z4xgf9",)],
+    "algebra._permutation_chunks": [(1,), (3,), (6,)],
+    "recovery._cached_tower_positions": [(((4, 0), (2, 0)),)],
+    "recovery._merge_schedule": [(9,)],
+    "treesearch._star_gathers": [(4,)],
+    "treesearch._representatives": [(0b101, 4), (0, 3)],
+    "treesearch._poset_step": [((), 0, 1, 3)],
+    "treesearch._unordered": [((), 3)],
+}
+
+
+def _package_caches() -> dict[str, object]:
+    """Every lru_cache function a package module defines, by module and name."""
+    caches = {}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"opquery.{path.stem}")
+        caches.update((f"{path.stem}.{name}", f) for name, f in vars(module).items() if hasattr(f, "cache_info") and f.__module__ == module.__name__)
+    return caches
+
+
+def _writable_arrays(value: object, where: str = "result") -> list[str]:
+    """Where a value holds a writable numpy array: itself, or inside tuples, lists, dicts and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [where] if value.flags.writeable else []
+    if isinstance(value, (tuple, list)):
+        return [w for i, v in enumerate(value) for w in _writable_arrays(v, f"{where}[{i}]")]
+    if isinstance(value, dict):
+        return [w for k, v in value.items() for w in _writable_arrays(v, f"{where}[{k!r}]")]
+    if dataclasses.is_dataclass(value):
+        return [w for f in dataclasses.fields(value) for w in _writable_arrays(getattr(value, f.name), f"{where}.{f.name}")]
+    return []
+
+
+def test_writable_array_check_sees_nested_arrays():
+    frozen = np.zeros(2)
+    frozen.flags.writeable = False
+    value = ([frozen, np.zeros(1)], {"a": (np.ones(1),)}, opquery.build_max_chain(2), 3)
+    assert _writable_arrays(value) == ["result[0][1]", "result[1]['a'][0]"]
+
+
+def test_cached_arrays_are_read_only():
+    # every caller of a cache shares its result: one that wrote into a shared
+    # array would corrupt every later call
+    caches = _package_caches()
+    assert "algebra._permutation_chunks" in caches
+    assert sorted(caches) == sorted(CACHE_SAMPLES)
+    found = [f"{name}{args}: {where}" for name, samples in CACHE_SAMPLES.items() for args in samples for where in _writable_arrays(caches[name](*args))]
     assert found == []

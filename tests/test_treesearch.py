@@ -1,5 +1,6 @@
 """Query tree enumeration, verification, and exact minimax search."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -30,7 +31,8 @@ from opquery import (
     tree_to_dict,
     verify_query_tree,
 )
-from opquery.treesearch import _is_max_table, _poset_form, _walk_is_shorter, iter_cyclic_prime_tables
+from opquery.algebra import _relabelings
+from opquery.treesearch import _byte_keys, _is_max_table, _poset_form, _sorted_distinct, _walk_is_shorter, iter_cyclic_prime_tables
 
 
 def test_enumerate_orbit_sizes():
@@ -78,6 +80,18 @@ def test_enumerate_orbit_of_cyclic_prime_group_is_pinned(p):
     tables = enumerate_orbit(build_abelian([p])).tables
     assert (tables.dtype, tables.shape) == (np.int8, shape)
     assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_max_chain_orbit_is_the_deduped_kernel_stack(n):
+    # a max table's orbit is stacked whole and sorted in place; it is the
+    # stack the kernel's images give when deduped, byte for byte
+    for t in (build_max_chain(n), build_max_chain(n).relabel(list(range(n))[::-1])):
+        images = np.concatenate([chunk[0] for _, chunk in _relabelings(t.entries[None])])
+        want = _sorted_distinct(_byte_keys(images)).view(images.dtype).reshape(-1, n, n)
+        got = enumerate_orbit(t).tables
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, (math.factorial(n), n, n), want.tobytes())
+        assert not got.flags.writeable
 
 
 def test_enumerate_orbit_refuses_z11_before_any_work():
@@ -553,11 +567,27 @@ def test_is_max_table():
     assert not _is_max_table(broken)
 
 
+def test_minimal_worst_case_leaves_no_garbage_cycles():
+    # its nested functions call each other; were their closures left in a
+    # cycle, the whole memo would live on until the next full collection
+    open_set = OperationSet(np.random.default_rng(3).integers(-2, 6, size=(7, 3, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        for ops in (enumerate_orbit(build_abelian([6])), enumerate_orbit(build_max_chain(5)), open_set):
+            minimal_worst_case(ops, budget=len(ops))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_minimal_worst_case_memory_on_the_c6_orbit():
-    # the memo keeps one column per exact state and stores no two-candidate
-    # state; the traced peak over the 720 candidates is about 0.53 MB (0.39 MB
-    # once the poset steps are cached), and it was 1.42 MB when every exact
-    # state kept its answer blocks
+    # the memo keeps the chosen column and its answer blocks for each state
+    # worth 2 or more, and nothing for a two-candidate state; the traced peak
+    # over the 720 candidates is about 0.62 MB (0.43 MB once the poset steps
+    # are cached; 0.58 and 0.38 MB when it kept the column alone), and it
+    # was 1.42 MB when two-candidate states kept their blocks as well and
+    # the chain's states had no poset keys
     ops = enumerate_orbit(build_max_chain(6))
     tracemalloc.start()
     try:
