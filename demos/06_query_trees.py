@@ -25,7 +25,9 @@ depth, tree = minimal_worst_case(ops)
 print(f"Z_4: {len(ops)} candidates, optimal worst case = {depth}")
 print(render_tree(tree))
 
-# verification walks every candidate down the tree and demands a bijection
+# the search returns its tree as arrays, one row per node and one per edge;
+# verification walks all candidates down it together, a level at a time,
+# and demands a bijection between candidates and leaves
 check = verify_query_tree(tree, ops)
 print("bijective:", check.ok, "| leaves:", check.leaf_count)
 worst, avg = tree_stats(tree, ops)

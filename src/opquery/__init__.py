@@ -82,6 +82,7 @@ from .treesearch import (
     Node,
     OperationSet,
     SearchStats,
+    TreeColumns,
     enumerate_orbit,
     minimal_worst_case,
     render_tree,

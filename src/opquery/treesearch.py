@@ -4,7 +4,14 @@ A query tree is the full strategy of an adaptive algorithm: internal nodes
 ask one product x*y, one child per possible answer, leaves claim "the hidden
 operation is now determined". A tree solves a candidate set X when walking
 every operation in X lands on its own leaf (the leaf map is a bijection), so
-worst case cost = deepest leaf and average cost = mean leaf depth.
+worst case cost = deepest leaf and average cost = mean leaf depth. The search
+returns its tree as ``TreeColumns``: read-only arrays with one row per node
+(the query column x*n + y, or the op id of a leaf) and one row per edge
+(parent, answer, child), in (parent, answer) order. ``Node`` and ``Leaf``
+are the hand-built form, and each reader converts them to columns once, so
+every walk runs on one representation. ``verify_query_tree`` walks every
+candidate down the tree together, a level per step: one gather reads their
+answers, and one searchsorted over the edge keys finds their children.
 
 ``minimal_worst_case`` finds the true optimum by memoized minimax over the
 reachable candidate subsets, pruned at the information floor (d more queries
@@ -20,7 +27,8 @@ of two candidates, or one that some query separates completely, is valued 1
 without a scan. The memo keeps the query each state worth 2 or more chose
 with the answer blocks its scan grouped, so the witness tree regroups only
 the states it reads from a conjugate; its nodes worth 1 take the first
-query that separates their candidates, found in one batch at the end.
+query that separates their candidates, found in one batch at the end that
+writes their columns, leaf rows and edges a chunk at a time.
 
 Every class searched here is closed under relabeling (S_n). A state of a
 closed set is then fixed by every permutation of the labels its transcript
@@ -66,14 +74,14 @@ _SETTLE_ENTRIES = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    """Terminal claim; op_id names the surviving candidate when known."""
+    """Terminal claim of a hand-built tree; op_id names the surviving candidate when known."""
 
     op_id: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    """One query (x, y) with a subtree per distinct answer."""
+    """One query (x, y) of a hand-built tree, with a subtree per distinct answer."""
 
     query: tuple[int, int]
     children: Mapping[int, "QueryTree"] = field(default_factory=dict)
@@ -82,13 +90,103 @@ class Node:
 QueryTree = Union[Node, Leaf]
 
 
-def tree_to_dict(tree: QueryTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"leaf": tree.op_id}
-    return {
-        "query": [tree.query[0], tree.query[1]],
-        "children": {str(z): tree_to_dict(child) for z, child in sorted(tree.children.items())},
-    }
+@dataclass(frozen=True, eq=False)
+class TreeColumns:
+    """A query tree on the labels 0..n-1 as read-only arrays, the form ``minimal_worst_case`` returns.
+
+    Row v of ``nodes`` is node v, and row 0 the root: the column x*n + y of
+    its query (x, y) if it has children, else the op id its leaf names, -1
+    for none. Each row of ``edges`` is (parent, answer, child), in (parent,
+    answer) order, so the children of node v are the rows starts[v] to
+    starts[v + 1] of ``_starts``. Every walk of a tree runs on this form; a
+    ``Node``/``Leaf`` tree is converted once by ``_as_columns``.
+    """
+
+    n: int
+    nodes: np.ndarray
+    edges: np.ndarray
+
+
+def _columns(n: int, nodes: np.ndarray, edges: np.ndarray) -> TreeColumns:
+    """Read-only columns of these rows, the edges sorted by parent; each parent's must be in answer order already."""
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    nodes.flags.writeable = edges.flags.writeable = False
+    return TreeColumns(n, nodes, edges)
+
+
+def _starts(t: TreeColumns) -> np.ndarray:
+    """The first edge row of each node and one past the last: node v is a leaf iff starts[v] == starts[v + 1]."""
+    return np.searchsorted(t.edges[:, 0], np.arange(len(t.nodes) + 1))
+
+
+def _as_columns(tree: Union[TreeColumns, QueryTree], n: Optional[int] = None) -> TreeColumns:
+    """tree as columns on the labels 0..n-1; n defaults to the tree's own, or one past a hand-built tree's largest query label.
+
+    A hand-built tree is read by one walk with its own stack, so its depth is
+    bounded by memory only, and it is checked whole, reached or not: a query
+    outside 0..n-1, a leaf naming an op id below 0, a node deeper than n^2
+    (when n is given), an internal node with no children and a node that
+    contains itself raise ValidationError.
+    """
+    if isinstance(tree, TreeColumns):
+        if n not in (None, tree.n):
+            raise ValidationError(f"tree asks queries on {tree.n} labels, not {n}")
+        return tree
+    rows: list = []  # per node: the (x, y) of its query, or the op id its leaf names (-1 for none)
+    edges: list[tuple[int, int, int]] = []
+    path: set[int] = set()  # ids of the nodes from the root down to the one being read
+    stack: list = [(tree, -1, 0, 0)]  # (node, parent row, answer, depth), or (None, id, 0, 0) leaving a node
+    while stack:
+        node, parent, z, depth = stack.pop()
+        if node is None:
+            path.discard(parent)
+            continue
+        if n is not None and depth > n * n:
+            raise ValidationError(f"tree deeper than {n * n}; malformed")
+        if parent >= 0:
+            edges.append((parent, z, len(rows)))
+        if isinstance(node, Leaf):
+            rows.append(-1 if node.op_id is None else _integer(node.op_id, "leaf"))
+            if rows[-1] < 0 and node.op_id is not None:
+                raise ValidationError(f"leaf needs an op id >= 0 or None, got {node.op_id}")
+            continue
+        if not isinstance(node, Node):
+            raise ValidationError(f"tree node must be a Node or a Leaf, got {node!r}")
+        if not node.children:
+            raise ValidationError("internal node with no children")
+        if id(node) in path:
+            raise ValidationError("tree contains itself")
+        if not isinstance(node.query, (tuple, list)) or len(node.query) != 2:
+            raise ValidationError(f"query must be a pair (x, y), got {node.query!r}")
+        path.add(id(node))
+        rows.append((_integer(node.query[0], "query"), _integer(node.query[1], "query")))
+        kids = sorted([(_integer(z, "answer"), child) for z, child in node.children.items()], key=itemgetter(0))
+        stack.append((None, id(node), 0, 0))
+        stack.extend((child, len(rows) - 1, z, depth + 1) for z, child in reversed(kids))
+    queries = [q for q in rows if isinstance(q, tuple)]
+    n = 1 + max([max(q) for q in queries], default=0) if n is None else n
+    bad = [q for q in queries if not (0 <= min(q) and max(q) < n)]
+    if bad:
+        raise ValidationError(f"query {bad[0]} out of range for n = {n}")
+    try:
+        nodes = np.array([q[0] * n + q[1] if isinstance(q, tuple) else q for q in rows], dtype=np.int64)
+        edge_rows = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise ValidationError("tree labels must fit in 64 bits") from None
+    return _columns(n, nodes, edge_rows)
+
+
+def tree_to_dict(tree: Union[TreeColumns, QueryTree]) -> dict:
+    """The tree as nested dicts of Python ints: {"leaf": op id or None}, or {"query": [x, y], "children": {str(answer): subtree}}."""
+    t = _as_columns(tree)
+    starts = _starts(t).tolist()
+    dicts = [
+        {"leaf": None if v < 0 else v} if starts[i] == starts[i + 1] else {"query": list(divmod(v, t.n)), "children": {}}
+        for i, v in enumerate(t.nodes.tolist())
+    ]
+    for parent, z, child in t.edges.tolist():
+        dicts[parent]["children"][str(z)] = dicts[child]
+    return dicts[0]
 
 
 def _integer(v: object, what: str) -> int:
@@ -147,16 +245,27 @@ def _node_from_dict(d: object) -> tuple[QueryTree, list[tuple[int, object]]]:
     return Node((_integer(query[0], "query"), _integer(query[1], "query")), {}), pairs
 
 
-def render_tree(tree: QueryTree, indent: str = "") -> str:
+def render_tree(tree: Union[TreeColumns, QueryTree], indent: str = "") -> str:
     """Indented text rendering: one line per node, answers label the branches."""
-    if isinstance(tree, Leaf):
-        tag = "?" if tree.op_id is None else f"#{tree.op_id}"
-        return f"{indent}leaf {tag}\n"
-    x, y = tree.query
-    out = f"{indent}{x}*{y}?\n"
-    for z, child in sorted(tree.children.items()):
-        out += f"{indent}  ={z}:\n" + render_tree(child, indent + "    ")
-    return out
+    t = _as_columns(tree)
+    nodes, starts = t.nodes.tolist(), _starts(t).tolist()
+    answers, children = t.edges[:, 1].tolist(), t.edges[:, 2].tolist()
+    out: list[str] = []
+    stack: list = [(0, indent)]  # (node, indent), or a branch line to write
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, pad = item
+        if starts[v] == starts[v + 1]:
+            out.append(f"{pad}leaf {'?' if nodes[v] < 0 else f'#{nodes[v]}'}\n")
+            continue
+        x, y = divmod(nodes[v], t.n)
+        out.append(f"{pad}{x}*{y}?\n")
+        for e in reversed(range(starts[v], starts[v + 1])):
+            stack += [(children[e], pad + "    "), f"{pad}  ={answers[e]}:\n"]
+    return "".join(out)
 
 
 class OperationSet:
@@ -356,79 +465,70 @@ class TreeVerification:
     """Walk record of one tree against one candidate set."""
 
     ok: bool
-    leaf_map: dict[int, tuple[int, ...]]  # op id -> answer path to its leaf
-    depths: dict[int, int]
+    depths: dict[int, int]  # op id -> depth of its leaf, for every candidate that reaches one
     leaf_count: int
     failure: Optional[str] = None
 
 
-def _count_leaves(tree: QueryTree, max_depth: int) -> int:
-    """Leaves of ``tree``, walked with an explicit stack; deeper than ``max_depth`` or a childless node raises."""
-    leaves = 0
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > max_depth:
-            raise ValidationError(f"tree deeper than {max_depth}; malformed")
-        if isinstance(node, Leaf):
-            leaves += 1
-        elif not node.children:
-            raise ValidationError("internal node with no children")
-        else:
-            stack.extend((c, depth + 1) for c in reversed(list(node.children.values())))
-    return leaves
+def verify_query_tree(tree: Union[TreeColumns, QueryTree], ops: OperationSet) -> TreeVerification:
+    """Walk every candidate down the tree together and check the leaf map is a bijection.
 
-
-def verify_query_tree(tree: QueryTree, ops: OperationSet) -> TreeVerification:
-    """Walk every candidate through the tree and check the leaf map is a bijection.
-
-    ok is True iff every walk ends at a leaf (no missing answer branch), every
-    leaf that names an ``op_id`` is reached by that candidate, no two
-    candidates share a leaf, and no leaf is left unused.
+    A hand-built tree is converted to columns first, which checks all of it
+    (``_as_columns``). The walk then takes one level per step: one gather
+    reads each walking candidate's answer to the query of its node, and one
+    searchsorted over the edge keys (parent, rank of the answer) finds its
+    child. ok is True iff every walk ends at a leaf (no missing answer
+    branch), every leaf that names an ``op_id`` is reached by that
+    candidate, no two candidates share a leaf, and no leaf is left unused;
+    the failure names the lowest failing candidate.
     """
-    n = ops.n
-    leaf_count = _count_leaves(tree, max_depth=n * n)
-    answers = ops.tables.reshape(len(ops), n * n)  # column x*n + y answers query (x, y)
-    leaf_map: dict[int, tuple[int, ...]] = {}
-    depths: dict[int, int] = {}
+    n, m = ops.n, len(ops)
+    t = _as_columns(tree, n)
+    parent, answer, child = t.edges.T
+    leaf = np.ones(len(t.nodes), dtype=bool)
+    leaf[parent] = False
+    values = _sorted_distinct(answer)  # every answer some edge takes, ascending
+    keys = parent * len(values)
+    keys += values.searchsorted(answer)  # ascending, as the edges are
+    answers = ops.tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
+    reached = np.zeros(m, dtype=np.intp)  # the last node of each candidate's walk: its leaf, unless its answer had no branch
+    depth = np.zeros(m, dtype=np.intp)
+    ids, level = np.flatnonzero(~leaf[reached]), 0  # the candidates still walking
+    while len(ids):
+        at = reached[ids]
+        zs = answers[ids, t.nodes[at]]
+        rank = np.minimum(values.searchsorted(zs), len(values) - 1)
+        key = at * len(values)
+        key += rank
+        edge = keys.searchsorted(key)
+        np.minimum(edge, len(keys) - 1, out=edge)
+        hit = (keys[edge] == key) & (values[rank] == zs)
+        ids, level = ids[hit], level + 1
+        reached[ids], depth[ids] = child[edge[hit]], level
+        ids = ids[~leaf[reached[ids]]]
+    lost = ~leaf[reached]
+    named = np.where(lost, -1, t.nodes[reached])
+    failing = np.flatnonzero(lost | (named >= 0) & (named != np.arange(m)))
+    leaf_count = int(leaf.sum())
     failure = None
-    for i in range(len(ops)):
-        row = answers[i].tolist()
-        node = tree
-        path: list[int] = []
-        while isinstance(node, Node):
-            x, y = node.query
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValidationError(f"query {node.query} out of range for n = {n}")
-            z = row[x * n + y]
-            nxt = node.children.get(z)
-            if nxt is None:
-                failure = failure or f"operation {i} got unanswered branch {x}*{y} = {z}"
-                break
-            path.append(z)
-            node = nxt
+    if len(failing):
+        i = int(failing[0])
+        if lost[i]:
+            x, y = divmod(int(t.nodes[reached[i]]), n)
+            failure = f"operation {i} got unanswered branch {x}*{y} = {int(answers[i, x * n + y])}"
         else:
-            if node.op_id is not None and node.op_id != i:
-                failure = failure or f"operation {i} reaches the leaf of operation {node.op_id}"
-            leaf_map[i] = tuple(path)
-            depths[i] = len(path)
-    complete = len(leaf_map) == len(ops)
-    injective = len(set(leaf_map.values())) == len(leaf_map)
-    onto = leaf_count == len(ops)
-    if complete and not injective:
-        failure = failure or "two candidates share a leaf"
-    if complete and injective and not onto:
-        failure = failure or f"tree has {leaf_count} leaves for {len(ops)} candidates"
-    return TreeVerification(
-        ok=failure is None,
-        leaf_map=leaf_map,
-        depths=depths,
-        leaf_count=leaf_count,
-        failure=failure,
-    )
+            failure = f"operation {i} reaches the leaf of operation {int(named[i])}"
+    elif len(_sorted_distinct(reached)) < m:
+        failure = "two candidates share a leaf"
+    elif leaf_count != m:
+        failure = f"tree has {leaf_count} leaves for {m} candidates"
+    depths = dict(enumerate(depth.tolist()))
+    for i in np.flatnonzero(lost).tolist():  # no leaf, no depth
+        del depths[i]
+    return TreeVerification(ok=failure is None, depths=depths, leaf_count=leaf_count, failure=failure)
 
 
-def tree_stats(tree: QueryTree, ops: OperationSet) -> tuple[int, float]:
+def tree_stats(tree: Union[TreeColumns, QueryTree], ops: OperationSet) -> tuple[int, float]:
     """(worst, average) leaf depth of a tree that solves the candidate set."""
     v = verify_query_tree(tree, ops)
     if not v.ok:
@@ -648,7 +748,7 @@ def _unordered(key: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs + [(k, k + 1)] * (k + 1 < n))
 
 
-def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Optional[SearchStats] = None) -> tuple[int, QueryTree]:
+def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Optional[SearchStats] = None) -> tuple[int, TreeColumns]:
     """Exact minimum worst-case query count over all trees solving ``ops``,
 
     with a canonical witness tree. Memoized minimax over candidate subsets:
@@ -666,11 +766,15 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     with no scan. The memo keeps each state's chosen query with the answer
     blocks the scan grouped for it (the tuples that key the states below),
     so the witness tree groups answers only for the states it reads from a
-    conjugate. Its nodes worth 1 (every block of two candidates, and every
-    block below a node worth 2) wait until the walk is done, and one gather
-    per block size, in chunks, then gives each the first column on which
-    its candidates all differ: that column heads its stabiliser orbit, so
-    it is the query the scan picks.
+    conjugate. The tree is built as columns (``TreeColumns``): the walk
+    appends a node row per state and an edge row per answer block. Its
+    nodes worth 1 (every block of two candidates, and every block below a
+    node worth 2) wait until the walk is done, and one gather per block
+    size, in chunks, then gives each the first column on which its
+    candidates all differ: that column heads its stabiliser orbit, so it is
+    the query the scan picks. Each chunk of s such nodes of k candidates
+    writes their s columns, s k leaf rows and s k edges at once; no
+    ``Node`` or ``Leaf`` object is made.
 
     Each state is solved up to a cap, the value it must beat: below the cap
     the value is exact, at or above it the search stops with a lower bound
@@ -753,7 +857,9 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     conj_bound: dict[tuple[int, ...], int] = {}  # lower bounds of states that failed high, by conjugacy key
     anchors: dict[tuple[tuple[int, ...], int], int] = {}  # serial of each anchor state, by (ids, mentioned)
     verdicts: dict[tuple[tuple[int, ...], int], bool] = {}  # whether a recorded state's query reaches its value, by (key, column)
-    pending: dict[int, list[tuple[dict, object, tuple[int, ...]]]] = {}  # (children, answer, ids) of witness nodes worth 1, by |ids|
+    rows: list[int] = [0]  # the witness tree's nodes: a column, or the op id of a leaf; a node worth 1 waits for settle
+    edges: list[int] = []  # (parent, answer, child) of each edge, flat; each parent's are in answer order
+    pending: dict[int, list[tuple[int, tuple[int, ...]]]] = {}  # (row, ids) of witness nodes worth 1, by |ids|
 
     # A frame is None or a state's conjugacy key with what names its labels. In a
     # group it is (key, fixed, named): the labels mentioned at or above its anchor,
@@ -932,10 +1038,10 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
                     return column, None
         raise AssertionError("a conjugate state's representatives map onto this state's")
 
-    def build(into: dict, at: object, ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> None:
-        """Put the witness tree of state ids, worth less than cap, at into[at]; a state worth 1 waits there for ``settle``."""
+    def build(row: int, ids: tuple[int, ...], mentioned: int, cap: int, frame: Optional[tuple]) -> None:
+        """Write the witness tree of state ids, worth less than cap, from node row down; a state worth 1 waits there for ``settle``."""
         if len(ids) == 1:
-            into[at] = Leaf(ids[0])
+            rows[row] = ids[0]
             return
         if len(ids) == 2 or cap == 2:  # a pair, or a block below a node worth 2: none is worth less than 1
             value = 1
@@ -946,8 +1052,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             if value is None:  # valued on another path only: search it below its parent's value
                 value = solve(ids, mentioned, cap, frame)
         if value == 1:
-            into[at] = None  # holds the answer's place among its siblings
-            pending.setdefault(len(ids), []).append((into, at, ids))
+            pending.setdefault(len(ids), []).append((row, ids))
             return
         if ids in memo_choice:  # blocks grouped by the scan
             column, groups = memo_choice[ids]
@@ -956,43 +1061,52 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
             if groups is None:
                 groups = _blocks(ids, answers[ids, column])
         x, y = divmod(column, n)
-        after, children = mentioned | bits[x] | bits[y], {}
-        into[at] = Node((x, y), children)
+        after = mentioned | bits[x] | bits[y]
+        rows[row] = column
         for z, block in sorted(groups.items()):
-            bit = bits.get(z, 0)
+            bit, child = bits.get(z, 0), len(rows)
+            rows.append(0)
+            edges.extend((row, z, child))
             sub = frame_of(frame, ids, mentioned, x, y, z) if len(block) > 2 and value > 2 and (frame or bit & ~after) else None
-            build(children, z, block, after | bit, value, sub)
+            build(child, block, after | bit, value, sub)
 
-    def settle() -> None:
-        """Give every state waiting in ``pending`` the first query on which its candidates all differ.
+    def settle() -> TreeColumns:
+        """The witness tree, every state waiting in ``pending`` given the first query on which its candidates all differ.
 
         That query heads its stabiliser orbit, so it is the representative the
-        scan picks. The states of each size are gathered in chunks of at most
-        _SETTLE_ENTRIES answers, and ``pending`` is emptied.
+        scan picks. The states of each size k are gathered in chunks of at
+        most _SETTLE_ENTRIES answers, and a chunk of s states writes their s
+        columns, then s k leaf rows and s k edges, in answer order per state.
         """
+        nodes, tree_edges = [np.array(rows, dtype=np.int64)], [np.array(edges, dtype=np.int64).reshape(-1, 3)]
+        free = len(rows)  # the next leaf row
         for k, waiting in pending.items():
             step = max(1, _SETTLE_ENTRIES // (k * n * n))
             for start in range(0, len(waiting), step):
                 chunk = waiting[start : start + step]
-                ids = np.array([block for _, _, block in chunk], dtype=np.intp)
-                rows = answers[ids]  # (states, k, n^2)
+                parents, ids = np.array([row for row, _ in chunk]), np.array([block for _, block in chunk], dtype=np.intp)
+                got = answers[ids]  # (states, k, n^2)
                 apart = np.ones((len(chunk), n * n), dtype=bool)
                 for i, j in combinations(range(k), 2):  # k <= n in a group, 2 in a chain: far quicker than a sort along axis 1
-                    apart &= rows[:, i] != rows[:, j]
+                    apart &= got[:, i] != got[:, j]
                 columns = apart.argmax(axis=1)
-                for (into, at, block), column, zs in zip(chunk, columns.tolist(), answers[ids, columns[:, None]].tolist()):
-                    into[at] = Node(divmod(column, n), {z: Leaf(i) for z, i in sorted(zip(zs, block))})
-        pending.clear()
+                nodes[0][parents] = columns  # the rows the walk left for them
+                zs = answers[ids, columns[:, None]].astype(np.int64)
+                order = np.argsort(zs, axis=1)
+                new, free = np.arange(free, free + ids.size), free + ids.size
+                nodes.append(np.take_along_axis(ids, order, axis=1).ravel())
+                tree_edges.append(np.stack([parents.repeat(k), np.take_along_axis(zs, order, axis=1).ravel(), new], axis=1))
+        return _columns(n, np.concatenate(nodes), np.concatenate(tree_edges))
 
     # no state of k candidates needs more than k - 1 queries, so a cap of m is never reached
     root, mentioned = tuple(range(m)), 0 if closed else (1 << n) - 1
     frame = ((), tuple(range(n)), tuple(range(n))) if chain else None  # the empty poset is its own canonical form
     value = solve(root, mentioned, m, frame)
-    searched, tree = stats.states, {}
-    build(tree, None, root, mentioned, m, frame)
-    settle()
+    searched = stats.states
+    build(0, root, mentioned, m, frame)
+    tree = settle()
     stats.witness_states += stats.states - searched
     # solve and search call each other and build calls itself, so their closures
     # form cycles; dropping them frees the memo now, not at the next full collection
     del solve, search, build
-    return value, tree[None]
+    return value, tree

@@ -32,7 +32,7 @@ def test_every_order_11_operation_recovered_in_8_queries():
     assert count == 3_991_680
 
 
-@pytest.mark.skipif(GATED, reason="set OPQUERY_EXHAUSTIVE=1 to search all order-11 tables and verify the tree (~220 s, ~2.7 GB max RSS)")
+@pytest.mark.skipif(GATED, reason="set OPQUERY_EXHAUSTIVE=1 to search all order-11 tables and verify the tree (~170 s, ~1.9 GB max RSS)")
 def test_8_queries_are_optimal_for_order_11():
     # The set is built here, not by enumerate_orbit, so the search checks its
     # distinctness and its closure under relabeling before the first state.

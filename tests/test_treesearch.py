@@ -20,6 +20,7 @@ from opquery import (
     Node,
     OperationSet,
     SearchStats,
+    TreeColumns,
     ValidationError,
     build_abelian,
     build_max_chain,
@@ -214,13 +215,77 @@ def test_verify_rejects_non_separating_tree():
 def test_verify_rejects_a_leaf_that_names_another_candidate():
     ops = enumerate_orbit(build_max_chain(2))
     _, tree = minimal_worst_case(ops, budget=len(ops))
-    assert tree == Node((0, 1), {0: Leaf(0), 1: Leaf(1)}) and verify_query_tree(tree, ops).ok
+    assert _node_view(tree) == Node((0, 1), {0: Leaf(0), 1: Leaf(1)}) and verify_query_tree(tree, ops).ok
     v = verify_query_tree(Node((0, 1), {0: Leaf(1), 1: Leaf(0)}), ops)
     assert not v.ok and v.failure == "operation 0 reaches the leaf of operation 1"
     v = verify_query_tree(Node((0, 1), {0: Leaf(0), 1: Leaf(5)}), ops)
     assert not v.ok and v.failure == "operation 1 reaches the leaf of operation 5"
     # a leaf that names no candidate claims nothing to check
     assert verify_query_tree(Node((0, 1), {0: Leaf(0), 1: tree_from_dict({"leaf": None})}), ops).ok
+
+
+def test_verify_failures_are_pinned():
+    chain2 = enumerate_orbit(build_max_chain(2))  # candidate 0 answers 0*1 = 0, candidate 1 answers 0*1 = 1
+    for tree, failure in (
+        (Node((0, 1), {0: Leaf(0)}), "operation 1 got unanswered branch 0*1 = 1"),
+        (Node((0, 0), {0: Leaf()}), "two candidates share a leaf"),
+        (Node((0, 1), {0: Leaf(), 1: Leaf(), 2: Leaf()}), "tree has 3 leaves for 2 candidates"),
+    ):
+        v = verify_query_tree(tree, chain2)
+        assert (v.ok, v.failure) == (False, failure)
+    for tree in (Node((0, 1), {}), Node((0, 1), {0: Leaf(0), 1: Node((1, 1), {})})):
+        with pytest.raises(ValidationError, match="^internal node with no children$"):
+            verify_query_tree(tree, chain2)
+
+
+def test_verify_names_the_lowest_failing_candidate():
+    # candidate 3 finds no branch for 0*2 = 0 at depth 1, and candidate 1
+    # reaches the leaf of candidate 2 at depth 3; a walk by levels meets
+    # candidate 3 first, but the lowest index wins
+    tree = Node(
+        (0, 1),
+        {
+            0: Node((0, 2), {0: Node((1, 2), {1: Leaf(0), 2: Leaf(2)}), 2: Leaf(2)}),
+            1: Node((0, 2), {2: Node((1, 2), {1: Leaf(4), 2: Leaf(5)})}),
+        },
+    )
+    ops = enumerate_orbit(build_max_chain(3))
+    v = verify_query_tree(tree, ops)
+    assert (v.ok, v.failure) == (False, "operation 1 reaches the leaf of operation 2")
+    assert v.depths == {0: 3, 1: 3, 2: 2, 4: 3, 5: 3}  # candidate 3 reaches no leaf
+
+
+def test_verify_checks_every_node_of_a_hand_built_tree():
+    # the bad queries hang on the answer 7, which no candidate gives
+    ops = enumerate_orbit(build_max_chain(2))
+    for bad in ((5, 0), (0, -1)):
+        tree = Node((0, 1), {0: Leaf(0), 1: Leaf(1), 7: Node(bad, {0: Leaf()})})
+        with pytest.raises(ValidationError, match=rf"^query \({bad[0]}, {bad[1]}\) out of range for n = 2$"):
+            verify_query_tree(tree, ops)
+    for bad, match in ((Leaf(-1), "op id"), (Node((0,), {0: Leaf()}), "pair"), (Node((0, 0.5), {0: Leaf()}), "query needs an integer"), (3, "Node or a Leaf")):
+        with pytest.raises(ValidationError, match=match):
+            verify_query_tree(Node((0, 1), {0: Leaf(0), 1: bad}), ops)
+
+
+def test_verification_reports_depths_and_leaf_count():
+    # the fields the benchmark and demo 06 read: depths maps every op id to an int
+    v = verify_query_tree(cyclic_four_tree(), enumerate_orbit(build_abelian([4])))
+    assert v.leaf_count == 12
+    assert v.depths == dict.fromkeys(range(12), 2) and all(type(d) is int for d in v.depths.values())
+    assert not hasattr(v, "leaf_map")
+
+
+def test_the_witness_tree_is_read_only_columns():
+    ops = enumerate_orbit(build_abelian([4]))
+    _, tree = minimal_worst_case(ops)
+    assert isinstance(tree, TreeColumns) and tree.n == 4
+    assert (len(tree.nodes), tree.edges.shape) == (17, (16, 3))  # 5 internal nodes, 12 leaves
+    for column in (tree.nodes, tree.edges):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    d = tree_to_dict(tree)
+    assert json.loads(json.dumps(d)) == d  # Python ints only: json.dumps refuses np.int64
+    assert tree_to_dict(tree_from_dict(d)) == d and render_tree(tree_from_dict(d)) == render_tree(tree)
 
 
 def test_tree_stats_raises_on_bad_tree():
@@ -280,7 +345,7 @@ def test_minimal_worst_case_budget():
 def test_minimal_worst_case_singleton():
     ops = enumerate_orbit(build_abelian([]))
     depth, tree = minimal_worst_case(ops)
-    assert depth == 0 and isinstance(tree, Leaf)
+    assert depth == 0 and _node_view(tree) == Leaf(0)
 
 
 # Exact optima with the sha256 of each canonical witness (json.dumps of
@@ -361,7 +426,7 @@ def test_minimal_worst_case_finds_the_sorting_number_s8():
     assert stats.states == 570
 
 
-@pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 9 chain (orbit ~1 s, search ~17 s, verification ~3 s, ~460 MB max RSS)")
+@pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 9 chain (orbit ~1 s, search ~17 s, verification ~1 s, ~270 MB max RSS)")
 def test_minimal_worst_case_finds_the_sorting_number_s9():
     ops = enumerate_orbit(build_max_chain(9), cap=9)
     depth, tree = minimal_worst_case(ops, budget=len(ops))
@@ -373,7 +438,7 @@ def test_minimal_worst_case_finds_the_sorting_number_s9():
 
 @pytest.mark.skipif(
     os.environ.get("OPQUERY_EXHAUSTIVE") != "1",
-    reason="set OPQUERY_EXHAUSTIVE=1 to search Z_10 (orbit ~9 s, search ~13 s, verification ~4 s, ~40 s in all, ~1.1 GB max RSS)",
+    reason="set OPQUERY_EXHAUSTIVE=1 to search Z_10 (orbit ~11 s, search ~14 s, verification ~1 s, ~33 s in all, ~1 GB max RSS)",
 )
 def test_minimal_worst_case_pins_z10():
     # Z_10 = 8 over 907,200 candidates, two above the information floor of 6;
@@ -480,6 +545,11 @@ def test_sets_the_search_does_not_trust_are_checked():
             minimal_worst_case(ops, budget=len(ops))
 
 
+def _node_view(tree):
+    """The search's columnar tree as Node and Leaf objects."""
+    return tree_from_dict(tree_to_dict(tree))
+
+
 def _blocks_below_the_root(tree, ops):
     """(candidate ids, subtree) of every node of tree below its root with three or more candidates."""
     answers = ops.tables.reshape(len(ops), -1)
@@ -514,13 +584,13 @@ def test_every_witness_subtree_is_the_open_search_of_its_block(canonical):
     stats = SearchStats()
     _, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
     assert stats.conjugate_reads > 0
-    blocks = _blocks_below_the_root(tree, ops)
+    blocks = _blocks_below_the_root(_node_view(tree), ops)
     assert blocks
     for ids, node in blocks:
         open_stats = SearchStats()
         _, sub = minimal_worst_case(OperationSet(ops.tables[ids]), budget=len(ids), stats=open_stats)
         assert (open_stats.conjugate_hits, open_stats.queries_skipped) == (0, 0)
-        assert _leaves_renamed(sub, ids) == node
+        assert _leaves_renamed(_node_view(sub), ids) == node
 
 
 def _posets(n):
@@ -637,6 +707,13 @@ def test_tree_from_dict_reads_deep_trees_without_recursion():
     while isinstance(tree, Node):
         tree, depth = tree.children[0], depth + 1
     assert depth == 5000 and tree == Leaf(0)
+    # the Node tree becomes columns by a walk with its own stack, so both writers read it whole
+    tree = tree_from_dict(_chain_dict(5000, {"leaf": 0}))
+    assert render_tree(tree).count("\n") == 2 * 5000 + 1
+    d = tree_to_dict(tree)
+    for _ in range(5000):
+        d = d["children"]["0"]
+    assert d == {"leaf": 0}
     with pytest.raises(ValidationError, match="leaf needs an integer"):
         tree_from_dict(_chain_dict(5000, {"leaf": 0.5}))
     loop = {"query": [0, 1], "children": {}}
@@ -659,3 +736,8 @@ def test_verify_query_tree_walks_deep_trees_without_recursion():
         deep = Node((0, 0), {0: deep})
     with pytest.raises(ValidationError, match="deeper than 4096"):
         verify_query_tree(deep, ops)
+    loop = Node((0, 0), {})
+    loop.children[0] = loop
+    for read in (lambda t: verify_query_tree(t, ops), tree_to_dict, render_tree):
+        with pytest.raises(ValidationError, match="contains itself"):
+            read(loop)
