@@ -640,17 +640,28 @@ def _associative_on(t: np.ndarray, gens: list[int]) -> bool:
 
     The elements g satisfying the identity form a subsemigroup, so when
     ``gens`` generates the carrier, passing is equivalent to associativity.
-    One generator at a time, so memory stays O(n^2) even when |A| = n.
+    A chunk of max(1, ``_RENAME_BLOCK`` // n^2) generators at a time,
+    stopping at the first chunk that fails, so memory stays
+    O(max(n^2, ``_RENAME_BLOCK``)) even when |A| = n.
     """
-    return all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in gens)
+    n = t.shape[0]
+    step = max(1, _RENAME_BLOCK // (n * n))
+    for i in range(0, len(gens), step):
+        g = gens[i : i + step]
+        if not np.array_equal(t[t[:, g]], t[:, t[g]]):  # [x, j, y] -> (x*g_j)*y against x*(g_j*y)
+            return False
+    return True
 
 
 def identity_of(t: OpTable) -> Optional[int]:
     """The two-sided identity element, or None."""
     arr = t.entries
     idx = np.arange(t.n)
-    hits = np.flatnonzero((arr == idx[None, :]).all(axis=1) & (arr.T == idx[None, :]).all(axis=1))
-    return int(hits[0]) if hits.size else None
+    left = np.flatnonzero((arr == idx).all(axis=1))  # e*y = y for every y
+    # a two-sided identity e is the only left identity: any other f has f = f*e = e
+    if len(left) == 1 and (arr[:, left[0]] == idx).all():
+        return int(left[0])
+    return None
 
 
 def check_axioms(t: OpTable, which: AxiomClass) -> bool:
@@ -661,9 +672,10 @@ def check_axioms(t: OpTable, which: AxiomClass) -> bool:
     identity and inverses; ``abelian_group`` adds commutativity.
 
     Associativity is decided by Light's test on a greedy generating set A
-    (see ``_associative_on``): one (n, n) gather per generator, stopping at
-    the first failure, instead of the n^3 cube, exact for every table. The
-    O(n^2) identity, inverse and commutativity tests run first.
+    (see ``_associative_on``): (n, n) gathers for a bounded chunk of
+    generators at a time, stopping at the first chunk that fails, instead
+    of the n^3 cube, exact for every table. The O(n^2) identity, inverse
+    and commutativity tests run first.
     """
     if which not in ("groupoid", "semigroup", "group", "abelian_group"):
         raise ValidationError(f"unknown axiom class {which!r}")

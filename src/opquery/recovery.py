@@ -6,7 +6,8 @@ class and returns the full table plus the number of queries spent:
 - abelian groups: exactly n queries, by growing a tower of subgroups
   (power chain of one element, then repeated coset extensions); the table
   over tower positions depends only on the tower's shape, is built from it
-  once (and cached for n <= 16) and renamed to elements by one gather;
+  once (and cached for n <= 16) and renamed to elements by one gather, and
+  past n = 181 the element table is rendered from the last coset step;
 - cyclic groups of odd prime order: at most n - 2 queries (one power chain,
   with the tail of the chain forced instead of queried);
 - cyclic groups of order 11: exactly 8 queries, a hand-tuned schedule whose
@@ -95,7 +96,10 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
     only list the tower's elements in position order and record its shape,
     each step's chain length k and the position of b^k in H. The table over
     positions depends on that shape alone (``_tower_positions``), and one
-    gather renames it to elements: O(n^2) work in all.
+    gather renames it to elements. Past ``_RENAME_BLOCK`` entries the full
+    position table is not built: ``_rendered`` renames only the last step's
+    blocks and gathers the table's rows and then its columns from them.
+    O(n^2) work in all.
     """
     n = oracle.n
     start = oracle.count
@@ -165,10 +169,13 @@ def recover_abelian(oracle: Oracle) -> RecoveryResult:
         step_queries.append(oracle.count - step_start)
 
     shape = tuple(shape)
-    pos = _cached_tower_positions(shape) if n * n <= _CACHED_ENTRIES else _tower_positions(shape)
-    order = np.array(order, dtype=pos.dtype)  # a permutation now
+    order = np.array(order, dtype=_table_dtype(n))  # a permutation now
+    if n * n > _RENAME_BLOCK:
+        table = _rendered(shape, order)
+    else:
+        table = _renamed(_positions(shape, n), order, order.argsort())
     return RecoveryResult(
-        OpTable(_renamed(pos, order, order.argsort())),
+        OpTable(table),
         _spent(oracle, start, n, "abelian"),
         "abelian",
         trace=oracle.transcript_since(start),
@@ -195,8 +202,9 @@ def _tower_positions(shape: tuple[tuple[int, int], ...]) -> np.ndarray:
 
 
 # Every table of at most _CACHED_ENTRIES entries (n <= 16) comes from one of
-# 501 shapes, so this cache holds them all in about 0.3 MB.
-# Larger n build theirs per call: the copy dominates there and shapes rarely repeat.
+# 501 shapes, so this cache holds them all in about 0.3 MB. Larger tables
+# up to _RENAME_BLOCK entries are built per call, since shapes rarely
+# repeat; past it ``_rendered`` builds only the last step's blocks.
 _CACHED_ENTRIES = 256
 
 
@@ -208,17 +216,25 @@ def _cached_tower_positions(shape: tuple[tuple[int, int], ...]) -> np.ndarray:
     return pos
 
 
-def _coset_step(pos: np.ndarray, pb: int, k: int) -> np.ndarray:
-    """The position table of H<b> from that of H.
+def _positions(shape: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
+    """The position table of a tower of order n, from the cache when it has at most ``_CACHED_ENTRIES`` entries."""
+    return _cached_tower_positions(shape) if n * n <= _CACHED_ENTRIES else _tower_positions(shape)
+
+
+def _coset_window(pos: np.ndarray, pb: int, k: int, names: Optional[np.ndarray] = None) -> np.ndarray:
+    """The table of H<b> from the position table of H, as a 4-D view of 2k - 1 blocks.
 
     ``pos`` is the h x h table of H over its tower order, and b^k is the
     first power of b in H, at position ``pb``. The new order lists s_q*b^t,
     for the element s_q at position q, as ``_exponent_major`` says. Since
     (s_r b^i)(s_c b^j) = (s_r s_c) b^(i+j), the block of exponent sum t is
     pos shifted to exponent t, for t < k, and for k <= t <= 2k - 2 the
-    block of pos[:, pb][pos] at exponent t - k; the new table is one copy of
-    the window view [i, r, j, c] -> block[i + j][r, c], O((hk)^2) work, so
-    the steps of a tower sum to O(n^2).
+    block of pos[:, pb][pos] at exponent t - k. The view is
+    [i, r, j, c] -> block[i + j][r, c] when exponent-major and
+    [r, i, c, j] -> block[i + j][r, c] otherwise; its rows and columns in
+    that order are the new table's. With ``names`` the blocks hold
+    names[position] instead of positions, so only their (2k - 1) h^2
+    entries are renamed.
     """
     h = len(pos)
     folded = pos[:, pb].take(pos)  # position of s_r s_c b^k in H
@@ -228,16 +244,42 @@ def _coset_step(pos: np.ndarray, pb: int, k: int) -> np.ndarray:
         blocks = np.empty((2 * k - 1, h, h), dtype=pos.dtype)  # blocks[t, r, c]
         np.add(pos, t[:, None, None], out=blocks[:k])
         np.add(folded, t[: k - 1, None, None], out=blocks[k:])
-        s_t, s_r, s_c = blocks.strides
-        shape, strides = (k, h, k, h), (s_t, s_r, s_t, s_c)  # [i, r, j, c]
+        shape, axes = (k, h, k, h), (0, 1, 0, 2)  # [i, r, j, c]
     else:
         blocks = np.empty((h, h, 2 * k - 1), dtype=pos.dtype)  # blocks[r, c, t]
         np.add((pos * k)[..., None], t, out=blocks[..., :k])
         np.add((folded * k)[..., None], t[: k - 1], out=blocks[..., k:])
-        s_r, s_c, s_t = blocks.strides
-        shape, strides = (h, k, h, k), (s_r, s_t, s_c, s_t)  # [r, i, c, j]
-    window = np.ndarray(shape, dtype=pos.dtype, buffer=blocks, strides=strides)
-    return window.reshape(h * k, h * k)  # the one copy
+        shape, axes = (h, k, h, k), (0, 2, 1, 2)  # [r, i, c, j]
+    if names is not None:
+        blocks = names.take(blocks)
+    strides = tuple(blocks.strides[a] for a in axes)
+    return np.ndarray(shape, dtype=blocks.dtype, buffer=blocks, strides=strides)
+
+
+def _coset_step(pos: np.ndarray, pb: int, k: int) -> np.ndarray:
+    """The position table of H<b> from that of H: one copy of ``_coset_window``.
+
+    O((hk)^2) work, so the steps of a tower sum to O(n^2).
+    """
+    n = len(pos) * k
+    return _coset_window(pos, pb, k).reshape(n, n)
+
+
+def _rendered(shape: tuple[tuple[int, int], ...], order: np.ndarray) -> np.ndarray:
+    """The element table of a tower of shape ``shape`` whose positions list ``order``.
+
+    Equal to ``_renamed(_tower_positions(shape), order, order.argsort())``,
+    but only the last step's blocks are renamed, and the table comes out of
+    two passes: a gather of the rows in element order from the last step's
+    window, then one of the columns.
+    """
+    *head, (k, pb) = shape
+    n = len(order)
+    h = n // k
+    window = _coset_window(_positions(tuple(head), h).astype(order.dtype, copy=False), pb, k, order)
+    m = h if _exponent_major(h, k) else k  # position u is window row (u // m, u % m)
+    inv = order.argsort()
+    return window[inv // m, inv % m].reshape(n, n).take(inv, 1)
 
 
 def _spent(oracle: Oracle, start: int, expected: int, method: str) -> int:

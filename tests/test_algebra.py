@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -244,6 +244,17 @@ def test_build_abelian_axioms():
         t = build_abelian(list(factors))
         assert check_axioms(t, "abelian_group")
         assert identity_of(t) == 0
+
+
+def test_identity_of_matches_a_scan_of_every_table_up_to_n_3():
+    # many rows can be left identities (x*y = y makes every x one), but a
+    # two-sided identity is the only one, and identity_of checks one column
+    for n in (1, 2, 3):
+        idx = np.arange(n)
+        for flat in product(range(n), repeat=n * n):
+            arr = np.array(flat).reshape(n, n)
+            want = next((e for e in range(n) if (arr[e] == idx).all() and (arr[:, e] == idx).all()), None)
+            assert identity_of(OpTable(arr)) == want
 
 
 def test_build_abelian_z6_isomorphic_to_z2xz3():

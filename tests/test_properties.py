@@ -832,7 +832,8 @@ def _run_hostile(recover, truth: OpTable):
 group_kinds = st.sampled_from(["random", "isotope", "corrupted", "swapped"])
 
 
-def _hostile_group_table(n: int, kind: str, seed: int) -> OpTable:
+def _hostile_group_table(n: int, kind: str, seed: int, factors: tuple[int, ...] = ()) -> OpTable:
+    """A table of order n that may break the group laws; a damaged kind starts from the abelian group ``factors``, or a random one."""
     rng = random.Random(seed)
     if kind == "random":
         return OpTable(_random_table(rng, n))
@@ -840,8 +841,16 @@ def _hostile_group_table(n: int, kind: str, seed: int) -> OpTable:
         # x*y = out[rows[x] + cols[y] mod n]: a quasigroup, a group only by luck
         rows, cols, out = (np.array(rng.sample(range(n), n)) for _ in range(3))
         return OpTable(out[build_abelian(AbelianSpec.from_cyclic([n])).entries[np.ix_(rows, cols)]])
-    factors = rng.choice(abelian_invariant_factorizations(n))
-    return OpTable(_damage(rng, new_hidden(AbelianSpec(factors), seed).truth.entries, kind))
+    truth = new_hidden(AbelianSpec(factors or rng.choice(abelian_invariant_factorizations(n))), seed).truth
+    if kind == "misanswered":
+        # one answer the honest recovery reads is changed, so the damage is always seen
+        oracle = Oracle(truth)
+        recover_abelian(oracle)
+        x, y, z = rng.choice(oracle.transcript)
+        out = truth.entries.copy()
+        out[x, y] = rng.choice([v for v in range(n) if v != z])
+        return OpTable(out)
+    return OpTable(_damage(rng, truth.entries, kind))
 
 
 @given(st.integers(1, 12), group_kinds, seeds)
@@ -1092,6 +1101,17 @@ def test_abelian_fill_matches_the_reference_on_honest_oracles():
 @settings(max_examples=300, deadline=None)
 def test_abelian_fill_matches_the_reference_on_hostile_oracles(n, kind, seed):
     _assert_abelian_matches_reference(_hostile_group_table(n, kind, seed))
+
+
+@pytest.mark.parametrize(
+    "factors, kind",
+    [((256,), kind) for kind in ("random", "isotope", "corrupted", "swapped", "misanswered")]
+    + [((16, 16), kind) for kind in ("corrupted", "swapped", "misanswered")],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_abelian_fill_matches_the_reference_on_damaged_large_tables(factors, kind, seed):
+    # past _RENAME_BLOCK entries recover_abelian renders its table from the last coset step
+    _assert_abelian_matches_reference(_hostile_group_table(math.prod(factors), kind, seed, factors))
 
 
 def _bilinear_expansion(add: np.ndarray, oracle: Oracle) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Recovery procedures and their exact query costs."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,8 @@ from opquery import (
     ring_oracles,
     verify_recovery,
 )
-from opquery.algebra import _cyclic_table
+from opquery.algebra import _RENAME_BLOCK, _cyclic_table, _renamed, _table_dtype
+from opquery.recovery import _exponent_major, _tower_positions
 
 
 def run_abelian(factors, seed):
@@ -125,6 +127,56 @@ class TestAbelian:
         finally:
             tracemalloc.stop()
         assert peak < 18 * oracle.n**2
+
+    def test_rendered_table_matches_the_rename_of_its_positions(self):
+        # every sequence of chain lengths up to n = 64, each step closing at a
+        # random position of H, with and without a first step of length 1
+        # (0 is the identity); then hand-built shapes past _RENAME_BLOCK,
+        # where recover_abelian renders, in both window layouts
+        rng = np.random.default_rng(5)
+        shapes = []
+        for n in range(1, 65):
+            for ks in _chain_lengths(n):
+                steps, h = [], 1
+                for k in ks:
+                    steps.append((k, int(rng.integers(h))))
+                    h *= k
+                shapes.append(((1, 0), *steps))
+                if steps:
+                    shapes.append(tuple(steps))
+        large = [
+            ((256, 0),),
+            ((1, 0), (256, 0)),
+            ((4, 0), (64, 3)),
+            ((2, 0), (128, 1)),
+            ((16, 0), (16, 5)),
+            ((2, 0),) * 8,
+            ((2, 0), (2, 1), (64, 2)),
+            ((512, 0),),
+            ((2, 0), (256, 1)),
+            ((8, 0), (8, 3), (8, 17)),
+            ((128, 0), (4, 64)),
+        ]
+        assert all(math.prod(k for k, _ in s) ** 2 > _RENAME_BLOCK for s in large)
+        last = [(math.prod(k for k, _ in s[:-1]), s[-1][0]) for s in large]
+        assert {_exponent_major(h, k) for h, k in last} == {True, False}
+        for shape in shapes + large:
+            n = math.prod(k for k, _ in shape)
+            for _ in range(2):
+                labels = rng.permutation(n).astype(_table_dtype(n))
+                want = _renamed(_tower_positions(shape), labels, labels.argsort())
+                got = recovery._rendered(shape, labels)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), shape
+
+
+def _chain_lengths(n):
+    """Every tuple of integers >= 2 with product n, in every order."""
+    if n == 1:
+        yield ()
+    for k in range(2, n + 1):
+        if n % k == 0:
+            for rest in _chain_lengths(n // k):
+                yield (k, *rest)
 
 
 class TestAbelianPrime:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import doctest
 import importlib
 from pathlib import Path
 
@@ -294,3 +295,10 @@ def test_cached_arrays_are_read_only():
     assert sorted(caches) == sorted(CACHE_SAMPLES)
     found = [f"{name}{args}: {where}" for name, samples in CACHE_SAMPLES.items() for args in samples for where in _writable_arrays(caches[name](*args))]
     assert found == []
+
+
+def test_package_doctests_pass():
+    # the examples in docstrings are claims too, so every module's examples run here
+    results = {path.stem: doctest.testmod(importlib.import_module(f"opquery.{path.stem}")) for path in SOURCES if path.stem != "__init__"}
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
+    assert results["algebra"].attempted > 0 and results["bounds"].attempted > 0
