@@ -78,8 +78,6 @@ from .recovery import (
     recover_ring_multiplication,
 )
 from .treesearch import (
-    Leaf,
-    Node,
     OperationSet,
     SearchStats,
     TreeColumns,

@@ -153,7 +153,9 @@ def _renamed(t: np.ndarray, p: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 def _table_dtype(n: int) -> type:
-    """The type every table over n elements is stored in: the narrowest integer holding 0..n-1."""
+    """The type every table over n elements is stored in: the narrowest integer holding 0..n-1; past int32, ValidationError."""
+    if n > 1 << 31:
+        raise ValidationError(f"a table holds at most 2^31 labels, the int32 range, not {n}")
     return np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
 
 
@@ -179,10 +181,11 @@ def _as_permutation(perm: Sequence[int], n: int) -> np.ndarray:
 def _trusted(cls, **fields):
     """An instance of ``cls`` holding ``fields`` as given, without ``__post_init__``.
 
-    Only the ``_relabeled`` methods may use it: they rename a valid table by a
-    permutation that ``_as_permutation`` checked or ``random_permutation``
-    built, and every check is invariant under that. Everything else, every
-    recovery output included, goes through the validating constructor.
+    Only the ``_relabeled`` methods may use it, which rename a valid table by
+    a permutation that ``_as_permutation`` checked or ``random_permutation``
+    built (every check is invariant under that), and ``treesearch._columns``,
+    on columns the search wrote or ``tree_from_dict`` checked. Everything
+    else, every recovery output included, goes through the validating constructor.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -407,6 +410,7 @@ def is_prime(m: int) -> bool:
 @lru_cache(maxsize=512)
 def _build_abelian_cached(factors: tuple[int, ...]) -> OpTable:
     n = math.prod(factors)  # 1 for the trivial group, whose table is [[0]]
+    _table_dtype(n)  # refuses n past int32 before any array is made
     idx = np.arange(n)
     table = np.zeros((n, n), dtype=np.int64)
     stride = 1
@@ -461,6 +465,7 @@ def build_max_chain(n: int) -> OpTable:
     """Canonical max table on 0 < 1 < ... < n-1."""
     if n < 1:
         raise ValidationError("max chain needs n >= 1")
+    _table_dtype(n)  # refuses n past int32 before any array is made
     idx = np.arange(n)
     return OpTable(np.maximum.outer(idx, idx))
 

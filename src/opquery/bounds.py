@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -107,6 +108,13 @@ def family_orbit_size(tables: Sequence[OpTable], cap: Optional[int] = None) -> i
             if iso is not None:
                 raise ValidationError("family classes must be pairwise non-isomorphic")
     return sum(orbit_size(t, cap) for t in tables)
+
+
+def _factorial(n: int) -> int:
+    """n!, or CapabilityError past sys.maxsize, the largest n that math.factorial takes."""
+    if n > sys.maxsize:
+        raise CapabilityError(f"n! is past math.factorial for n = {n} > {sys.maxsize}")
+    return math.factorial(n)
 
 
 def average_query_lower_bound(x_size: int, n: int) -> float:
@@ -233,7 +241,7 @@ def bounds_for_abelian(spec: AbelianSpec | Sequence[int]) -> BoundsReport:
         spec = AbelianSpec(tuple(spec))
     n = spec.n
     rep = BoundsReport(n=n, label="abelian[" + ",".join(map(str, spec.factors)) + "]")
-    rep.x_size = math.factorial(n) // abelian_automorphism_count(spec.factors)
+    rep.x_size = _factorial(n) // abelian_automorphism_count(spec.factors)
     rep.notes["x_size"] = "n!/#automorphisms (Hillar-Rhea closed form)"
     rep.avg_lower = average_query_lower_bound(rep.x_size, n) if n >= 2 else 0.0
     rep.notes["avg_lower"] = "log base n of x_size" if n >= 2 else "trivial group"
@@ -246,8 +254,8 @@ def bounds_for_abelian(spec: AbelianSpec | Sequence[int]) -> BoundsReport:
 def bounds_for_max_chain(n: int) -> BoundsReport:
     if n < 1:
         raise ValidationError("need n >= 1")
+    rep = BoundsReport(n=n, label=f"maxchain{n}", x_size=_factorial(n))  # before the sum over k <= n
     exact2, closed = max_chain_lower_bound(n)
-    rep = BoundsReport(n=n, label=f"maxchain{n}", x_size=math.factorial(n))
     rep.avg_lower = average_query_lower_bound(rep.x_size, n) if n >= 2 else 0.0
     rep.binary_lower = exact2
     rep.closed_form_lower = closed

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 budget or verification failure (including oracle
 answers outside the promised class), 2 usage or validation errors (including
-unreadable or malformed input files), 3 a capability cap was hit. A reader
+unreadable or malformed input files), 3 a capability cap was hit or a table
+did not fit in memory. A reader
 that closes the output pipe early (``opquery sweep ... | head``) ends the
 command quietly with status 0.
 """
@@ -264,6 +265,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except CapabilityError as exc:
         print(f"capability: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"capability: out of memory: {exc}", file=sys.stderr)
         return 3
     except NotInClassError as exc:
         print(f"not in class: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ every operation in X lands on its own leaf (the leaf map is a bijection), so
 worst case cost = deepest leaf and average cost = mean leaf depth. The search
 returns its tree as ``TreeColumns``: read-only arrays with one row per node
 (the query column x*n + y, or the op id of a leaf) and one row per edge
-(parent, answer, child), in (parent, answer) order. ``Node`` and ``Leaf``
-are the hand-built form, and each reader converts them to columns once, so
-every walk runs on one representation. ``verify_query_tree`` walks every
-candidate down the tree together, a level per step: one gather reads their
-answers, and one searchsorted over the edge keys finds their children.
+(parent, answer, child), in (parent, answer) order. That is the one form a
+tree takes in memory; a tree is written by hand as the nested dicts that
+``tree_to_dict`` writes, and ``tree_from_dict`` checks one and reads it into
+columns. ``verify_query_tree`` walks every candidate down the tree together,
+a level per step: one gather reads their answers, and one searchsorted over
+the edge keys finds their children.
 
 ``minimal_worst_case`` finds the true optimum by memoized minimax over the
 reachable candidate subsets, pruned at the information floor (d more queries
@@ -51,15 +52,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _check_cap, _cyclic_table, _factorize, _relabelings, abelian_type, is_prime
+from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _check_cap, _cyclic_table, _factorize, _relabelings, _trusted, abelian_type, is_prime
 from .bounds import abelian_automorphism_count
 from .errors import CapabilityError, ValidationError
 
@@ -72,46 +73,50 @@ _STAR_ENTRIES = 4096
 _SETTLE_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    """Terminal claim of a hand-built tree; op_id names the surviving candidate when known."""
-
-    op_id: Optional[int] = None
-
-
-@dataclass(frozen=True, slots=True)
-class Node:
-    """One query (x, y) of a hand-built tree, with a subtree per distinct answer."""
-
-    query: tuple[int, int]
-    children: Mapping[int, "QueryTree"] = field(default_factory=dict)
-
-
-QueryTree = Union[Node, Leaf]
-
-
 @dataclass(frozen=True, eq=False)
 class TreeColumns:
-    """A query tree on the labels 0..n-1 as read-only arrays, the form ``minimal_worst_case`` returns.
+    """A query tree on the labels 0..n-1 as read-only arrays, the one form a tree takes here.
 
     Row v of ``nodes`` is node v, and row 0 the root: the column x*n + y of
     its query (x, y) if it has children, else the op id its leaf names, -1
     for none. Each row of ``edges`` is (parent, answer, child), in (parent,
     answer) order, so the children of node v are the rows starts[v] to
-    starts[v + 1] of ``_starts``. Every walk of a tree runs on this form; a
-    ``Node``/``Leaf`` tree is converted once by ``_as_columns``.
+    starts[v + 1] of ``_starts``; every node but the root is the child of
+    one edge and comes after its parent. Built from outside, the columns are
+    copied read-only and checked: breaking any of these rules raises
+    ValidationError; the search and ``tree_from_dict`` build them unchecked.
     """
 
     n: int
     nodes: np.ndarray
     edges: np.ndarray
 
+    def __post_init__(self) -> None:
+        n, nodes, edges = _integer(self.n, "n"), np.asarray(self.nodes), np.asarray(self.edges)
+        if any(a.size and not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)) for a in (nodes, edges)):
+            raise ValidationError(f"tree columns need integers that fit in int64, got {nodes.dtype} and {edges.dtype}")
+        nodes, edges = nodes.astype(np.int64), edges.astype(np.int64)  # copies, read-only once checked
+        if n < 1 or nodes.ndim != 1 or len(nodes) < 1 or edges.shape != (len(nodes) - 1, 3):
+            raise ValidationError(f"tree columns need n >= 1, k >= 1 nodes and k - 1 edges of 3; got n = {n}, {nodes.shape} and {edges.shape}")
+        parent, answer, child = edges.T
+        if not ((0 <= parent) & (parent < child)).all() or not (np.sort(child) == np.arange(1, len(nodes))).all():
+            raise ValidationError("every node but the root must be the child of exactly one edge, after its parent")
+        if ((parent[1:] < parent[:-1]) | (parent[1:] == parent[:-1]) & (answer[1:] <= answer[:-1])).any():
+            raise ValidationError("edges must be in (parent, answer) order, with distinct answers per parent")
+        leaf = np.ones(len(nodes), dtype=bool)
+        leaf[parent] = False
+        if not all(0 <= c < n * n for c in nodes[~leaf].tolist()) or (nodes[leaf] < -1).any():
+            raise ValidationError(f"every query column must be in [0, {n * n}) and every leaf an op id >= 0 or -1")
+        nodes.flags.writeable = edges.flags.writeable = False
+        for name, value in (("n", n), ("nodes", nodes), ("edges", edges)):
+            object.__setattr__(self, name, value)
+
 
 def _columns(n: int, nodes: np.ndarray, edges: np.ndarray) -> TreeColumns:
-    """Read-only columns of these rows, the edges sorted by parent; each parent's must be in answer order already."""
+    """Read-only columns of these rows, unchecked, the edges sorted by parent; each parent's must be in answer order already."""
     edges = edges[np.argsort(edges[:, 0], kind="stable")]
     nodes.flags.writeable = edges.flags.writeable = False
-    return TreeColumns(n, nodes, edges)
+    return _trusted(TreeColumns, n=n, nodes=nodes, edges=edges)
 
 
 def _starts(t: TreeColumns) -> np.ndarray:
@@ -119,64 +124,16 @@ def _starts(t: TreeColumns) -> np.ndarray:
     return np.searchsorted(t.edges[:, 0], np.arange(len(t.nodes) + 1))
 
 
-def _as_columns(tree: Union[TreeColumns, QueryTree], n: Optional[int] = None) -> TreeColumns:
-    """tree as columns on the labels 0..n-1; n defaults to the tree's own, or one past a hand-built tree's largest query label.
-
-    A hand-built tree is read by one walk with its own stack, so its depth is
-    bounded by memory only, and it is checked whole, reached or not: a query
-    outside 0..n-1, a leaf naming an op id below 0, a node deeper than n^2
-    (when n is given), an internal node with no children and a node that
-    contains itself raise ValidationError.
-    """
-    if isinstance(tree, TreeColumns):
-        if n not in (None, tree.n):
-            raise ValidationError(f"tree asks queries on {tree.n} labels, not {n}")
-        return tree
-    rows: list = []  # per node: the (x, y) of its query, or the op id its leaf names (-1 for none)
-    edges: list[tuple[int, int, int]] = []
-    path: set[int] = set()  # ids of the nodes from the root down to the one being read
-    stack: list = [(tree, -1, 0, 0)]  # (node, parent row, answer, depth), or (None, id, 0, 0) leaving a node
-    while stack:
-        node, parent, z, depth = stack.pop()
-        if node is None:
-            path.discard(parent)
-            continue
-        if n is not None and depth > n * n:
-            raise ValidationError(f"tree deeper than {n * n}; malformed")
-        if parent >= 0:
-            edges.append((parent, z, len(rows)))
-        if isinstance(node, Leaf):
-            rows.append(-1 if node.op_id is None else _integer(node.op_id, "leaf"))
-            if rows[-1] < 0 and node.op_id is not None:
-                raise ValidationError(f"leaf needs an op id >= 0 or None, got {node.op_id}")
-            continue
-        if not isinstance(node, Node):
-            raise ValidationError(f"tree node must be a Node or a Leaf, got {node!r}")
-        if not node.children:
-            raise ValidationError("internal node with no children")
-        if id(node) in path:
-            raise ValidationError("tree contains itself")
-        if not isinstance(node.query, (tuple, list)) or len(node.query) != 2:
-            raise ValidationError(f"query must be a pair (x, y), got {node.query!r}")
-        path.add(id(node))
-        rows.append((_integer(node.query[0], "query"), _integer(node.query[1], "query")))
-        kids = sorted([(_integer(z, "answer"), child) for z, child in node.children.items()], key=itemgetter(0))
-        stack.append((None, id(node), 0, 0))
-        stack.extend((child, len(rows) - 1, z, depth + 1) for z, child in reversed(kids))
-    queries = [q for q in rows if isinstance(q, tuple)]
-    n = 1 + max([max(q) for q in queries], default=0) if n is None else n
-    bad = [q for q in queries if not (0 <= min(q) and max(q) < n)]
-    if bad:
-        raise ValidationError(f"query {bad[0]} out of range for n = {n}")
-    try:
-        nodes = np.array([q[0] * n + q[1] if isinstance(q, tuple) else q for q in rows], dtype=np.int64)
-        edge_rows = np.array(edges, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        raise ValidationError("tree labels must fit in 64 bits") from None
-    return _columns(n, nodes, edge_rows)
+def _as_columns(tree: TreeColumns, n: Optional[int] = None) -> TreeColumns:
+    """tree, if it is a ``TreeColumns`` on n labels (any n when None); else ValidationError."""
+    if not isinstance(tree, TreeColumns):
+        raise ValidationError(f"expected a TreeColumns, got {type(tree).__name__}; tree_from_dict reads a tree dict")
+    if n not in (None, tree.n):
+        raise ValidationError(f"tree asks queries on {tree.n} labels, not {n}")
+    return tree
 
 
-def tree_to_dict(tree: Union[TreeColumns, QueryTree]) -> dict:
+def tree_to_dict(tree: TreeColumns) -> dict:
     """The tree as nested dicts of Python ints: {"leaf": op id or None}, or {"query": [x, y], "children": {str(answer): subtree}}."""
     t = _as_columns(tree)
     starts = _starts(t).tolist()
@@ -197,55 +154,79 @@ def _integer(v: object, what: str) -> int:
         raise ValidationError(f"{what} needs an integer, got {v!r}") from None
 
 
-def tree_from_dict(d: dict) -> QueryTree:
-    """Inverse of ``tree_to_dict``; a malformed node raises ValidationError.
+def _answer(z: object) -> int:
+    """An answer key of a tree dict as an int: an integer, or its decimal string as JSON writes it."""
+    if isinstance(z, str) and z.isascii() and z.removeprefix("-").isdigit():
+        return int(z)
+    return _integer(z, "answer")
 
-    Answer keys may be integers or, as JSON writes them, their decimal strings.
-    The walk keeps its own stack, so depth is bounded by memory only, and a
-    dict that contains itself is refused.
+
+def tree_from_dict(d: dict, n: Optional[int] = None) -> TreeColumns:
+    """The tree dict d, as ``tree_to_dict`` writes it, as columns on 0..n-1, n by default one past its largest query label.
+
+    A node is {"leaf": an op id >= 0 or None} or {"query": [x, y],
+    "children": {answer: node, ...}}, with at least one child and each
+    answer, an integer or its decimal string, once. One walk with its own
+    stack reads the whole dict, reached or not, so depth is bounded by
+    memory only, and numbers each node after its parent, its children in
+    answer order. A malformed node, a query outside 0..n-1, a node deeper
+    than n^2 (when n is given), a dict that contains itself and a label
+    past 64 bits raise ValidationError.
     """
-    root: dict = {}
-    stack: list = [(root, 0, d)]  # (children to fill, answer, node dict), or (None, None, id) leaving a node
+    rows: list = []  # per node: the (x, y) of its query, or the op id its leaf names (-1 for none)
+    edges: list[tuple[int, int, int]] = []
     path: set[int] = set()  # ids of the node dicts from the root down to the one being read
+    stack: list = [(d, -1, 0, 0)]  # (node dict, parent row, answer, depth), or (None, id, 0, 0) leaving a node
     while stack:
-        children, z, src = stack.pop()
-        if children is None:
-            path.discard(src)
+        node, parent, z, depth = stack.pop()
+        if node is None:
+            path.discard(parent)
             continue
-        node, kids = _node_from_dict(src)
-        children[z] = node
-        if kids:
-            if id(src) in path:
-                raise ValidationError("tree dict contains itself")
-            path.add(id(src))
-            stack.append((None, None, id(src)))
-            stack.extend((node.children, z, sub) for z, sub in reversed(kids))
-    return root[0]
+        if n is not None and depth > n * n:
+            raise ValidationError(f"tree deeper than {n * n}; malformed")
+        if parent >= 0:
+            edges.append((parent, z, len(rows)))
+        if not isinstance(node, Mapping):
+            raise ValidationError(f"tree node must be a dict, got {node!r}")
+        if "leaf" in node:
+            v = node["leaf"]
+            rows.append(-1 if v is None else _integer(v, "leaf"))
+            if rows[-1] < 0 and v is not None:
+                raise ValidationError(f"leaf needs an op id >= 0 or None, got {v}")
+            continue
+        if "query" not in node or "children" not in node:
+            raise ValidationError("tree node needs either a leaf or query + children")
+        query, kids = node["query"], node["children"]
+        if not isinstance(query, (list, tuple)) or len(query) != 2:
+            raise ValidationError(f"query must be a pair [x, y], got {query!r}")
+        if not isinstance(kids, Mapping):
+            raise ValidationError(f"children must map answers to nodes, got {kids!r}")
+        if not kids:
+            raise ValidationError("internal node with no children")
+        if id(node) in path:
+            raise ValidationError("tree dict contains itself")
+        path.add(id(node))
+        rows.append((_integer(query[0], "query"), _integer(query[1], "query")))
+        kids = sorted([(_answer(z), sub) for z, sub in kids.items()], key=itemgetter(0))
+        repeated = [a for (a, _), (b, _) in zip(kids, kids[1:]) if a == b]
+        if repeated:
+            raise ValidationError(f"children name the answer {repeated[0]} twice")
+        stack.append((None, id(node), 0, 0))
+        stack.extend((sub, len(rows) - 1, z, depth + 1) for z, sub in reversed(kids))
+    queries = [q for q in rows if isinstance(q, tuple)]
+    n = 1 + max([max(q) for q in queries], default=0) if n is None else n
+    bad = [q for q in queries if not (0 <= min(q) and max(q) < n)]
+    if bad:
+        raise ValidationError(f"query {bad[0]} out of range for n = {n}")
+    try:
+        nodes = np.array([q[0] * n + q[1] if isinstance(q, tuple) else q for q in rows], dtype=np.int64)
+        edge_rows = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise ValidationError("tree labels must fit in 64 bits") from None
+    return _columns(n, nodes, edge_rows)
 
 
-def _node_from_dict(d: object) -> tuple[QueryTree, list[tuple[int, object]]]:
-    """One node of a tree dict, with its children still to fill, and its (answer, child dict) pairs."""
-    if not isinstance(d, Mapping):
-        raise ValidationError(f"tree node must be a dict, got {d!r}")
-    if "leaf" in d:
-        v = d["leaf"]
-        return Leaf(None if v is None else _integer(v, "leaf")), []
-    if "query" not in d or "children" not in d:
-        raise ValidationError("tree node needs either a leaf or query + children")
-    query, kids = d["query"], d["children"]
-    if not isinstance(query, (list, tuple)) or len(query) != 2:
-        raise ValidationError(f"query must be a pair [x, y], got {query!r}")
-    if not isinstance(kids, Mapping):
-        raise ValidationError(f"children must map answers to nodes, got {kids!r}")
-    pairs = []
-    for z, sub in kids.items():
-        if isinstance(z, str) and z.isascii() and z.removeprefix("-").isdigit():
-            z = int(z)
-        pairs.append((_integer(z, "answer"), sub))
-    return Node((_integer(query[0], "query"), _integer(query[1], "query")), {}), pairs
-
-
-def render_tree(tree: Union[TreeColumns, QueryTree], indent: str = "") -> str:
+def render_tree(tree: TreeColumns, indent: str = "") -> str:
     """Indented text rendering: one line per node, answers label the branches."""
     t = _as_columns(tree)
     nodes, starts = t.nodes.tolist(), _starts(t).tolist()
@@ -470,14 +451,13 @@ class TreeVerification:
     failure: Optional[str] = None
 
 
-def verify_query_tree(tree: Union[TreeColumns, QueryTree], ops: OperationSet) -> TreeVerification:
+def verify_query_tree(tree: TreeColumns, ops: OperationSet) -> TreeVerification:
     """Walk every candidate down the tree together and check the leaf map is a bijection.
 
-    A hand-built tree is converted to columns first, which checks all of it
-    (``_as_columns``). The walk then takes one level per step: one gather
-    reads each walking candidate's answer to the query of its node, and one
-    searchsorted over the edge keys (parent, rank of the answer) finds its
-    child. ok is True iff every walk ends at a leaf (no missing answer
+    The tree must be on the labels of ``ops``. The walk takes one level per
+    step: one gather reads each walking candidate's answer to the query of
+    its node, and one searchsorted over the edge keys (parent, rank of the
+    answer) finds its child. ok is True iff every walk ends at a leaf (no missing answer
     branch), every leaf that names an ``op_id`` is reached by that
     candidate, no two candidates share a leaf, and no leaf is left unused;
     the failure names the lowest failing candidate.
@@ -528,7 +508,7 @@ def verify_query_tree(tree: Union[TreeColumns, QueryTree], ops: OperationSet) ->
     return TreeVerification(ok=failure is None, depths=depths, leaf_count=leaf_count, failure=failure)
 
 
-def tree_stats(tree: Union[TreeColumns, QueryTree], ops: OperationSet) -> tuple[int, float]:
+def tree_stats(tree: TreeColumns, ops: OperationSet) -> tuple[int, float]:
     """(worst, average) leaf depth of a tree that solves the candidate set."""
     v = verify_query_tree(tree, ops)
     if not v.ok:
@@ -773,8 +753,7 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     size, in chunks, then gives each the first column on which its
     candidates all differ: that column heads its stabiliser orbit, so it is
     the query the scan picks. Each chunk of s such nodes of k candidates
-    writes their s columns, s k leaf rows and s k edges at once; no
-    ``Node`` or ``Leaf`` object is made.
+    writes their s columns, s k leaf rows and s k edges at once.
 
     Each state is solved up to a cap, the value it must beat: below the cap
     the value is exact, at or above it the search stops with a lower bound

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -225,7 +226,7 @@ def test_search_tree_round_trips(tmp_path, capsys):
     assert d["tree"]["query"] is not None
     from opquery import build_abelian, enumerate_orbit, tree_from_dict, verify_query_tree
 
-    tree = tree_from_dict(d["tree"])
+    tree = tree_from_dict(d["tree"], 4)
     assert verify_query_tree(tree, enumerate_orbit(build_abelian([4]))).ok
 
 
@@ -430,6 +431,30 @@ def test_unknown_field_is_capability_error(capsys):
     # 11^2 is past the stored reduction polynomials
     code, _, _ = run(capsys, "gen", "--ring", "gf121")
     assert code == 3
+
+
+def _one_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        ("gen --abelian 99999999999999999999", 2, "error: "),  # labels past int32
+        ("recover --maxchain 99999999999999999999", 2, "error: "),
+        ("gen --abelian 100000", 3, "capability: out of memory: "),  # a 74.5 GiB table
+        ("bounds --abelian 99999999999999999999", 3, "capability: "),  # n! past math.factorial
+        ("bounds --maxchain 99999999999999999999", 3, "capability: "),  # before the sum over k <= n
+    ],
+)
+def test_absurd_class_sizes_end_with_an_exit_code_not_a_traceback(argv, code, prefix):
+    # in a child held to 1 GiB and 30 s, so a table that is built anyway fails for certain and fast
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opquery.cli", *argv.split()], capture_output=True, text=True, env=env, timeout=30, preexec_fn=_one_gib
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_readme_command_lines_parse():

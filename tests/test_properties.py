@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from opquery import (
     AbelianSpec,
-    Leaf,
     MaxChainSpec,
-    Node,
     NotInClassError,
     OperationSet,
     OpTable,
@@ -621,7 +619,7 @@ def test_two_tables_are_told_apart_by_their_first_differing_query(stack, query):
     depth, tree = minimal_worst_case(OperationSet(stack), stats=stats)
     x, y = query
     assert depth == 1
-    assert tree_from_dict(tree_to_dict(tree)) == Node(query, {int(stack[0, x, y]): Leaf(0), int(stack[1, x, y]): Leaf(1)})
+    assert tree_to_dict(tree) == {"query": list(query), "children": {str(stack[0, x, y]): {"leaf": 0}, str(stack[1, x, y]): {"leaf": 1}}}
     assert stats.states == 0 and stats.settled == 1
 
 
@@ -1168,31 +1166,31 @@ def test_hostile_ring_multiplication_oracle_has_two_outcomes(name, kind, seed):
 # with a walk of one candidate at a time on hand-built trees, good and bad
 
 
-def _reference_verify(tree, ops: OperationSet) -> tuple[bool, object, dict[int, int], int]:
-    """(ok, failure, depths, leaf_count) by walking each candidate alone; the first failure by index wins."""
+def _reference_verify(d: dict, ops: OperationSet) -> tuple[bool, object, dict[int, int], int]:
+    """(ok, failure, depths, leaf_count) of the tree dict d by walking each candidate alone; the first failure by index wins."""
     n = ops.n
     answers = ops.tables.reshape(len(ops), n * n)
-    leaves, stack = 0, [tree]
+    leaves, stack = 0, [d]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
+        if "leaf" in node:
             leaves += 1
         else:
-            stack.extend(node.children.values())
+            stack.extend(node["children"].values())
     paths, depths, failure = {}, {}, None
     for i in range(len(ops)):
-        node, path = tree, []
-        while isinstance(node, Node):
-            x, y = node.query
+        node, path = d, []
+        while "query" in node:
+            x, y = node["query"]
             z = int(answers[i, x * n + y])
-            if z not in node.children:
+            if str(z) not in node["children"]:
                 failure = failure or f"operation {i} got unanswered branch {x}*{y} = {z}"
                 break
             path.append(z)
-            node = node.children[z]
+            node = node["children"][str(z)]
         else:
-            if node.op_id is not None and node.op_id != i:
-                failure = failure or f"operation {i} reaches the leaf of operation {node.op_id}"
+            if node["leaf"] is not None and node["leaf"] != i:
+                failure = failure or f"operation {i} reaches the leaf of operation {node['leaf']}"
             paths[i], depths[i] = tuple(path), len(path)
     if failure is None and len(set(paths.values())) < len(ops):
         failure = "two candidates share a leaf"
@@ -1201,19 +1199,19 @@ def _reference_verify(tree, ops: OperationSet) -> tuple[bool, object, dict[int, 
     return failure is None, failure, depths, leaves
 
 
-def _random_tree(rng: random.Random, ops: OperationSet, ids: list[int], depth: int = 0):
-    """A tree over the candidates ids that may solve them, or may drop a branch, misname a leaf or add a spare one."""
+def _random_tree(rng: random.Random, ops: OperationSet, ids: list[int], depth: int = 0) -> dict:
+    """A tree dict over the candidates ids that may solve them, or may drop a branch, misname a leaf or add a spare one."""
     n = ops.n
     if len(ids) <= 1 and rng.random() < 0.8 or depth == 4:
-        return Leaf(rng.choice([None, ids[0], ids[0], len(ops)]) if ids and rng.random() < 0.2 else None)
+        return {"leaf": rng.choice([None, ids[0], ids[0], len(ops)]) if ids and rng.random() < 0.2 else None}
     x, y = rng.randrange(n), rng.randrange(n)
     groups: dict[int, list[int]] = {}
     for i in ids:
         groups.setdefault(int(ops.tables[i, x, y]), []).append(i)
-    children = {z: _random_tree(rng, ops, block, depth + 1) for z, block in groups.items() if rng.random() < 0.97}
+    children = {str(z): _random_tree(rng, ops, block, depth + 1) for z, block in groups.items() if rng.random() < 0.97}
     if rng.random() < 0.1 or not children:
-        children[n + rng.randrange(3)] = _random_tree(rng, ops, [], depth + 1)
-    return Node((x, y), children)
+        children[str(rng.choice([-1, n, n + 2]))] = _random_tree(rng, ops, [], depth + 1)  # an answer no candidate gives
+    return {"query": [x, y], "children": children}
 
 
 @given(st.integers(2, 4), st.integers(1, 30), seeds)
@@ -1222,8 +1220,21 @@ def test_verify_query_tree_matches_the_walk_of_one_candidate_at_a_time(n, m, see
     rng = random.Random(seed)
     ops = OperationSet(_random_stack(rng, n, m, rng.random() < 0.5))
     if rng.random() < 0.3:  # the witness of the search, which solves the set
-        tree = tree_from_dict(tree_to_dict(minimal_worst_case(ops, budget=len(ops))[1]))
+        d = tree_to_dict(minimal_worst_case(ops, budget=len(ops))[1])
     else:
-        tree = _random_tree(rng, ops, list(range(len(ops))))
-    v = verify_query_tree(tree, ops)
-    assert (v.ok, v.failure, v.depths, v.leaf_count) == _reference_verify(tree, ops)
+        d = _random_tree(rng, ops, list(range(len(ops))))
+    v = verify_query_tree(tree_from_dict(d, n), ops)
+    assert (v.ok, v.failure, v.depths, v.leaf_count) == _reference_verify(d, ops)
+
+
+@given(st.integers(2, 4), st.integers(1, 30), seeds)
+@settings(max_examples=100, deadline=None)
+def test_tree_dicts_round_trip_through_columns(n, m, seed):
+    # any well-formed dict, solving or not, comes back as it went in, spare
+    # answers outside the labels and leaves that name no candidate included;
+    # the random trees are at most 4 <= n^2 deep
+    rng = random.Random(seed)
+    ops = OperationSet(_random_stack(rng, n, m, False))
+    d = _random_tree(rng, ops, list(range(len(ops))))
+    tree = tree_from_dict(d, n)
+    assert tree.n == n and tree_to_dict(tree) == d

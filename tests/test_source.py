@@ -206,7 +206,13 @@ def test_trusted_reference_check_sees_every_use():
 def test_only_relabel_skips_table_validation():
     # recovery outputs and file input must always run the table checks
     found = [f"{path.name}:{scope}" for path in _all_scripts() for scope in _trusted_references(path.read_text())]
-    assert sorted(found) == ["algebra.py:OpTable._relabeled", "algebra.py:RingTables._relabeled"]
+    # and treesearch._columns, which takes the columns the search wrote or tree_from_dict checked
+    assert sorted(found) == [
+        "algebra.py:OpTable._relabeled",
+        "algebra.py:RingTables._relabeled",
+        "treesearch.py:<module>",
+        "treesearch.py:_columns",
+    ]
     # _relabeled does not check its permutation either: relabel calls it after
     # checking one, new_hidden and new_hidden_ring with the one random_permutation built
     found = [f"{path.name}:{scope}" for path in _all_scripts() for scope in _trusted_references(path.read_text(), "_relabeled")]

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -16,8 +17,6 @@ import pytest
 import opquery
 from opquery import (
     CapabilityError,
-    Leaf,
-    Node,
     OperationSet,
     SearchStats,
     TreeColumns,
@@ -149,17 +148,31 @@ def test_checked_operation_set_leaves_numpy_ma_unimported():
 
 # --- hand-built reference trees -------------------------------------------
 
+
+def _node(x, y, children):
+    """A query node of a tree dict; children maps integer answers to nodes."""
+    return {"query": [x, y], "children": {str(z): child for z, child in children.items()}}
+
+
+def _leaf(op_id=None):
+    return {"leaf": op_id}
+
+
 def three_element_tree():
     """Depth profile {2,2,3,3,3,3} over the six max tables of a 3-chain.
 
     Root asks 0*1; each answer narrows the order of the remaining pair.
     """
-    return Node(
-        (0, 1),
-        {
-            0: Node((0, 2), {0: Node((1, 2), {1: Leaf(), 2: Leaf()}), 2: Leaf()}),
-            1: Node((0, 2), {0: Leaf(), 2: Node((1, 2), {1: Leaf(), 2: Leaf()})}),
-        },
+    return tree_from_dict(
+        _node(
+            0,
+            1,
+            {
+                0: _node(0, 2, {0: _node(1, 2, {1: _leaf(), 2: _leaf()}), 2: _leaf()}),
+                1: _node(0, 2, {0: _leaf(), 2: _node(1, 2, {1: _leaf(), 2: _leaf()})}),
+            },
+        ),
+        3,
     )
 
 
@@ -168,14 +181,18 @@ def cyclic_four_tree():
     of order 4: the root asks 0*0, the reply pins down enough structure that
     one more query decides.
     """
-    return Node(
-        (0, 0),
-        {
-            0: Node((1, 1), {0: Leaf(), 2: Leaf(), 3: Leaf()}),
-            1: Node((0, 1), {0: Leaf(), 2: Leaf(), 3: Leaf()}),
-            2: Node((0, 2), {0: Leaf(), 1: Leaf(), 3: Leaf()}),
-            3: Node((0, 3), {0: Leaf(), 1: Leaf(), 2: Leaf()}),
-        },
+    return tree_from_dict(
+        _node(
+            0,
+            0,
+            {
+                0: _node(1, 1, {0: _leaf(), 2: _leaf(), 3: _leaf()}),
+                1: _node(0, 1, {0: _leaf(), 2: _leaf(), 3: _leaf()}),
+                2: _node(0, 2, {0: _leaf(), 1: _leaf(), 3: _leaf()}),
+                3: _node(0, 3, {0: _leaf(), 1: _leaf(), 2: _leaf()}),
+            },
+        ),
+        4,
     )
 
 
@@ -201,70 +218,85 @@ def test_cyclic_four_reference_tree():
 
 def test_verify_rejects_incomplete_tree():
     ops = enumerate_orbit(build_max_chain(3))
-    stub = Node((0, 1), {0: Leaf(), 1: Leaf()})
+    stub = tree_from_dict(_node(0, 1, {0: _leaf(), 1: _leaf()}), 3)
     v = verify_query_tree(stub, ops)
     assert not v.ok and v.failure is not None
 
 
 def test_verify_rejects_non_separating_tree():
     ops = enumerate_orbit(build_abelian([4]))
-    v = verify_query_tree(Leaf(), ops)
+    v = verify_query_tree(tree_from_dict(_leaf(), 4), ops)
     assert not v.ok
 
 
 def test_verify_rejects_a_leaf_that_names_another_candidate():
     ops = enumerate_orbit(build_max_chain(2))
     _, tree = minimal_worst_case(ops, budget=len(ops))
-    assert _node_view(tree) == Node((0, 1), {0: Leaf(0), 1: Leaf(1)}) and verify_query_tree(tree, ops).ok
-    v = verify_query_tree(Node((0, 1), {0: Leaf(1), 1: Leaf(0)}), ops)
+    assert tree_to_dict(tree) == _node(0, 1, {0: _leaf(0), 1: _leaf(1)}) and verify_query_tree(tree, ops).ok
+    v = verify_query_tree(tree_from_dict(_node(0, 1, {0: _leaf(1), 1: _leaf(0)}), 2), ops)
     assert not v.ok and v.failure == "operation 0 reaches the leaf of operation 1"
-    v = verify_query_tree(Node((0, 1), {0: Leaf(0), 1: Leaf(5)}), ops)
+    v = verify_query_tree(tree_from_dict(_node(0, 1, {0: _leaf(0), 1: _leaf(5)}), 2), ops)
     assert not v.ok and v.failure == "operation 1 reaches the leaf of operation 5"
     # a leaf that names no candidate claims nothing to check
-    assert verify_query_tree(Node((0, 1), {0: Leaf(0), 1: tree_from_dict({"leaf": None})}), ops).ok
+    assert verify_query_tree(tree_from_dict(_node(0, 1, {0: _leaf(0), 1: _leaf(None)}), 2), ops).ok
 
 
 def test_verify_failures_are_pinned():
     chain2 = enumerate_orbit(build_max_chain(2))  # candidate 0 answers 0*1 = 0, candidate 1 answers 0*1 = 1
-    for tree, failure in (
-        (Node((0, 1), {0: Leaf(0)}), "operation 1 got unanswered branch 0*1 = 1"),
-        (Node((0, 0), {0: Leaf()}), "two candidates share a leaf"),
-        (Node((0, 1), {0: Leaf(), 1: Leaf(), 2: Leaf()}), "tree has 3 leaves for 2 candidates"),
+    for d, failure in (
+        (_node(0, 1, {0: _leaf(0)}), "operation 1 got unanswered branch 0*1 = 1"),
+        (_node(0, 0, {0: _leaf()}), "two candidates share a leaf"),
+        (_node(0, 1, {0: _leaf(), 1: _leaf(), 2: _leaf()}), "tree has 3 leaves for 2 candidates"),
     ):
-        v = verify_query_tree(tree, chain2)
+        v = verify_query_tree(tree_from_dict(d, 2), chain2)
         assert (v.ok, v.failure) == (False, failure)
-    for tree in (Node((0, 1), {}), Node((0, 1), {0: Leaf(0), 1: Node((1, 1), {})})):
+    for d in (_node(0, 1, {}), _node(0, 1, {0: _leaf(0), 1: _node(1, 1, {})})):
         with pytest.raises(ValidationError, match="^internal node with no children$"):
-            verify_query_tree(tree, chain2)
+            tree_from_dict(d, 2)
 
 
 def test_verify_names_the_lowest_failing_candidate():
     # candidate 3 finds no branch for 0*2 = 0 at depth 1, and candidate 1
     # reaches the leaf of candidate 2 at depth 3; a walk by levels meets
     # candidate 3 first, but the lowest index wins
-    tree = Node(
-        (0, 1),
+    d = _node(
+        0,
+        1,
         {
-            0: Node((0, 2), {0: Node((1, 2), {1: Leaf(0), 2: Leaf(2)}), 2: Leaf(2)}),
-            1: Node((0, 2), {2: Node((1, 2), {1: Leaf(4), 2: Leaf(5)})}),
+            0: _node(0, 2, {0: _node(1, 2, {1: _leaf(0), 2: _leaf(2)}), 2: _leaf(2)}),
+            1: _node(0, 2, {2: _node(1, 2, {1: _leaf(4), 2: _leaf(5)})}),
         },
     )
     ops = enumerate_orbit(build_max_chain(3))
-    v = verify_query_tree(tree, ops)
+    v = verify_query_tree(tree_from_dict(d, 3), ops)
     assert (v.ok, v.failure) == (False, "operation 1 reaches the leaf of operation 2")
     assert v.depths == {0: 3, 1: 3, 2: 2, 4: 3, 5: 3}  # candidate 3 reaches no leaf
 
 
 def test_verify_checks_every_node_of_a_hand_built_tree():
-    # the bad queries hang on the answer 7, which no candidate gives
+    # the bad queries hang on the answer 7, which no candidate gives; the
+    # dict is read whole, reached or not
     ops = enumerate_orbit(build_max_chain(2))
     for bad in ((5, 0), (0, -1)):
-        tree = Node((0, 1), {0: Leaf(0), 1: Leaf(1), 7: Node(bad, {0: Leaf()})})
+        d = _node(0, 1, {0: _leaf(0), 1: _leaf(1), 7: _node(*bad, {0: _leaf()})})
         with pytest.raises(ValidationError, match=rf"^query \({bad[0]}, {bad[1]}\) out of range for n = 2$"):
-            verify_query_tree(tree, ops)
-    for bad, match in ((Leaf(-1), "op id"), (Node((0,), {0: Leaf()}), "pair"), (Node((0, 0.5), {0: Leaf()}), "query needs an integer"), (3, "Node or a Leaf")):
+            tree_from_dict(d, 2)
+    for bad, match in (
+        (_leaf(-1), "op id"),
+        ({"query": [0], "children": {"0": _leaf()}}, "pair"),
+        (_node(0, 0.5, {0: _leaf()}), "query needs an integer"),
+        (3, "tree node must be a dict"),
+    ):
         with pytest.raises(ValidationError, match=match):
-            verify_query_tree(Node((0, 1), {0: Leaf(0), 1: bad}), ops)
+            tree_from_dict(_node(0, 1, {0: _leaf(0), 1: bad}), 2)
+    # a tree on other labels than the candidates' is refused, not walked
+    tree = tree_from_dict(_node(0, 1, {0: _leaf(0), 1: _leaf(1)}), 3)
+    for read in (lambda t: verify_query_tree(t, ops), lambda t: tree_stats(t, ops)):
+        with pytest.raises(ValidationError, match="^tree asks queries on 3 labels, not 2$"):
+            read(tree)
+    for read in (lambda t: verify_query_tree(t, ops), tree_to_dict, render_tree):
+        with pytest.raises(ValidationError, match="tree_from_dict reads a tree dict"):
+            read(_node(0, 1, {0: _leaf(0), 1: _leaf(1)}))
 
 
 def test_verification_reports_depths_and_leaf_count():
@@ -285,21 +317,64 @@ def test_the_witness_tree_is_read_only_columns():
             column[0] = 1
     d = tree_to_dict(tree)
     assert json.loads(json.dumps(d)) == d  # Python ints only: json.dumps refuses np.int64
-    assert tree_to_dict(tree_from_dict(d)) == d and render_tree(tree_from_dict(d)) == render_tree(tree)
+    assert tree_to_dict(tree_from_dict(d, 4)) == d and render_tree(tree_from_dict(d, 4)) == render_tree(tree)
+    # the public constructor checks the columns it is given and keeps a read-only copy
+    copy = TreeColumns(4, tree.nodes.tolist(), tree.edges.copy())
+    assert tree_to_dict(copy) == d and not copy.edges.flags.writeable
+
+
+_BAD_COLUMNS = """
+import numpy as np
+from opquery import TreeColumns, ValidationError, render_tree, tree_to_dict, verify_query_tree, OperationSet, build_max_chain
+ops = OperationSet(build_max_chain(3).entries[None])
+for args in (
+    (3, [1, 0, 1], [[0, 0, 1], [1, 0, 2], [2, 0, 1]]),  # a cycle: row 1 is the child of rows 0 and 2
+    (3, [1, 1, 1], [[1, 0, 2], [2, 0, 1]]),  # a cycle of rows 1 and 2, apart from the root
+    (3, [1, 0], [[0, 0, 5]]),  # an edge to row 5 of a 2-row tree
+    (3, [99, 0, 1], [[0, 0, 1], [0, 1, 2]]),  # query column 99 on 3 labels
+    (3, [1, 0, 1], [[0, 1, 1], [0, 0, 2]]),  # answers out of order
+    (3, [1, 0, 1], [[0, 0, 1], [0, 0, 2]]),  # one answer twice
+    (3, [1, -2, 1], [[0, 0, 1], [0, 1, 2]]),  # a leaf below -1
+    (3, [1, 0, 1], [[0, 0, 1]]),  # an edge short
+    (3, [1.0, 0, 1], [[0, 0, 1], [0, 1, 2]]),  # not integers
+    (0, [0], np.empty((0, 3), dtype=np.int64)),  # no labels
+):
+    try:
+        tree = TreeColumns(args[0], np.array(args[1]), np.array(args[2]))
+        print("built", tree_to_dict(tree), render_tree(tree), verify_query_tree(tree, ops).ok)
+    except ValidationError:
+        print("refused")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_tree_columns_built_from_outside_are_checked():
+    # in a child held to 1 GiB and 60 s: unchecked, render_tree never
+    # returns on a cycle, and an edge to a missing row raises IndexError
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BAD_COLUMNS], capture_output=True, text=True, env=env, timeout=60, preexec_fn=_one_gib
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n" * 10
+
+
+def _one_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def test_tree_stats_raises_on_bad_tree():
     ops = enumerate_orbit(build_max_chain(3))
     with pytest.raises(ValidationError):
-        tree_stats(Leaf(), ops)
+        tree_stats(tree_from_dict(_leaf(), 3), ops)
 
 
 def test_tree_serialization_round_trip():
     tree = three_element_tree()
     ops = enumerate_orbit(build_max_chain(3))
-    # leaf ids are filled in during verification on the original tree
     d = tree_to_dict(tree)
-    back = tree_from_dict(d)
+    back = tree_from_dict(d, 3)
     assert tree_to_dict(back) == d
     assert verify_query_tree(back, ops).ok
     assert d["query"] == [0, 1]
@@ -345,7 +420,7 @@ def test_minimal_worst_case_budget():
 def test_minimal_worst_case_singleton():
     ops = enumerate_orbit(build_abelian([]))
     depth, tree = minimal_worst_case(ops)
-    assert depth == 0 and _node_view(tree) == Leaf(0)
+    assert depth == 0 and tree_to_dict(tree) == _leaf(0)
 
 
 # Exact optima with the sha256 of each canonical witness (json.dumps of
@@ -545,29 +620,24 @@ def test_sets_the_search_does_not_trust_are_checked():
             minimal_worst_case(ops, budget=len(ops))
 
 
-def _node_view(tree):
-    """The search's columnar tree as Node and Leaf objects."""
-    return tree_from_dict(tree_to_dict(tree))
-
-
-def _blocks_below_the_root(tree, ops):
-    """(candidate ids, subtree) of every node of tree below its root with three or more candidates."""
+def _blocks_below_the_root(d, ops):
+    """(candidate ids, subtree dict) of every node of the tree dict d below its root with three or more candidates."""
     answers = ops.tables.reshape(len(ops), -1)
-    found, stack = [], [(tree, list(range(len(ops))))]
+    found, stack = [], [(d, list(range(len(ops))))]
     while stack:
         node, ids = stack.pop()
-        if isinstance(node, Node) and len(ids) >= 3:
+        if "query" in node and len(ids) >= 3:
             if len(ids) < len(ops):
                 found.append((ids, node))
-            column = node.query[0] * ops.n + node.query[1]
-            stack.extend((child, [i for i in ids if answers[i, column] == z]) for z, child in node.children.items())
+            column = node["query"][0] * ops.n + node["query"][1]
+            stack.extend((child, [i for i in ids if answers[i, column] == int(z)]) for z, child in node["children"].items())
     return found
 
 
-def _leaves_renamed(tree, ids):
-    if isinstance(tree, Leaf):
-        return Leaf(ids[tree.op_id])
-    return Node(tree.query, {z: _leaves_renamed(child, ids) for z, child in tree.children.items()})
+def _leaves_renamed(d, ids):
+    if "leaf" in d:
+        return {"leaf": ids[d["leaf"]]}
+    return {"query": d["query"], "children": {z: _leaves_renamed(child, ids) for z, child in d["children"].items()}}
 
 
 @pytest.mark.parametrize(
@@ -584,13 +654,13 @@ def test_every_witness_subtree_is_the_open_search_of_its_block(canonical):
     stats = SearchStats()
     _, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
     assert stats.conjugate_reads > 0
-    blocks = _blocks_below_the_root(_node_view(tree), ops)
+    blocks = _blocks_below_the_root(tree_to_dict(tree), ops)
     assert blocks
     for ids, node in blocks:
         open_stats = SearchStats()
         _, sub = minimal_worst_case(OperationSet(ops.tables[ids]), budget=len(ids), stats=open_stats)
         assert (open_stats.conjugate_hits, open_stats.queries_skipped) == (0, 0)
-        assert _leaves_renamed(_node_view(sub), ids) == node
+        assert _leaves_renamed(tree_to_dict(sub), ids) == node
 
 
 def _posets(n):
@@ -689,26 +759,35 @@ def test_tree_from_dict_refuses_malformed_nodes():
     ):
         with pytest.raises(ValidationError):
             tree_from_dict(bad)
+    # two keys that name one answer: "1" and 1, "-0" and "0"
+    twice = {"query": [0, 1], "children": {"1": {"leaf": 0}, 1: {"leaf": 1}, "-0": {"leaf": 2}, "0": {"leaf": 3}}}
+    with pytest.raises(ValidationError, match="^children name the answer 0 twice$"):
+        tree_from_dict(twice)
     tree = tree_from_dict({"query": [np.int8(0), 1], "children": {"-1": leaf, 2: {"leaf": None}}})
-    assert tree == Node((0, 1), {-1: Leaf(0), 2: Leaf()})
+    assert tree.n == 2 and tree_to_dict(tree) == {"query": [0, 1], "children": {"-1": {"leaf": 0}, "2": {"leaf": None}}}
+    # labels past 64 bits: a query, an answer and a leaf
+    for big in (
+        {"query": [0, 1 << 64], "children": {"0": leaf}},
+        {"query": [0, 1], "children": {str(1 << 64): leaf}},
+        {"query": [0, 1], "children": {"0": {"leaf": 1 << 64}}},
+    ):
+        with pytest.raises(ValidationError, match="^tree labels must fit in 64 bits$"):
+            tree_from_dict(big)
 
 
-def _chain_dict(depth: int, bottom: dict) -> dict:
+def _chain_dict(depth: int, bottom: dict, query=(0, 1)) -> dict:
     d = bottom
     for _ in range(depth):
-        d = {"query": [0, 1], "children": {"0": d}}
+        d = {"query": list(query), "children": {"0": d}}
     return d
 
 
 def test_tree_from_dict_reads_deep_trees_without_recursion():
-    # 5,000 levels is past the interpreter's recursion limit
+    # 5,000 levels is past the interpreter's recursion limit; reading,
+    # rendering and writing each keep their own stack
     tree = tree_from_dict(_chain_dict(5000, {"leaf": 0}))
-    depth = 0
-    while isinstance(tree, Node):
-        tree, depth = tree.children[0], depth + 1
-    assert depth == 5000 and tree == Leaf(0)
-    # the Node tree becomes columns by a walk with its own stack, so both writers read it whole
-    tree = tree_from_dict(_chain_dict(5000, {"leaf": 0}))
+    assert tree.n == 2 and len(tree.nodes) == 5001 and tree.nodes[-1] == 0
+    assert (tree.edges[:, 0] + 1 == tree.edges[:, 2]).all()  # each node's child is the next row
     assert render_tree(tree).count("\n") == 2 * 5000 + 1
     d = tree_to_dict(tree)
     for _ in range(5000):
@@ -721,23 +800,16 @@ def test_tree_from_dict_reads_deep_trees_without_recursion():
     with pytest.raises(ValidationError, match="contains itself"):
         tree_from_dict(loop)
     shared = {"leaf": 1}  # a dict used twice is two leaves, not a loop
-    assert tree_from_dict({"query": [0, 1], "children": {"0": shared, "1": shared}}) == Node((0, 1), {0: Leaf(1), 1: Leaf(1)})
+    tree = tree_from_dict({"query": [0, 1], "children": {"0": shared, "1": shared}})
+    assert tree_to_dict(tree) == {"query": [0, 1], "children": {"0": {"leaf": 1}, "1": {"leaf": 1}}}
 
 
 def test_verify_query_tree_walks_deep_trees_without_recursion():
     # n = 64 caps the depth at n^2 = 4,096
     ops = OperationSet(build_abelian([64]).entries[None])
-    deep = Leaf(0)
-    for _ in range(1500):
-        deep = Node((0, 0), {0: deep})
-    v = verify_query_tree(deep, ops)
+    v = verify_query_tree(tree_from_dict(_chain_dict(1500, {"leaf": 0}, (0, 0)), 64), ops)
     assert v.ok and v.leaf_count == 1 and v.depths == {0: 1500}
-    for _ in range(4096 - 1500 + 1):
-        deep = Node((0, 0), {0: deep})
+    deep = _chain_dict(4096 + 1, {"leaf": 0}, (0, 0))
     with pytest.raises(ValidationError, match="deeper than 4096"):
-        verify_query_tree(deep, ops)
-    loop = Node((0, 0), {})
-    loop.children[0] = loop
-    for read in (lambda t: verify_query_tree(t, ops), tree_to_dict, render_tree):
-        with pytest.raises(ValidationError, match="contains itself"):
-            read(loop)
+        tree_from_dict(deep, 64)
+    assert len(tree_from_dict(deep).nodes) == 4096 + 2  # no cap without n
