@@ -23,7 +23,8 @@ reached each element, which ring recovery follows to fill a multiplication.
 
 Symmetry counts (automorphisms, isomorphisms) and orbit enumeration are
 brute force over permutations, guarded by a cap. One kernel walks the
-permutations in lexicographic order, a fixed chunk of rows at a time, and
+permutations in lexicographic order, or a stream of them that the caller
+gives, a fixed chunk of rows at a time, and
 relabels the tables by a whole chunk with one numpy gather, so memory stays
 O(chunk n^2) however large n! is. Counts are exact Python integers throughout.
 """
@@ -410,14 +411,19 @@ def is_prime(m: int) -> bool:
 @lru_cache(maxsize=512)
 def _build_abelian_cached(factors: tuple[int, ...]) -> OpTable:
     n = math.prod(factors)  # 1 for the trivial group, whose table is [[0]]
-    _table_dtype(n)  # refuses n past int32 before any array is made
+    dtype = _table_dtype(n)  # refuses n past int32 before any array is made
     idx = np.arange(n)
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=dtype)
     stride = 1
     for d in factors:
-        digit = (idx // stride) % d
-        table += ((digit[:, None] + digit[None, :]) % d) * stride
+        # for digits a, b below d, a + b - d, plus d where negative, is (a + b) mod d;
+        # taken in strides it stays in (-n, n), so dtype holds it
+        digit = ((idx // stride) % d * stride).astype(dtype)
         stride *= d
+        part = np.subtract.outer(digit, stride - digit)
+        np.add(part, stride, out=part, where=part < 0)
+        table += part
+        del part  # the table alone is copied into the OpTable
     return OpTable(table)
 
 
@@ -465,8 +471,7 @@ def build_max_chain(n: int) -> OpTable:
     """Canonical max table on 0 < 1 < ... < n-1."""
     if n < 1:
         raise ValidationError("max chain needs n >= 1")
-    _table_dtype(n)  # refuses n past int32 before any array is made
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=_table_dtype(n))  # refuses n past int32 before any table is made
     return OpTable(np.maximum.outer(idx, idx))
 
 
@@ -761,35 +766,37 @@ def _check_cap(n: int, cap: Optional[int], what: str) -> None:
         raise CapabilityError(f"{what} is brute force over {n}! permutations; cap is {limit} (pass a larger cap to override)")
 
 
-def _relabelings(stack: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _relabelings(stack: np.ndarray, perms: Optional[Iterator[Sequence[int]]] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every relabeling of an (m, n, n) stack of tables, a chunk at a time.
 
-    Walks the permutations p of 0..n-1 in lexicographic order and yields
-    each chunk as a (k, n) array together with the (m, k, n, n) images in
-    the stack's dtype: ``images[j, i]`` is table j carried through
-    x -> p_i[x], as ``OpTable.relabel`` gives it. The chunks and their
-    gather indices depend on n alone: they are cached per n while n! n^2
-    stays within _KERNEL_ENTRIES (``_permutation_chunks``), and larger n
-    build one chunk at a time, so memory stays bounded by the chunk.
+    Walks the permutations p of 0..n-1 in lexicographic order, or those
+    that ``perms`` yields in its order, and yields each chunk as a (k, n)
+    array together with the (m, k, n, n) images in the stack's dtype:
+    ``images[j, i]`` is table j carried through x -> p_i[x], as
+    ``OpTable.relabel`` gives it. The chunks of all n! permutations and
+    their gather indices depend on n alone: they are cached per n while
+    n! n^2 stays within _KERNEL_ENTRIES (``_permutation_chunks``), and
+    larger n, or a given stream, build one chunk at a time, so memory stays
+    bounded by the chunk.
     """
     m, n = stack.shape[:2]
     flat = stack.reshape(m, -1).astype(np.intp)  # entries become indices into the chunk
-    chunks = _permutation_chunks(n) if math.factorial(n) * n * n <= _KERNEL_ENTRIES else _iter_permutation_chunks(n)
+    chunks = _permutation_chunks(n) if perms is None and math.factorial(n) * n * n <= _KERNEL_ENTRIES else _iter_permutation_chunks(n, perms)
     for p, gather, offset in chunks:
         at = flat[:, gather]
         at += offset
         yield p, np.take(p.astype(stack.dtype), at)
 
 
-def _iter_permutation_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The permutations of 0..n-1 in lexicographic order, _PERMUTATION_CHUNK at a time; read-only.
+def _iter_permutation_chunks(n: int, perms: Optional[Iterator[Sequence[int]]] = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The permutations of 0..n-1 in lexicographic order, or those of ``perms``, _PERMUTATION_CHUNK at a time; read-only.
 
     Each chunk is the (k, n) array p, the (k, n, n) gather index and the
     (k, 1, 1) row offsets: relabel(t, p_i)[u, v] = p_i[t[inv_i[u], inv_i[v]]],
     so the index reads the entry t[inv_i[u], inv_i[v]] from a flat table,
     and that entry plus i n is where p_i[entry] sits in the flat chunk.
     """
-    perms = permutations(range(n))
+    perms = permutations(range(n)) if perms is None else perms
     while True:
         p = np.fromiter(chain.from_iterable(islice(perms, _PERMUTATION_CHUNK)), dtype=np.intp).reshape(-1, n)
         k = p.shape[0]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -110,10 +109,17 @@ def family_orbit_size(tables: Sequence[OpTable], cap: Optional[int] = None) -> i
     return sum(orbit_size(t, cap) for t in tables)
 
 
+# n! is counted exactly up to this many bits: n up to about 20,000, whose
+# 79,000 digits print in about 0.1 s. Past it, forming n! and summing log2 k
+# up to n would not return for an n such as 10^9.
+_FACTORIAL_BITS = 1 << 18
+
+
 def _factorial(n: int) -> int:
-    """n!, or CapabilityError past sys.maxsize, the largest n that math.factorial takes."""
-    if n > sys.maxsize:
-        raise CapabilityError(f"n! is past math.factorial for n = {n} > {sys.maxsize}")
+    """n!, or CapabilityError when it has more than _FACTORIAL_BITS bits, read from lgamma before n! is formed."""
+    bits = math.lgamma(min(n, 1 << 64) + 1) / math.log(2)
+    if bits > _FACTORIAL_BITS:
+        raise CapabilityError(f"n! has about {bits:.3g} bits for n = {n}, past the {_FACTORIAL_BITS} that bounds counts exactly")
     return math.factorial(n)
 
 

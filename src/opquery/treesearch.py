@@ -31,10 +31,11 @@ the states it reads from a conjugate; its nodes worth 1 take the first
 query that separates their candidates, found in one batch at the end that
 writes their columns, leaf rows and edges a chunk at a time.
 
-Every class searched here is closed under relabeling (S_n). A state of a
-closed set is then fixed by every permutation of the labels its transcript
-has not mentioned, so the search scans one query per orbit of that
-stabiliser. In a group, a state below the first answer that its path had
+The search knows a set is closed under relabeling (S_n) only when
+``enumerate_orbit`` built it as an orbit; any other set is searched with
+every label mentioned. A state of an orbit is fixed by every permutation
+of the labels its transcript has not mentioned, so the search scans one
+query per orbit of that stabiliser. In a group, a state below the first answer that its path had
 not mentioned also has a conjugacy key, equal for states that a permutation
 fixing that answer's state maps onto each other. In the orbit of a max
 chain, a state is the set of linear extensions of the poset its answers
@@ -45,7 +46,9 @@ mapped back through the key's names, instead of searching the state again,
 and keeps whether a later query of that scan reaches its value for every
 conjugate; neither changes a value or the witness tree. ``enumerate_orbit``
 walks an orbit by the star transpositions (0 i) when that takes fewer
-relabelings than running all n! permutations.
+relabelings than running all n! permutations, and stacks the images of a
+max table, or of a cyclic group of prime order p past one chunk of p!,
+under permutations that give each table of the orbit once.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _check_cap, _cyclic_table, _factorize, _relabelings, _trusted, abelian_type, is_prime
+from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _check_cap, _cyclic_table, _factorize, _relabelings, _trusted, abelian_type, build_abelian, is_prime
 from .bounds import abelian_automorphism_count
 from .errors import CapabilityError, ValidationError
 
 SEARCH_BUDGET = 200  # default cap on |X| for exact search
-# The orbit walk and the closure check relabel at most _STAR_CHUNK tables by
-# at most max(1, _STAR_ENTRIES // n^2) star transpositions per gather.
+# The orbit walk relabels at most _STAR_CHUNK tables by at most
+# max(1, _STAR_ENTRIES // n^2) star transpositions per gather.
 _STAR_CHUNK = 256
 _STAR_ENTRIES = 4096
 # The witness tree settles its states worth 1 by gathering at most this many answers at a time.
@@ -252,21 +255,23 @@ def render_tree(tree: TreeColumns, indent: str = "") -> str:
 class OperationSet:
     """An indexed set of distinct candidate tables on one carrier.
 
-    Stored as a single (m, n, n) integer array so the search can slice
-    answers cheaply; ``ops[i]`` materializes candidate i as an OpTable. The
-    read-only stack of an orbit from ``enumerate_orbit`` stays distinct and
-    closed under relabeling, so ``minimal_worst_case`` checks only other sets.
+    Stored as a single (m, n, n) integer array, ``tables``, so the search
+    can slice answers cheaply; construction checks that the tables are
+    distinct. ``enumerate_orbit`` alone builds an orbit, distinct and closed
+    under relabeling by construction, on a read-only stack; while it stays
+    read-only, ``minimal_worst_case`` searches it by symmetry, and it checks
+    the distinctness of every other set again and searches it open.
     """
 
-    def __init__(self, tables: np.ndarray, check_distinct: bool = True):
+    def __init__(self, tables: np.ndarray):
         arr = np.asarray(tables)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValidationError(f"expected an (m, n, n) stack of tables, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValidationError("candidate set must be nonempty")
-        if check_distinct and len(_sorted_distinct(_byte_keys(arr))) != len(arr):
+        if len(_sorted_distinct(_byte_keys(arr))) != len(arr):
             raise ValidationError("candidate tables must be pairwise distinct")
-        self._tables, self._orbit = arr, False  # enumerate_orbit alone marks an orbit, on a read-only stack
+        self._tables, self._orbit = arr, False  # enumerate_orbit alone marks an orbit
 
     @property
     def n(self) -> int:
@@ -279,29 +284,29 @@ class OperationSet:
     def __len__(self) -> int:
         return int(self._tables.shape[0])
 
-    def __getitem__(self, i: int) -> OpTable:
-        return OpTable(self._tables[i])
 
-    def __iter__(self) -> Iterator[OpTable]:
-        for i in range(len(self)):
-            yield self[i]
+def _cyclic_prime_powers(p: int) -> Iterator[tuple[int, ...]]:
+    """The p (p-2)! power sequences (identity, generator, its square, ...) that give each table of a cyclic group of prime order p once.
+
+    Pick the identity, give the smallest remaining element discrete log 1
+    (scaling the generator is an automorphism, so log 1 can be pinned), and
+    distribute logs 2..p-1 over the rest in every way. A sequence is also
+    the permutation that carries ``build_abelian([p])`` onto its table.
+    """
+    for e in range(p):
+        others = [x for x in range(p) if x != e]
+        for rest in permutations(others[1:]):
+            yield (e, others[0], *rest)
 
 
 def iter_cyclic_prime_tables(p: int) -> Iterator[np.ndarray]:
-    """All p * (p-2)! distinct tables of a cyclic group of prime order p.
+    """All p * (p-2)! distinct tables of a cyclic group of prime order p, ``_cyclic_table`` of each of ``_cyclic_prime_powers``.
 
-    Parameterization: pick the identity, give the smallest remaining element
-    discrete log 1 (scaling the generator is an automorphism, so log 1 can be
-    pinned), and distribute logs 2..p-1 over the rest in every way. Lazy, for
-    exhaustive sweeps that should not materialize the whole family.
+    Lazy, for exhaustive sweeps that should not materialize the whole family.
     """
     if not is_prime(p):
         raise ValidationError(f"need a prime order, got {p}")
-    for e in range(p):
-        others = [x for x in range(p) if x != e]
-        g, rest = others[0], others[1:]
-        for assignment in permutations(rest):
-            yield _cyclic_table((e, g) + assignment)
+    return map(_cyclic_table, _cyclic_prime_powers(p))
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -332,17 +337,17 @@ def _contains(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _star_relabelings(stack: np.ndarray) -> Iterator[np.ndarray]:
     """Every table of an (m, n, n) stack relabelled by each star transposition (0 i).
 
-    The n - 1 transpositions (0 1), ..., (0 n-1) generate S_n, so a set of
-    tables is closed under relabeling iff it is closed under them. Each is
+    The n - 1 transpositions (0 1), ..., (0 n-1) generate S_n, so walking
+    by them from a table reaches its whole orbit. Each is
     its own inverse: relabel(t, s)[u, v] = s[t[s[u], s[v]]] is one gather of
     positions and a swap of the values 0 and i. Yields (k, n, n) stacks of
     images in the stack's dtype, a bounded chunk at a time and in no useful
-    order; entries outside 0..n-1 are left as they are.
+    order.
     """
     m, n = stack.shape[:2]
     flat = stack.reshape(m, n * n)
     for i, at in _star_gathers(n) if (n - 1) * n * n <= _STAR_ENTRIES else _iter_star_gathers(n):
-        label = i.astype(stack.dtype)[:, None]  # a user-built OperationSet may hold int64 stacks
+        label = i.astype(stack.dtype)[:, None]  # the images keep the stack's dtype
         for first in range(0, m, _STAR_CHUNK):
             moved = flat[first : first + _STAR_CHUNK, at]
             yield (moved + label * (moved == 0) - label * (moved == label)).reshape(-1, n, n)
@@ -387,24 +392,32 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
     n must be under the brute force cap; past it, and before any work, the
     call raises CapabilityError. When the table has more than n - 1
     automorphisms (``_walk_is_shorter``), the orbit is walked breadth first
-    by the star transpositions, n - 1 relabelings per table; otherwise all
+    by the star transpositions, n - 1 relabelings per table. Where known
+    permutations give each table of the orbit once, their images are
+    stacked as they come and sorted once, in place: all n! of them for a
+    max table (``_is_max_table``), which has one automorphism, and for a
+    group of prime order p past one chunk of p! (p >= 7) the power
+    sequences of ``_cyclic_prime_powers``, applied to ``build_abelian([p])``,
+    whose orbit it is whichever member the call starts from. Otherwise all
     n! permutations run through the chunked kernel of ``algebra`` and are
-    deduped. A max table (``_is_max_table``) has one automorphism, so its
-    n! images are stacked as they come and sorted once, in place. Every path
-    gives the same stack, and memory stays O(orbit + chunk). It is
-    read-only, so it stays the orbit that ``minimal_worst_case`` trusts.
+    deduped. Every path gives the same stack, and memory stays O(orbit +
+    chunk). It is read-only and marked as an orbit, so
+    ``minimal_worst_case`` searches it by symmetry without a check.
     """
     n = canonical.n
     _check_cap(n, cap, "enumerate_orbit")
     start = canonical.entries[None]
     if _walk_is_shorter(canonical):
         stack = _walk_orbit(start)
-    elif _is_max_table(canonical.entries):  # one automorphism: the n! images are distinct
-        stack = np.empty((math.factorial(n), n, n), dtype=start.dtype)
+    elif (chain := _is_max_table(canonical.entries)) or math.factorial(n) > _PERMUTATION_CHUNK and is_prime(n) and abelian_type(canonical) == (n,):
+        # the images of these permutations are the orbit once each: stack them and sort once
+        perms = None if chain else _cyclic_prime_powers(n)
+        start = start if perms is None else build_abelian([n]).entries[None]
+        stack = np.empty((math.factorial(n) // (1 if perms is None else n - 1), n, n), dtype=start.dtype)
         done = 0
-        for perms, images in _relabelings(start):
-            stack[done : done + len(perms)] = images[0]
-            done += len(perms)
+        for p, images in _relabelings(start, perms):
+            stack[done : done + len(p)] = images[0]
+            done += len(p)
         _byte_keys(stack).sort()  # a view of the stack: its tables take byte order in place
     else:
         seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
@@ -420,8 +433,8 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
             seen = _sorted_distinct(np.concatenate([seen, *fresh]))
         stack = seen.view(start.dtype).reshape(-1, n, n)
     stack.flags.writeable = False
-    orbit = OperationSet(stack, check_distinct=False)
-    orbit._orbit = True
+    orbit = OperationSet.__new__(OperationSet)  # distinct by construction: not checked again
+    orbit._tables, orbit._orbit = stack, True
     return orbit
 
 
@@ -768,10 +781,10 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     from which a higher cap searches again. Exact values come out the same
     under any cap above them, and so does the first query reaching them.
 
-    When ``ops`` is closed under relabeling (checked on every call by the star
-    transpositions, unless ``enumerate_orbit`` built it), a state is fixed by
-    every permutation of the labels its path has not mentioned as x, y or
-    answer. Queries in one orbit of that stabiliser have the same value, so
+    When ``enumerate_orbit`` built ``ops`` and its stack is still read-only,
+    it is distinct and closed under relabeling by construction, and a state
+    is fixed by every permutation of the labels its path has not mentioned
+    as x, y or answer. Queries in one orbit of that stabiliser have the same value, so
     the scan takes only the lexicographically first of each
     (``_representatives``): the first query with the best value is among them.
     In a group, states below an answer that the path had not mentioned get a
@@ -808,9 +821,10 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     a conjugate's scan through the two labellings, which list the
     unmentioned labels last and in order: each pair of places that the
     canonical poset leaves unordered (``_unordered``) names a representative
-    x < y in both states. Any other set is searched with every label
-    mentioned, which scans every query and starts no key. Values and witness
-    trees are the same either way; ``stats`` counts the work.
+    x < y in both states. Any other set, closed or not, has its distinctness
+    checked and is searched with every label mentioned, which scans every
+    query and starts no key. Values and witness trees are the same either
+    way; ``stats`` counts the work.
     """
     m = len(ops)
     _check_budget(m, budget)
@@ -818,12 +832,9 @@ def minimal_worst_case(ops: OperationSet, budget: int = SEARCH_BUDGET, stats: Op
     stats = SearchStats() if stats is None else stats
     tables = ops.tables
     closed = ops._orbit and not tables.flags.writeable  # an orbit enumerate_orbit built is distinct and closed
-    if not closed:
-        keys = np.sort(_byte_keys(tables))
-        if (keys[1:] == keys[:-1]).any():
-            raise ValidationError("candidate tables must be pairwise distinct; two of them answer every query alike")
-        closed = all(_contains(keys, _byte_keys(images)).all() for images in _star_relabelings(tables))
-    # a closed set of all n! tables that holds a max table holds every max table: a state is a poset
+    if not closed:  # its tables may have been written since the set was built: check them again
+        OperationSet(tables)
+    # an orbit of all n! tables that holds a max table holds every max table: a state is a poset
     chain = closed and m == math.factorial(n) and _is_max_table(tables[0])
     answers = tables.reshape(m, n * n)  # column x*n + y answers query (x, y)
     bits = {v: 1 << v for v in range(n)}  # answers outside 0..n-1 name no label

@@ -105,7 +105,7 @@ def test_every_table_producer_stores_the_compact_dtype():
         _assert_compact(ring.add)
         _assert_compact(ring.mul)
         _assert_compact(ring.relabel(random_permutation(ring.n, 2)).mul)
-    _assert_compact(next(iter(OperationSet(np.zeros((1, 3, 3), dtype=np.int64)))))
+    _assert_compact(OpTable(OperationSet(np.zeros((1, 3, 3), dtype=np.int64)).tables[0]))
     tables = iter_cyclic_prime_tables(7)
     for _ in range(3):
         table = next(tables)
@@ -475,9 +475,11 @@ def test_kernel_yields_the_same_relabelings_cached_or_streamed(n, monkeypatch):
     cached = list(_relabelings(stack))
     monkeypatch.setattr(algebra, "_KERNEL_ENTRIES", 0)  # every n builds its chunks as it goes
     streamed = list(_relabelings(stack))
-    assert len(cached) == len(streamed)
-    for (p, images), (q, want) in zip(cached, streamed):
+    given = list(_relabelings(stack, permutations(range(n))))  # the same permutations as a stream, chunked as it goes
+    assert len(cached) == len(streamed) == len(given)
+    for (p, images), (q, want), (r, got) in zip(cached, streamed, given):
         assert np.array_equal(p, q) and images.dtype == want.dtype and np.array_equal(images, want)
+        assert np.array_equal(p, r) and images.dtype == got.dtype and np.array_equal(images, got)
     # images[j, i] is table j relabelled by p_i, as OpTable.relabel gives it
     p, images = cached[-1]
     assert np.array_equal(images[1, -1], OpTable(stack[1]).relabel(p[-1].tolist()).entries)
@@ -500,6 +502,19 @@ def test_kernel_results_are_the_same_cached_or_streamed(monkeypatch):
     assert cached[:4] == ([2, 6, 6, 1, 1], 2, (5, 3, 0, 1, 2, 4), None)  # the values the kernel gave before its cache
     monkeypatch.setattr(algebra, "_KERNEL_ENTRIES", 0)
     assert results() == cached
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: algebra._build_abelian_cached.__wrapped__((2048,)), lambda: algebra._build_abelian_cached.__wrapped__((2, 1024)), lambda: build_max_chain.__wrapped__(2048)],
+    ids=["Z_2048", "Z_2xZ_1024", "C_2048"],
+)
+def test_canonical_tables_are_built_in_their_own_type(build):
+    # the int16 table takes 8 MB; filled in int64, with int64 temporaries for
+    # the groups, before OpTable narrowed a copy, the peaks were 96 MB and 40 MB
+    t = build()
+    assert t.entries.dtype == np.int16
+    assert _peak_bytes(build) <= 3 * t.entries.nbytes
 
 
 def test_orbit_walk_memory_is_bounded_by_its_orbit():

@@ -445,6 +445,8 @@ def _one_gib():
         ("gen --abelian 100000", 3, "capability: out of memory: "),  # a 74.5 GiB table
         ("bounds --abelian 99999999999999999999", 3, "capability: "),  # n! past math.factorial
         ("bounds --maxchain 99999999999999999999", 3, "capability: "),  # before the sum over k <= n
+        ("bounds --abelian 1000000000", 3, "capability: "),  # n! of about 2.8e10 bits, refused from lgamma
+        ("bounds --maxchain 1000000000", 3, "capability: "),  # neither formed nor summed
     ],
 )
 def test_absurd_class_sizes_end_with_an_exit_code_not_a_traceback(argv, code, prefix):

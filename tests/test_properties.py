@@ -558,9 +558,11 @@ def _reference_minimal_worst_case(tables: np.ndarray) -> tuple[int, dict]:
     return solve(root), build(root)
 
 
-def _assert_search_matches_reference(tables: np.ndarray) -> None:
-    depth, tree = minimal_worst_case(OperationSet(tables), budget=len(tables))
-    assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(tables)
+def _assert_search_matches_reference(ops) -> None:
+    """The search on ops, an OperationSet or a stack of tables, against the reference; an orbit from enumerate_orbit is searched by symmetry."""
+    ops = ops if isinstance(ops, OperationSet) else OperationSet(ops)
+    depth, tree = minimal_worst_case(ops, budget=len(ops))
+    assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(ops.tables)
 
 
 def _random_stack(rng: random.Random, n: int, m: int, commutative: bool) -> np.ndarray:
@@ -608,15 +610,16 @@ _Z3_ALTERED[1, 2] = (_Z3[1, 2] + 1) % 3
 
 
 @pytest.mark.parametrize(
-    "stack, query",
-    [(enumerate_orbit(build_max_chain(2)).tables, (0, 1)), (np.stack([_Z3, _Z3_ALTERED]), (1, 2))],
+    "ops, query",
+    [(enumerate_orbit(build_max_chain(2)), (0, 1)), (OperationSet(np.stack([_Z3, _Z3_ALTERED])), (1, 2))],
     ids=["closed", "open"],
 )
-def test_two_tables_are_told_apart_by_their_first_differing_query(stack, query):
-    # the closed pair (the two max chains on 2 points) agrees on the
+def test_two_tables_are_told_apart_by_their_first_differing_query(ops, query):
+    # the closed pair (the orbit of the max chain on 2 points) agrees on the
     # representative (0, 0); the open pair agrees on every query before (1, 2)
+    stack = ops.tables
     stats = SearchStats()
-    depth, tree = minimal_worst_case(OperationSet(stack), stats=stats)
+    depth, tree = minimal_worst_case(ops, stats=stats)
     x, y = query
     assert depth == 1
     assert tree_to_dict(tree) == {"query": list(query), "children": {str(stack[0, x, y]): {"leaf": 0}, str(stack[1, x, y]): {"leaf": 1}}}
@@ -642,43 +645,59 @@ def test_a_block_worth_1_takes_its_first_separating_query(k):
 )
 @settings(max_examples=40, deadline=None)
 def test_minimal_worst_case_matches_reference_on_relabelled_orbits(canonical, seed):
+    # the orbit enumerated from a relabelled start is searched by symmetry;
+    # its tables relabelled and shuffled are the same set, searched open
     rng = random.Random(seed)
     perm = rng.sample(range(canonical.n), canonical.n)
-    stack = np.stack([t.relabel(perm).entries for t in enumerate_orbit(canonical)])
+    orbit = enumerate_orbit(canonical.relabel(perm))
+    _assert_search_matches_reference(orbit)
+    stack = np.stack([OpTable(t).relabel(perm).entries for t in orbit.tables])
     _assert_search_matches_reference(stack[rng.sample(range(len(stack)), len(stack))])
 
 
-def _closed_stack(rng: random.Random, n: int, commutative: bool, orbits: int) -> np.ndarray:
-    """The union of the orbits of random tables on n points, one table per orbit drawn, in byte order."""
-    tables = {t.tobytes(): t for _ in range(orbits) for t in enumerate_orbit(OpTable(_random_stack(rng, n, 1, commutative)[0])).tables}
-    return np.stack([tables[k] for k in sorted(tables)])
+def _random_orbit(rng: random.Random, n: int, commutative: bool) -> OperationSet:
+    """The orbit of a random table on n points, as enumerate_orbit builds it."""
+    return enumerate_orbit(OpTable(_random_stack(rng, n, 1, commutative)[0]))
 
 
 @given(st.integers(3, 4), st.booleans(), st.integers(1, 2), seeds)
 @settings(max_examples=40, deadline=None)
 def test_minimal_worst_case_matches_reference_on_closed_sets_that_are_not_groups(n, commutative, orbits, seed):
-    # closed under relabeling, so conjugacy keys are in play, but with
-    # stabilisers other than those of a group's orbit
-    _assert_search_matches_reference(_closed_stack(random.Random(seed), n, commutative, orbits))
+    # orbits of random tables: conjugacy keys are in play, but with
+    # stabilisers other than those of a group's orbit; a union of two orbits
+    # is closed as well, but no enumerate_orbit result, so it is searched open
+    rng = random.Random(seed)
+    found = [_random_orbit(rng, n, commutative) for _ in range(orbits)]
+    _assert_search_matches_reference(found[0])
+    if orbits == 2:
+        tables = {t.tobytes(): t for ops in found for t in ops.tables}
+        _assert_search_matches_reference(np.stack([tables[k] for k in sorted(tables)]))
 
 
 def test_closed_sets_that_are_not_groups_take_conjugate_hits():
     rng = random.Random(3)
-    for commutative, orbits in ((False, 1), (True, 1), (False, 2), (True, 2)):
-        stack = _closed_stack(rng, 4, commutative, orbits)
+    for commutative in (False, True, False, True):
+        ops = _random_orbit(rng, 4, commutative)
         stats = SearchStats()
-        depth, tree = minimal_worst_case(OperationSet(stack), budget=len(stack), stats=stats)
-        assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(stack)
-        assert stats.conjugate_hits > 0, (commutative, orbits)
+        depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
+        assert (depth, tree_to_dict(tree)) == _reference_minimal_worst_case(ops.tables)
+        assert stats.conjugate_hits > 0, commutative
+
+
+def _with_duplicate(rng: random.Random, stack: list) -> OperationSet:
+    """The distinct tables of stack as an OperationSet, one of them then written over a further row."""
+    at = rng.randrange(len(stack) + 1)
+    stack.insert(at, np.full_like(stack[0], -1))  # no table of 0..n-1
+    ops = OperationSet(np.stack(stack))
+    ops.tables[at] = ops.tables[rng.choice([i for i in range(len(stack)) if i != at])]
+    return ops
 
 
 @given(st.integers(2, 4), st.integers(1, 20), st.booleans(), seeds)
 @settings(max_examples=100, deadline=None)
 def test_minimal_worst_case_rejects_equal_tables(n, m, commutative, seed):
     rng = random.Random(seed)
-    stack = list(_random_stack(rng, n, m, commutative))
-    stack.insert(rng.randrange(len(stack) + 1), stack[rng.randrange(len(stack))])
-    ops = OperationSet(np.stack(stack), check_distinct=False)
+    ops = _with_duplicate(rng, list(_random_stack(rng, n, m, commutative)))
     with pytest.raises(ValidationError):
         minimal_worst_case(ops)
 
@@ -704,10 +723,9 @@ def test_minimal_worst_case_matches_reference_on_orbits_less_one_table(canonical
 @settings(max_examples=40, deadline=None)
 def test_minimal_worst_case_rejects_an_orbit_with_a_duplicate(canonical, seed):
     rng = random.Random(seed)
-    stack = list(enumerate_orbit(canonical).tables)
-    stack.insert(rng.randrange(len(stack) + 1), stack[rng.randrange(len(stack))])
+    ops = _with_duplicate(rng, list(enumerate_orbit(canonical).tables))
     with pytest.raises(ValidationError):
-        minimal_worst_case(OperationSet(np.stack(stack), check_distinct=False), budget=len(stack))
+        minimal_worst_case(ops, budget=len(ops))
 
 
 # ---------------------------------------------------------------------------

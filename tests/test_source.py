@@ -226,6 +226,14 @@ def test_only_relabel_skips_table_validation():
     ]
 
 
+def test_only_enumerate_orbit_marks_an_orbit():
+    # the search uses symmetry only on a set whose symmetry is known by
+    # construction: OperationSet's constructor clears the mark, enumerate_orbit
+    # alone sets it, and minimal_worst_case alone reads it
+    found = [f"{path.name}:{scope}" for path in _all_scripts() for scope in _trusted_references(path.read_text(), "_orbit")]
+    assert sorted(found) == ["treesearch.py:OperationSet.__init__", "treesearch.py:enumerate_orbit", "treesearch.py:minimal_worst_case"]
+
+
 def _oracle_internal_reads(source: str) -> list[str]:
     """Every attribute a module reads whose name is one of ``Oracle.__slots__``."""
     private = set(Oracle.__slots__)

@@ -33,6 +33,7 @@ from opquery import (
 )
 from opquery.algebra import _relabelings
 from opquery.treesearch import _byte_keys, _is_max_table, _poset_form, _sorted_distinct, _walk_is_shorter, iter_cyclic_prime_tables
+from test_properties import _kernel_orbit
 
 
 def test_enumerate_orbit_sizes():
@@ -56,12 +57,13 @@ def test_enumerate_orbit_cap():
 
 
 def test_cyclic_prime_fast_path_matches_brute():
-    # the discrete-log family of iter_cyclic_prime_tables is the whole orbit
+    # from p = 7 on, the orbit is the images of Z_p under the power sequences
+    # of iter_cyclic_prime_tables; it is the kernel's deduped stack of all p! relabelings
     for p in (2, 3, 5, 7):
-        brute = enumerate_orbit(build_abelian([p]))
-        assert len(brute) == p * math.factorial(p - 2)
-        fast = {t.tobytes() for t in iter_cyclic_prime_tables(p)}
-        assert fast == {t.tobytes() for t in brute.tables}
+        got = enumerate_orbit(build_abelian([p])).tables
+        want = _kernel_orbit(build_abelian([p]))
+        assert (got.dtype, got.shape) == (want.dtype, (p * math.factorial(p - 2), p, p))
+        assert got.tobytes() == want.tobytes()
 
 
 # sha256 of each orbit stack as enumerated before cyclic groups of prime
@@ -130,14 +132,14 @@ def test_operation_set_validation():
 
 def test_checked_operation_set_leaves_numpy_ma_unimported():
     # np.unique and np.isin import numpy.ma, about 1 MB; neither the
-    # distinctness check, the orbit walk nor the search's closure check may
+    # distinctness check, the orbit walk nor the search may
     code = (
         "import sys\n"
         "from opquery import OperationSet, build_abelian, enumerate_orbit, minimal_worst_case\n"
         "OperationSet(enumerate_orbit(build_abelian([2, 2])).tables)\n"
         "ops = enumerate_orbit(build_abelian([2, 2, 2]))\n"
         "assert minimal_worst_case(ops, budget=len(ops))[0] == 4\n"
-        "assert minimal_worst_case(OperationSet(ops.tables.copy()), budget=len(ops))[0] == 4\n"  # checked, not trusted
+        "assert minimal_worst_case(OperationSet(ops.tables.copy()), budget=len(ops))[0] == 4\n"  # checked and searched open
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opquery.__file__)))
@@ -528,7 +530,7 @@ def test_minimal_worst_case_pins_z10():
     assert stats.states == 34770
 
 
-# Hand-built sets that are not closed under relabeling, so the search mentions
+# Hand-built sets, no orbits from enumerate_orbit, so the search mentions
 # every label and scans every query, with answers outside 0..n-1. The digests
 # are those of the search that read the query of each state worth 1 from the
 # scan of that state or of a conjugate, and grouped each pair on its own.
@@ -587,15 +589,17 @@ TRUSTED_ORBITS = [
 
 @pytest.mark.parametrize("canonical, cap", [row[1:] for row in TRUSTED_ORBITS], ids=[row[0] for row in TRUSTED_ORBITS])
 def test_trusting_an_orbit_changes_nothing(canonical, cap):
-    # the search takes enumerate_orbit's set as distinct and closed without
-    # checking; a writable copy of its stack is checked, and must search alike
+    # the search uses symmetry only on the set enumerate_orbit built; a copy
+    # of its stack is searched open, and must give the same value and tree
     orbit = enumerate_orbit(canonical, cap=cap)
     runs = []
     for ops in (orbit, OperationSet(orbit.tables.copy())):
         stats = SearchStats()
         depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
         runs.append((depth, tree_to_dict(tree), stats))
-    assert runs[0] == runs[1]
+    assert runs[0][:2] == runs[1][:2]
+    assert runs[0][2].queries_skipped > 0
+    assert runs[1][2].queries_skipped == runs[1][2].conjugate_hits == 0
 
 
 @pytest.mark.parametrize("canonical", [build_abelian([4]), build_abelian([2, 2, 2])], ids=["kernel", "walk"])
@@ -607,16 +611,17 @@ def test_an_orbit_stack_cannot_be_written(canonical):
 
 
 def test_sets_the_search_does_not_trust_are_checked():
-    # an orbit whose stack was made writable again, and a user-built
-    # read-only stack, each holding a duplicate
+    # an orbit whose stack was made writable again, and a user-built set
+    # made read-only, each given a duplicate after it was built
     orbit = enumerate_orbit(build_abelian([4]))
     orbit.tables.flags.writeable = True
     orbit.tables[1] = orbit.tables[0]
     chain = enumerate_orbit(build_max_chain(3)).tables
-    stack = np.concatenate([chain, chain[:1]])
-    stack.flags.writeable = False
-    for ops in (orbit, OperationSet(stack, check_distinct=False)):
-        with pytest.raises(ValidationError):
+    built = OperationSet(np.concatenate([chain, np.zeros_like(chain[:1])]))
+    built.tables[-1] = chain[0]
+    built.tables.flags.writeable = False
+    for ops in (orbit, built):
+        with pytest.raises(ValidationError, match="pairwise distinct"):
             minimal_worst_case(ops, budget=len(ops))
 
 
@@ -644,8 +649,8 @@ def _leaves_renamed(d, ids):
     "canonical", [build_abelian([6]), build_abelian([2, 2, 2]), build_abelian([7]), build_max_chain(5)], ids=["Z_6", "Z_2xZ_2xZ_2", "Z_7", "C_5"]
 )
 def test_every_witness_subtree_is_the_open_search_of_its_block(canonical):
-    # A block below the root is a proper subset of one orbit, so it is not
-    # closed under relabeling, and searching it alone scans every query and
+    # A block below the root is a proper subset of one orbit, and no orbit
+    # from enumerate_orbit, so searching it alone scans every query and
     # starts no key. Its subtree in the witness tree is its lexicographically
     # first optimal tree over every query, so the open search gives it again.
     # The closed search reads some of those queries from the recorded scans
