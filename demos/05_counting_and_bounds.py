@@ -37,7 +37,7 @@ print("      (the information floor is 7; recover_order11 shows that 8 suffice)"
 
 # per-class reports bundle the counts with the bound formulas; |Aut| of
 # any abelian group has a closed form (Hillar & Rhea), so groups far past
-# the n = 8 cap of the permutation brute force, like Z_4 x Z_4, count exactly
+# what the permutation brute force can reach, like Z_4 x Z_4, count exactly
 print("\nabelian groups:")
 for factors in [(4,), (2, 2), (8,), (11,), (2, 2, 4), (4, 4)]:
     rep = bounds_for_abelian(AbelianSpec(factors))
@@ -50,10 +50,11 @@ for n in (4, 8, 16):
     print(f"  n = {n:2d}  |X| = {rep.x_size:,}  binary floor {rep.binary_lower:.3f}"
           f"  closed form {rep.closed_form_lower:.3f}")
 
+# rings are counted from their name: #additive / #ring automorphisms
 print("\nring multiplications over a known addition:")
-for name in ("gf4", "gf8", "z9"):
+for name in ("gf4", "gf8", "z9", "z4xgf9", "z3xgf3"):
     rep = bounds_for_ring(name)
-    print(f"  {rep.label:10s} |X| = {rep.x_size}")
+    print(f"  {rep.label:12s} |X| = {rep.x_size}")
 
 # everything exports as CSV for plotting elsewhere
 reports = [bounds_for_abelian(AbelianSpec((n,))) for n in (3, 5, 7, 11, 13)]

@@ -22,9 +22,10 @@ The one greedy closure (``_generators``) also returns the order in which it
 reached each element, which ring recovery follows to fill a multiplication.
 
 Symmetry counts (automorphisms, isomorphisms) and orbit enumeration are
-brute force over permutations, guarded by a cap. One kernel walks the
-permutations in lexicographic order, or a stream of them that the caller
-gives, a fixed chunk of rows at a time, and
+brute force over permutations, held to one budget of relabelings
+(``RELABELING_BUDGET``) that each charges before its first relabeling. One
+kernel walks the permutations in lexicographic order, or a stream of them
+that the caller gives, a fixed chunk of rows at a time, and
 relabels the tables by a whole chunk with one numpy gather, so memory stays
 O(chunk n^2) however large n! is. Counts are exact Python integers throughout.
 """
@@ -42,9 +43,10 @@ import numpy as np
 
 from .errors import CapabilityError, ValidationError
 
-# Permutation brute force is n! * n^2 work; past this it needs an explicit cap.
-# Its memory is bounded by the chunk, not by n!.
-BRUTE_FORCE_CAP = 8
+# Relabelings any one permutation brute force may make, each O(n^2) work: n!
+# for every n <= 10 and the p (p-2)! tables of Z_11. Its memory is bounded by
+# the chunk, not by the count.
+RELABELING_BUDGET = 1 << 22
 # Permutations relabelled per gather: the kernel holds O(_PERMUTATION_CHUNK n^2)
 # entries at a time. At n = 8, chunks of 256 to 1,024 rows ran equally fast and
 # 256 kept the peak resident set lowest; 5,040 rows ran about 30 % slower.
@@ -756,14 +758,34 @@ def abelian_type(t: OpTable) -> Optional[tuple[int, ...]]:
     return invariant_factors_from_cyclic(moduli)
 
 
+def _is_max_table(t: np.ndarray) -> bool:
+    """True iff the (n, n) table t is x*y = the larger of x and y in some total order of its labels."""
+    labels = np.arange(len(t))
+    wins = (t == labels[:, None]).sum(axis=1)  # in a max table, x*y = x for y = x and the y below x
+    if not (np.sort(wins) == labels + 1).all():
+        return False
+    return bool((t == np.where(wins[:, None] >= wins, labels[:, None], labels)).all())
+
+
 # ---------------------------------------------------------------------------
 # symmetry counting
 
 
-def _check_cap(n: int, cap: Optional[int], what: str) -> None:
-    limit = BRUTE_FORCE_CAP if cap is None else cap
-    if n > limit:
-        raise CapabilityError(f"{what} is brute force over {n}! permutations; cap is {limit} (pass a larger cap to override)")
+def _factorial_past(n: int, limit: int) -> int:
+    """The product 2 * 3 * ... * k up to k = n, stopped at the first k where it passes limit: n! if n! <= limit, else a number in (limit, n!]."""
+    product = 1
+    for k in range(2, n + 1):
+        product *= k
+        if product > limit:
+            break
+    return product
+
+
+def _charge(what: str, n: int, per: int = 1, over: int = 1) -> None:
+    """Refuse a brute force of per * n! / over relabelings past ``RELABELING_BUDGET``, before the first of them."""
+    count = per * _factorial_past(n, RELABELING_BUDGET * over) // over
+    if count > RELABELING_BUDGET:
+        raise CapabilityError(f"{what} at n = {n} needs at least {count} relabelings, past the budget of {RELABELING_BUDGET}")
 
 
 def _relabelings(stack: np.ndarray, perms: Optional[Iterator[Sequence[int]]] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -820,26 +842,26 @@ def _count_fixed(stack: np.ndarray) -> int:
     return sum(int((images == stack[:, None]).all(axis=(0, 2, 3)).sum()) for _, images in _relabelings(stack))
 
 
-def count_automorphisms(t: OpTable, cap: Optional[int] = None) -> int:
-    """Number of relabelings fixing the table, by brute force over permutations."""
-    _check_cap(t.n, cap, "count_automorphisms")
+def count_automorphisms(t: OpTable) -> int:
+    """Number of relabelings fixing the table, by brute force over the n! permutations."""
+    _charge("count_automorphisms", t.n)
     return _count_fixed(t.entries[None])
 
 
-def count_ring_automorphisms(rt: RingTables, cap: Optional[int] = None) -> int:
-    """Number of relabelings fixing addition and multiplication simultaneously."""
-    _check_cap(rt.n, cap, "count_ring_automorphisms")
+def count_ring_automorphisms(rt: RingTables) -> int:
+    """Number of relabelings fixing addition and multiplication simultaneously, by brute force."""
+    _charge("count_ring_automorphisms", rt.n)
     return _count_fixed(np.stack([rt.add.entries, rt.mul.entries]))
 
 
-def are_isomorphic(a: OpTable, b: OpTable, cap: Optional[int] = None) -> Optional[tuple[int, ...]]:
+def are_isomorphic(a: OpTable, b: OpTable) -> Optional[tuple[int, ...]]:
     """The lexicographically first relabeling carrying a onto b, or None.
 
     Both tables must share a size.
     """
     if a.n != b.n:
         raise ValidationError(f"cannot compare tables of sizes {a.n} and {b.n}")
-    _check_cap(a.n, cap, "are_isomorphic")
+    _charge("are_isomorphic", a.n)
     for perms, images in _relabelings(a.entries[None]):
         hits = np.flatnonzero((images[0] == b.entries).all(axis=(1, 2)))
         if hits.size:

@@ -13,8 +13,14 @@ Closed forms shipped here:
   n*log2(n) - n/ln(2) + log2(n)/2;
 - abelian groups: #automorphisms by Hillar & Rhea (phi(n) for Z_n, GL(r, p)
   for Z_p^r), bound on r generators relaxed to n - n/ln(n) + 1/2 - r;
-- finite fields GF(p^r): ring automorphisms number r, and the per-element
-  bound relaxes to r - log_q(4r).
+- rings named by z<n>, gf<q> and their products: |X| = #additive
+  automorphisms / #ring automorphisms, the latter a product over classes of
+  isomorphic local factors; GF(p^r) has r ring automorphisms, and its
+  per-element bound relaxes to r - log_q(4r).
+
+Brute force (``count_automorphisms`` and ``multiplication_orbit_size``)
+remains only for tables of no known class, and as the reference the tests
+compare these formulas with.
 
 Counts are exact integers; bounds are floats compared at 1e-9 and never
 clamped when a relaxation goes negative.
@@ -25,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -33,10 +40,10 @@ from .algebra import (
     OpTable,
     RingSpec,
     RingTables,
+    _is_max_table,
     _ring_atoms,
     abelian_type,
     are_isomorphic,
-    build_ring,
     count_automorphisms,
     count_ring_automorphisms,
     is_prime,
@@ -69,44 +76,59 @@ def abelian_automorphism_count(moduli: Sequence[int]) -> int:
     return out
 
 
-def orbit_size(t: OpTable, cap: Optional[int] = None) -> int:
+def _isomorphism_class(t: OpTable) -> Optional[tuple]:
+    """("max",) for a max table, ("abelian", invariant factors) for an abelian group, None for any other table.
+
+    Tables on one carrier are isomorphic iff these agree, where both are
+    known. The one-element table is both kinds and is read as a max table.
+    """
+    if _is_max_table(t.entries):
+        return ("max",)
+    factors = abelian_type(t)
+    return None if factors is None else ("abelian", factors)
+
+
+def orbit_size(t: OpTable) -> int:
     """Number of distinct tables on the same carrier isomorphic to t.
 
-    Orbit-stabilizer: n! / #automorphisms. Abelian group tables are counted
-    in closed form (``abelian_type``, then ``abelian_automorphism_count``) at
-    any n; anything else is brute force under the cap.
+    Orbit-stabilizer: n! / #automorphisms. A max table has one automorphism,
+    and an abelian group (``abelian_type``) has ``abelian_automorphism_count``
+    of them, at any n; any other table is counted by brute force, held to
+    ``algebra.RELABELING_BUDGET``.
 
     >>> from opquery.algebra import build_abelian
     >>> orbit_size(build_abelian([2, 6]))  # 12! / 12
     39916800
     """
-    factors = abelian_type(t)
-    aut = count_automorphisms(t, cap) if factors is None else abelian_automorphism_count(factors)
+    cls = _isomorphism_class(t)
+    aut = count_automorphisms(t) if cls is None else 1 if cls == ("max",) else abelian_automorphism_count(cls[1])
     # the automorphisms are a subgroup of S_n, so by Lagrange the division is exact
     return math.factorial(t.n) // aut
 
 
-def family_orbit_size(tables: Sequence[OpTable], cap: Optional[int] = None) -> int:
-    """Candidate count when the hidden table is one of several known classes.
+def family_orbit_size(tables: Sequence[OpTable]) -> int:
+    """Candidate count when the hidden table is one of several known classes on one carrier.
 
     The classes must be pairwise non-isomorphic (their orbits are then
-    disjoint and the counts add). Pairs small enough to brute force are
-    checked; a duplicated class is a validation error.
+    disjoint and the counts add). Two max tables or abelian groups are
+    compared by ``_isomorphism_class``, either of them with any other table
+    is not isomorphic to it, and two other tables are compared by brute
+    force, held to ``algebra.RELABELING_BUDGET``. Tables of different sizes
+    and a duplicated class are validation errors.
     """
     tables = list(tables)
     if not tables:
         raise ValidationError("family must contain at least one table")
-    for i, a in enumerate(tables):
-        for b in tables[i + 1 :]:
-            if a.n != b.n:
-                continue
-            try:
-                iso = are_isomorphic(a, b, cap)
-            except CapabilityError:
-                continue
-            if iso is not None:
+    if len({t.n for t in tables}) > 1:
+        raise ValidationError(f"family classes must share one carrier, got sizes {sorted({t.n for t in tables})}")
+    classes = [_isomorphism_class(t) for t in tables]
+    for i, (a, ca) in enumerate(zip(tables, classes)):
+        for b, cb in zip(tables[i + 1 :], classes[i + 1 :]):
+            # a max table or an abelian group is isomorphic only to its own class
+            same = ca == cb if ca or cb else are_isomorphic(a, b) is not None
+            if same:
                 raise ValidationError("family classes must be pairwise non-isomorphic")
-    return sum(orbit_size(t, cap) for t in tables)
+    return sum(map(orbit_size, tables))
 
 
 # n! is counted exactly up to this many bits: n up to about 20,000, whose
@@ -162,14 +184,15 @@ def abelian_lower_bound(n: int, r: int) -> float:
     return n - n / math.log(n) + 0.5 - r
 
 
-def multiplication_orbit_size(rt: RingTables, cap: Optional[int] = None) -> int:
+def multiplication_orbit_size(rt: RingTables) -> int:
     """Number of multiplications compatible with a known addition table and
 
     isomorphic to the given ring: #additive automorphisms / #ring
-    automorphisms, both brute force under the cap.
+    automorphisms, both by brute force, held to ``algebra.RELABELING_BUDGET``.
+    The reference for the count ``bounds_for_ring`` reads from a ring's name.
     """
-    add_aut = count_automorphisms(rt.add, cap)
-    ring_aut = count_ring_automorphisms(rt, cap)
+    add_aut = count_automorphisms(rt.add)
+    ring_aut = count_ring_automorphisms(rt)
     # ring automorphisms are a subgroup of the additive ones (Lagrange)
     return add_aut // ring_aut
 
@@ -272,30 +295,32 @@ def bounds_for_max_chain(n: int) -> BoundsReport:
     return rep
 
 
-def bounds_for_ring(spec: RingSpec | str, cap: Optional[int] = None) -> BoundsReport:
+def bounds_for_ring(spec: RingSpec | str) -> BoundsReport:
+    """Counts and bounds for recovering a ring's multiplication once its addition is known, read from its name.
+
+    |X| = #additive automorphisms / #ring automorphisms, and no table is
+    built. The ring is a product of local rings, Z_(p^k) from each prime
+    power of a z<n> and GF(p^r) from a gf<p^r>, whose additive groups are
+    Z_(p^k) and Z_p^r; Hillar & Rhea count the automorphisms of their sum.
+    A ring automorphism permutes isomorphic local factors, so there are the
+    product over classes of m isomorphic factors L of |Aut(L)|^m m!, where
+    Z_(p^k) has 1, GF(p^r) has r (the Frobenius powers), and Z_p is GF(p).
+    A field also gets ``field_lower_bound``.
+    """
     if not isinstance(spec, RingSpec):
         spec = RingSpec(spec)
     atoms = _ring_atoms(spec.name)
     n = spec.n
     rep = BoundsReport(n=n, label=f"ring {spec.name}")
+    local = Counter((p, k, kind == "gf" or k == 1) for kind, size in atoms for p, k in _factorize(size).items())  # (p, k, a field) -> #factors
+    add_aut = abelian_automorphism_count([m for (p, k, field_), c in local.items() for m in ([p] * k if field_ else [p**k]) * c])
+    # the ring automorphisms are a subgroup of the additive ones (Lagrange)
+    rep.x_size = add_aut // math.prod((k if field_ else 1) ** c * math.factorial(c) for (p, k, field_), c in local.items())
+    rep.notes["x_size"] = "additive automorphisms (Hillar-Rhea) / ring automorphisms, prod |Aut(L)|^m m! over local factors L"
     if len(atoms) == 1 and atoms[0][0] == "gf":
         ((p, r),) = _factorize(atoms[0][1]).items()
-        # the r field automorphisms are a subgroup of GL(r, p) (Lagrange)
-        rep.x_size = abelian_automorphism_count([p] * r) // r
-        rep.notes["x_size"] = "additive automorphism product formula / field automorphism count r"
         rep.closed_form_lower = field_lower_bound(p, r)
         rep.notes["closed_form_lower"] = "r - log_q(4r)"
-    elif len(atoms) == 1 and atoms[0][0] == "zn":
-        rep.x_size = abelian_automorphism_count([n])
-        rep.notes["x_size"] = "phi(n) additive automorphisms, multiplication rigid"
-    else:
-        rt = build_ring(spec)  # only products need the tables
-        try:
-            rep.x_size = multiplication_orbit_size(rt, cap)
-            rep.notes["x_size"] = "brute force automorphism quotient"
-        except CapabilityError as exc:
-            rep.notes["x_size"] = f"skipped: {exc}"
-    if rep.x_size is not None and n >= 2:
-        rep.avg_lower = average_query_lower_bound(rep.x_size, n)
-        rep.notes["avg_lower"] = "log base n of x_size"
+    rep.avg_lower = average_query_lower_bound(rep.x_size, n)
+    rep.notes["avg_lower"] = "log base n of x_size"
     return rep

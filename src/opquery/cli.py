@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 budget or verification failure (including oracle
 answers outside the promised class), 2 usage or validation errors (including
-unreadable or malformed input files), 3 a capability cap was hit or a table
+unreadable or malformed input files), 3 a capability limit was hit or a table
 did not fit in memory. A reader
 that closes the output pipe early (``opquery sweep ... | head``) ends the
 command quietly with status 0.
@@ -123,16 +123,16 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_report(spec: algebra.StructureSpec, cap: Optional[int] = None) -> bounds.BoundsReport:
+def _bounds_report(spec: algebra.StructureSpec) -> bounds.BoundsReport:
     if isinstance(spec, algebra.AbelianSpec):
         return bounds.bounds_for_abelian(spec)
     if isinstance(spec, algebra.MaxChainSpec):
         return bounds.bounds_for_max_chain(spec.n)
-    return bounds.bounds_for_ring(spec, cap)
+    return bounds.bounds_for_ring(spec)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    rep = _bounds_report(_parse_spec(args), args.cap)
+    rep = _bounds_report(_parse_spec(args))
     with _exact_integers():  # the candidate count is exact at any n
         if args.format == "csv":
             _write(args.out, bounds.reports_to_csv([rep]))
@@ -149,8 +149,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     automorphisms = 1 if isinstance(spec, algebra.MaxChainSpec) else bounds.abelian_automorphism_count(spec.factors)
     treesearch._check_orbit_budget(spec.n, automorphisms, args.budget)
     rep = _bounds_report(spec)
-    # either path of enumerate_orbit relabels at most (n - 1) |X| tables, so the budget bounds it, not n
-    ops = treesearch.enumerate_orbit(algebra.canonical_table(spec), cap=spec.n)
+    # every path of enumerate_orbit relabels at most (n - 1) |X| tables, so the budget bounds it too
+    ops = treesearch.enumerate_orbit(algebra.canonical_table(spec))
     stats = treesearch.SearchStats()
     depth, tree = treesearch.minimal_worst_case(ops, budget=args.budget, stats=stats)
     if args.stats:
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="candidate counts and lower bounds for a class")
     _add_spec_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cap", type=int, help="raise the brute force cap")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=cmd_bounds)
 

@@ -1,8 +1,8 @@
 """Error taxonomy shared by every module.
 
 Three failure kinds are kept apart so callers (and the command line tool)
-can map them to distinct outcomes: bad input, a request past a configured
-brute-force limit, and oracle answers that contradict the promised class.
+can map them to distinct outcomes: bad input, a request past a brute-force
+or search limit, and oracle answers that contradict the promised class.
 """
 
 
@@ -14,10 +14,11 @@ class ValidationError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """The request is well formed but exceeds a configured capability,
+    """The request is well formed but exceeds a capability,
 
-    e.g. a permutation brute force past its cap or a search past its
-    state budget. The message names the limit that was hit.
+    e.g. a permutation brute force past the relabeling budget
+    (``algebra.RELABELING_BUDGET``), a search past its candidate budget, or a
+    field with no shipped polynomial. The message names the limit that was hit.
     """
 
 

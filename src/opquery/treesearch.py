@@ -63,7 +63,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _check_cap, _cyclic_table, _factorize, _relabelings, _trusted, abelian_type, build_abelian, is_prime
+from .algebra import _PERMUTATION_CHUNK, OpTable, _as_int, _charge, _cyclic_table, _factorial_past, _factorize, _is_max_table, _relabelings, _trusted, abelian_type, build_abelian, is_prime
 from .bounds import abelian_automorphism_count
 from .errors import CapabilityError, ValidationError
 
@@ -371,8 +371,8 @@ def _star_gathers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(_iter_star_gathers(n))
 
 
-def _walk_is_shorter(t: OpTable) -> bool:
-    """True iff walking the orbit of t takes fewer relabelings than all n! permutations.
+def _walk_automorphisms(t: OpTable) -> Optional[int]:
+    """|Aut| of t if walking its orbit takes fewer relabelings than all n! permutations, else None.
 
     The walk relabels each of the n! / |Aut| tables n - 1 times, so it is
     shorter iff |Aut| > n - 1, which is decided in closed form for abelian
@@ -381,18 +381,18 @@ def _walk_is_shorter(t: OpTable) -> bool:
     squarefree order, which is cyclic with phi(n) <= n - 1 automorphisms.
     """
     if math.factorial(t.n) <= _PERMUTATION_CHUNK or all(e == 1 for e in _factorize(t.n).values()):
-        return False
+        return None
     factors = abelian_type(t)
-    return factors is not None and abelian_automorphism_count(factors) > t.n - 1
+    aut = 0 if factors is None else abelian_automorphism_count(factors)
+    return aut if aut > t.n - 1 else None
 
 
-def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationSet:
+def enumerate_orbit(canonical: OpTable) -> OperationSet:
     """Every distinct relabeling of a table, as an OperationSet in byte order.
 
-    n must be under the brute force cap; past it, and before any work, the
-    call raises CapabilityError. When the table has more than n - 1
-    automorphisms (``_walk_is_shorter``), the orbit is walked breadth first
-    by the star transpositions, n - 1 relabelings per table. Where known
+    When the table has more than n - 1 automorphisms
+    (``_walk_automorphisms``), the orbit is walked breadth first by the star
+    transpositions, n - 1 relabelings per table. Where known
     permutations give each table of the orbit once, their images are
     stacked as they come and sorted once, in place: all n! of them for a
     max table (``_is_max_table``), which has one automorphism, and for a
@@ -400,18 +400,22 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
     sequences of ``_cyclic_prime_powers``, applied to ``build_abelian([p])``,
     whose orbit it is whichever member the call starts from. Otherwise all
     n! permutations run through the chunked kernel of ``algebra`` and are
-    deduped. Every path gives the same stack, and memory stays O(orbit +
-    chunk). It is read-only and marked as an orbit, so
-    ``minimal_worst_case`` searches it by symmetry without a check.
+    deduped. Each path is charged the relabelings it makes, (n - 1) n! / |Aut|
+    for the walk, p (p-2)! for the power sequences and n! otherwise, and
+    past ``algebra.RELABELING_BUDGET`` the call raises CapabilityError before
+    the first of them: Z_11 and every n <= 10 fit. Every path gives the same
+    stack, and memory stays O(orbit + chunk). It is read-only and marked as
+    an orbit, so ``minimal_worst_case`` searches it by symmetry without a check.
     """
     n = canonical.n
-    _check_cap(n, cap, "enumerate_orbit")
     start = canonical.entries[None]
-    if _walk_is_shorter(canonical):
+    if aut := _walk_automorphisms(canonical):
+        _charge("enumerate_orbit", n, per=n - 1, over=aut)
         stack = _walk_orbit(start)
     elif (chain := _is_max_table(canonical.entries)) or math.factorial(n) > _PERMUTATION_CHUNK and is_prime(n) and abelian_type(canonical) == (n,):
         # the images of these permutations are the orbit once each: stack them and sort once
         perms = None if chain else _cyclic_prime_powers(n)
+        _charge("enumerate_orbit", n, over=1 if chain else n - 1)
         start = start if perms is None else build_abelian([n]).entries[None]
         stack = np.empty((math.factorial(n) // (1 if perms is None else n - 1), n, n), dtype=start.dtype)
         done = 0
@@ -420,6 +424,7 @@ def enumerate_orbit(canonical: OpTable, cap: Optional[int] = None) -> OperationS
             done += len(p)
         _byte_keys(stack).sort()  # a view of the stack: its tables take byte order in place
     else:
+        _charge("enumerate_orbit", n)
         seen = np.empty(0, dtype=_byte_keys(start).dtype)  # distinct keys so far, ascending
         fresh: list[np.ndarray] = []  # keys of the chunks since the last merge
         for perms, images in _relabelings(start):
@@ -541,16 +546,11 @@ def _check_budget(m: int, budget: int) -> None:
 def _check_orbit_budget(n: int, automorphisms: int, budget: int) -> None:
     """``_check_budget`` on |X| = n! / automorphisms, which refuses a class far past the budget before n! is formed.
 
-    The product 2 * 3 * ... stops once it passes both the budget and 2^10,000
-    times the automorphisms, so such a refusal gives a lower bound on the size of |X|.
+    The product 2 * 3 * ... (``algebra._factorial_past``) stops once it passes
+    both the budget and 2^10,000 times the automorphisms, so such a refusal
+    gives a lower bound on the size of |X|.
     """
-    limit = max(budget, 1 << 10_000) * automorphisms
-    product = 1
-    for k in range(2, n + 1):
-        product *= k
-        if product > limit:
-            break
-    _check_budget(product // automorphisms, budget)
+    _check_budget(_factorial_past(n, max(budget, 1 << 10_000) * automorphisms) // automorphisms, budget)
 
 
 @dataclass
@@ -613,15 +613,6 @@ def _key_name(v: int, n: int, fixed: int, named: tuple[int, ...]) -> tuple[int, 
     if v not in named:
         named += (v,)
     return n + named.index(v), named
-
-
-def _is_max_table(t: np.ndarray) -> bool:
-    """True iff the (n, n) table t is x*y = the larger of x and y in some total order of its labels."""
-    labels = np.arange(len(t))
-    wins = (t == labels[:, None]).sum(axis=1)  # in a max table, x*y = x for y = x and the y below x
-    if not (np.sort(wins) == labels + 1).all():
-        return False
-    return bool((t == np.where(wins[:, None] >= wins, labels[:, None], labels)).all())
 
 
 def _poset_form(below: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

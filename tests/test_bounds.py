@@ -1,14 +1,19 @@
 """Candidate counts and information lower bounds."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+import opquery
 from opquery import (
     AbelianSpec,
     CapabilityError,
+    OpTable,
     ValidationError,
     abelian_automorphism_count,
+    abelian_invariant_factorizations,
     abelian_lower_bound,
     average_query_lower_bound,
     bounds_for_abelian,
@@ -17,6 +22,9 @@ from opquery import (
     build_abelian,
     build_gf,
     build_max_chain,
+    build_ring,
+    count_automorphisms,
+    enumerate_orbit,
     family_orbit_size,
     field_lower_bound,
     max_chain_lower_bound,
@@ -24,6 +32,7 @@ from opquery import (
     orbit_size,
     reports_to_csv,
 )
+from opquery.algebra import _factorize
 from opquery.bounds import CSV_HEADER
 
 
@@ -47,12 +56,29 @@ def test_orbit_size_noncyclic():
     assert orbit_size(build_max_chain(4)) == math.factorial(4)  # rigid
 
 
-def test_orbit_size_cap():
-    with pytest.raises(CapabilityError):
-        orbit_size(build_max_chain(9))  # n = 9 > brute cap, not a group
-    # abelian groups take the closed form, which ignores the cap
+def test_orbit_size_counts_max_tables_and_groups_in_closed_form():
+    # neither is brute forced, at any n; the n = 9 max table used to be refused
+    assert orbit_size(build_max_chain(12)) == orbit_size(build_max_chain(12).relabel(_shuffled(12))) == math.factorial(12)
     assert orbit_size(build_abelian([2, 6])) == math.factorial(12) // 12
     assert orbit_size(build_abelian([12])) == math.factorial(12) // 4
+    # any other table is brute force, refused past the relabeling budget
+    with pytest.raises(CapabilityError, match="budget"):
+        orbit_size(OpTable(np.zeros((11, 11), dtype=int)))
+
+
+def _shuffled(n, seed=0):
+    return random.Random(seed).sample(range(n), n)
+
+
+SMALL_CLASSES = [(f"C_{n}", build_max_chain(n)) for n in range(1, 8)] + [
+    ("Z_" + "x".join(map(str, fs)) if fs else "Z_1", build_abelian(fs)) for n in range(1, 8) for fs in abelian_invariant_factorizations(n)
+]
+
+
+@pytest.mark.parametrize("t", [t for _, t in SMALL_CLASSES], ids=[name for name, _ in SMALL_CLASSES])
+def test_orbit_size_is_the_brute_force_count_and_the_orbit(t):
+    t = t.relabel(_shuffled(t.n, t.n))
+    assert orbit_size(t) == math.factorial(t.n) // count_automorphisms(t) == len(enumerate_orbit(t))
 
 
 def test_family_orbit_size_sums_disjoint_classes():
@@ -60,6 +86,38 @@ def test_family_orbit_size_sums_disjoint_classes():
     assert family_orbit_size(tables) == 12 + 4
     with pytest.raises(ValidationError):
         family_orbit_size([build_abelian([4]), build_abelian([4])])
+
+
+def test_family_orbit_size_refuses_classes_on_different_carriers():
+    # their orbits lie on different carriers; the sum was 12 + 30
+    with pytest.raises(ValidationError, match="one carrier"):
+        family_orbit_size([build_abelian([4]), build_abelian([5])])
+
+
+def test_family_orbit_size_decides_groups_and_max_tables_at_any_size():
+    z9 = build_abelian([9])
+    # a relabelled Z_9 was counted twice (120,960): past the brute force cap the pair went unchecked
+    with pytest.raises(ValidationError, match="non-isomorphic"):
+        family_orbit_size([z9, z9.relabel(_shuffled(9))])
+    assert family_orbit_size([z9, build_abelian([3, 3])]) == math.factorial(9) // 6 + math.factorial(9) // 48
+    with pytest.raises(ValidationError, match="non-isomorphic"):
+        family_orbit_size([build_max_chain(12), build_max_chain(12).relabel(_shuffled(12))])
+    assert family_orbit_size([build_max_chain(12), build_abelian([12])]) == math.factorial(12) + math.factorial(12) // 4
+    # the one-element table is both a group and a max table
+    with pytest.raises(ValidationError, match="non-isomorphic"):
+        family_orbit_size([build_abelian([]), build_max_chain(1)])
+
+
+def test_family_orbit_size_brute_forces_other_tables_within_the_budget(monkeypatch):
+    zeros = OpTable(np.zeros((4, 4), dtype=int))  # x*y = 0: fixed by the 3! permutations fixing 0
+    with pytest.raises(ValidationError, match="non-isomorphic"):
+        family_orbit_size([zeros, OpTable(np.ones((4, 4), dtype=int))])
+    # a group or a max table is isomorphic to no other kind of table
+    assert family_orbit_size([zeros, build_abelian([4]), build_max_chain(4)]) == 4 + 12 + 24
+    # past the budget the pair is refused, not skipped, before any count
+    monkeypatch.setattr(opquery.bounds, "orbit_size", None)
+    with pytest.raises(CapabilityError, match="are_isomorphic at n = 11"):
+        family_orbit_size([OpTable(np.zeros((11, 11), dtype=int)), OpTable(np.ones((11, 11), dtype=int))])
 
 
 def test_average_query_lower_bound_values():
@@ -162,11 +220,27 @@ def test_bounds_for_abelian_is_exact_past_the_brute_force_cap():
     assert rep.closed_form_lower <= rep.avg_lower + 1e-9
 
 
-def test_bounds_for_ring_product_degrades_over_cap():
-    # ring products still count by brute force, which stops at the cap
+def test_bounds_for_ring_counts_products_from_the_name():
+    # |Aut(Z_4 x Z_3^2)| / |Aut(Z_4 x GF(9))| = 2 * 48 / 2; brute force would need 36! relabelings
     rep = bounds_for_ring("z4xgf9")
-    assert rep.x_size is None and rep.avg_lower is None
-    assert rep.notes["x_size"].startswith("skipped: ")
+    assert (rep.x_size, rep.avg_lower) == (48, pytest.approx(math.log(48, 36)))
+    # Z_3 and GF(3) are one class of local factor, which a ring automorphism may swap
+    assert bounds_for_ring("z3xgf3").x_size == bounds_for_ring("gf3xz3").x_size == bounds_for_ring("z3xz3").x_size == 48 // 2
+
+
+def _ring_names(most):
+    """Every ring name with at most ``most`` elements: products of z<m> and gf<q> atoms, in every order."""
+    atoms = [(f"z{m}", m) for m in range(2, most + 1)] + [(f"gf{q}", q) for q in range(2, most + 1) if len(_factorize(q)) == 1]
+    names, grow = [], [("", 1)]
+    while grow:
+        grow = [(f"{name}x{atom}" if name else atom, n * m) for name, n in grow for atom, m in atoms if n * m <= most]
+        names += [name for name, _ in grow]
+    return names
+
+
+@pytest.mark.parametrize("name", _ring_names(8) + ["z3xgf3"])
+def test_ring_count_from_the_name_is_the_brute_force(name):
+    assert bounds_for_ring(name).x_size == multiplication_orbit_size(build_ring(name))
 
 
 def test_bounds_for_max_chain_report():

@@ -202,12 +202,25 @@ def test_bounds_counts_single_rings_from_the_name(capsys, monkeypatch):
     def refuse(spec):
         raise AssertionError(f"built the tables of {spec}")
 
-    monkeypatch.setattr(opquery.bounds, "build_ring", refuse)
+    # every ring table is built through the one cache, and every other ring table is checked on construction
+    monkeypatch.setattr(opquery.algebra, "_build_ring_cached", refuse)
+    monkeypatch.setattr(opquery.algebra.RingTables, "__post_init__", refuse)
     code, out, _ = run(capsys, "bounds", "--ring", "z1000")
     assert code == 0 and json.loads(out)["x_size"] == 400  # phi(1000)
     # no polynomial ships for GF(11^2), yet its count is |GL(2, 11)| / 2
     code, out, _ = run(capsys, "bounds", "--ring", "gf121")
     assert code == 0 and json.loads(out)["x_size"] == 120 * 110 // 2
+    # a product too: |Aut(Z_4 x Z_3^2)| / |Aut(Z_4 x GF(9))| = 96 / 2, and Z_3 x GF(3) has the swap
+    for name, x_size in (("z4xgf9", 48), ("z3xgf3", 24)):
+        code, out, _ = run(capsys, "bounds", "--ring", name)
+        assert code == 0 and json.loads(out)["x_size"] == x_size
+
+
+def test_bounds_has_no_cap(capsys):
+    # one relabeling budget, a module constant, bounds every brute force
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--abelian", "4", "--cap", "9"])
+    assert exc.value.code == 2
 
 
 def test_bounds_requires_exactly_one_spec(capsys):

@@ -37,7 +37,7 @@ def test_every_order_11_operation_recovered_in_8_queries():
 def test_8_queries_are_optimal_for_order_11():
     # enumerate_orbit builds the set as an orbit, so the search uses its
     # symmetry by construction, with no check before the first state
-    ops = enumerate_orbit(build_abelian([11]), cap=11)
+    ops = enumerate_orbit(build_abelian([11]))
     assert len(ops) == 3_991_680
     depth, tree = minimal_worst_case(ops, budget=len(ops))
     # the information floor is 7 (11^6 < 3 991 680 <= 11^7); no tree reaches it

@@ -1,5 +1,6 @@
 """Source-level rules for the package itself."""
 
+import argparse
 import ast
 import dataclasses
 import doctest
@@ -10,6 +11,7 @@ import numpy as np
 
 import opquery
 from opquery import Oracle
+from opquery.cli import build_parser
 
 SOURCES = sorted(Path(opquery.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -316,3 +318,17 @@ def test_package_doctests_pass():
     results = {path.stem: doctest.testmod(importlib.import_module(f"opquery.{path.stem}")) for path in SOURCES if path.stem != "__init__"}
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
     assert results["algebra"].attempted > 0 and results["bounds"].attempted > 0
+
+
+def test_no_function_or_flag_takes_a_cap():
+    # every permutation brute force is held to one module constant,
+    # algebra.RELABELING_BUDGET, that no caller can raise
+    found = [
+        f"{path.name}: {node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and "cap" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert found == []
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert "bounds" in commands and [name for name, p in commands.items() if "--cap" in p._option_string_actions] == []

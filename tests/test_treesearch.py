@@ -17,12 +17,14 @@ import pytest
 import opquery
 from opquery import (
     CapabilityError,
+    OpTable,
     OperationSet,
     SearchStats,
     TreeColumns,
     ValidationError,
     build_abelian,
     build_max_chain,
+    count_automorphisms,
     enumerate_orbit,
     minimal_worst_case,
     render_tree,
@@ -31,8 +33,8 @@ from opquery import (
     tree_to_dict,
     verify_query_tree,
 )
-from opquery.algebra import _relabelings
-from opquery.treesearch import _byte_keys, _is_max_table, _poset_form, _sorted_distinct, _walk_is_shorter, iter_cyclic_prime_tables
+from opquery.algebra import _is_max_table, _relabelings
+from opquery.treesearch import _byte_keys, _poset_form, _sorted_distinct, _walk_automorphisms, iter_cyclic_prime_tables
 from test_properties import _kernel_orbit
 
 
@@ -49,11 +51,6 @@ def test_enumerate_orbit_is_distinct_and_contains_canonical():
     raw = {bytes(op.tobytes()) for op in ops.tables}
     assert len(raw) == 12
     assert t.entries.astype(ops.tables.dtype).tobytes() in raw
-
-
-def test_enumerate_orbit_cap():
-    with pytest.raises(CapabilityError):
-        enumerate_orbit(build_max_chain(9))
 
 
 def test_cyclic_prime_fast_path_matches_brute():
@@ -96,20 +93,53 @@ def test_max_chain_orbit_is_the_deduped_kernel_stack(n):
         assert not got.flags.writeable
 
 
-def test_enumerate_orbit_refuses_z11_before_any_work():
-    # 11! permutations are past the cap; the refusal comes first, not after
-    # the 3,991,680 tables are built
-    with pytest.raises(CapabilityError, match="cap is 8"):
-        enumerate_orbit(build_abelian([11]))
+def _no_relabeling(monkeypatch, error):
+    """Make the permutation kernel and the star walk raise ``error`` when called."""
+
+    def refuse(*args, **kwargs):
+        raise error
+
+    for module, name in ((opquery.algebra, "_relabelings"), (opquery.treesearch, "_relabelings"), (opquery.treesearch, "_star_relabelings")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_enumerate_orbit_refuses_past_the_budget_before_any_relabeling(monkeypatch):
+    # each path is charged what it makes: C_11 all 11! permutations, Z_13 its
+    # 13 * 11! power sequences, Z_2 x Z_6 a walk of 11 * 12! / 12 relabelings
+    _no_relabeling(monkeypatch, AssertionError("relabelled past the budget"))
+    for t in (build_max_chain(11), build_abelian([13]), build_abelian([2, 6])):
+        with pytest.raises(CapabilityError, match="past the budget of 4194304"):
+            enumerate_orbit(t)
+
+
+def test_count_automorphisms_refuses_past_the_budget_before_any_relabeling(monkeypatch):
+    _no_relabeling(monkeypatch, AssertionError("relabelled past the budget"))
+    with pytest.raises(CapabilityError, match="count_automorphisms at n = 11 needs at least 39916800 relabelings"):
+        count_automorphisms(OpTable(np.zeros((11, 11), dtype=int)))
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_z11_and_every_n_up_to_10_fit_the_budget(monkeypatch):
+    # the charge passes and the first relabeling is reached: Z_11 by its
+    # 3,991,680 power sequences, Z_10 by the kernel, Z_3 x Z_3 by the walk
+    _no_relabeling(monkeypatch, _Reached())
+    for t in (build_abelian([11]), build_max_chain(10), build_abelian([10]), build_abelian([3, 3])):
+        with pytest.raises(_Reached):
+            enumerate_orbit(t)
+    with pytest.raises(_Reached):
+        count_automorphisms(OpTable(np.zeros((10, 10), dtype=int)))
 
 
 def test_orbit_walk_runs_where_it_takes_fewer_relabelings():
     # the walk does |orbit| (n - 1) relabelings, the kernel n!; rigid,
     # cyclic and n <= 5 tables keep the kernel
-    assert _walk_is_shorter(build_abelian([2, 2, 2]))  # 240 * 7 against 40,320
-    assert _walk_is_shorter(build_abelian([2, 4]))  # 5,040 * 7 against 40,320
+    assert _walk_automorphisms(build_abelian([2, 2, 2])) == 168  # 240 * 7 against 40,320
+    assert _walk_automorphisms(build_abelian([2, 4])) == 8  # 5,040 * 7 against 40,320
     for t in (build_abelian([8]), build_abelian([6]), build_abelian([2, 2]), build_max_chain(8), build_max_chain(4)):
-        assert not _walk_is_shorter(t)
+        assert _walk_automorphisms(t) is None
 
 
 def test_iter_cyclic_prime_counts():
@@ -450,21 +480,17 @@ PINNED_OPTIMA = [
     # before it used the symmetry of the orbit (about 45 s each then)
     ("Z_2xZ_4", build_abelian([2, 4]), 6, "8fa50e657ce16937a4123b19bcf8377430258590be012d72763eb6117b0f7a54"),
     ("Z_8", build_abelian([8]), 6, "00afe8d4b80493d578220ffc71342dfdffdafb3235ffe855b7298e3e9dd81c8c"),
-    # S(7) over 5,040 candidates, and 7,560 candidates on 9 points, past the
-    # default brute force cap; both digests are those of the search before it
-    # capped each state at the value it must beat (the chain took about a minute then)
+    # S(7) over 5,040 candidates, and 7,560 candidates on 9 points; both
+    # digests are those of the search before it capped each state at the
+    # value it must beat (the chain took about a minute then)
     ("C_7", build_max_chain(7), 13, "16ee2c5851550a195eb3207621c105e9ce2d9ae5aa378714c89cce1b6dc3b83e"),
-    ("Z_3xZ_3", build_abelian([3, 3]), 5, "8fbefbffbc4ab1bf62822f6bbf8fd192f37cc55805c18f96874fd20b626735ac", 9),
+    ("Z_3xZ_3", build_abelian([3, 3]), 5, "8fbefbffbc4ab1bf62822f6bbf8fd192f37cc55805c18f96874fd20b626735ac"),
 ]
 
 
-@pytest.mark.parametrize(
-    "canonical, optimum, digest, cap",
-    [(canonical, optimum, digest, cap[0] if cap else None) for _, canonical, optimum, digest, *cap in PINNED_OPTIMA],
-    ids=[row[0] for row in PINNED_OPTIMA],
-)
-def test_minimal_worst_case_pinned_optima(canonical, optimum, digest, cap):
-    ops = enumerate_orbit(canonical, cap=cap)
+@pytest.mark.parametrize("canonical, optimum, digest", [row[1:] for row in PINNED_OPTIMA], ids=[row[0] for row in PINNED_OPTIMA])
+def test_minimal_worst_case_pinned_optima(canonical, optimum, digest):
+    ops = enumerate_orbit(canonical)
     depth, tree = minimal_worst_case(ops, budget=len(ops))
     assert depth == optimum
     v = verify_query_tree(tree, ops)
@@ -473,12 +499,12 @@ def test_minimal_worst_case_pinned_optima(canonical, optimum, digest, cap):
 
 
 def test_minimal_worst_case_pins_z9():
-    # Z_9 = 6 over 60,480 candidates, past the default brute force cap. The
-    # digest is that of the search before conjugacy keys, which searched
-    # 55,997 states; the keys, with the witness tree reading each conjugate's
-    # recorded scan, leave 1,437 of them, and settling the nodes worth 1 in a
-    # batch, with one verdict cache for groups and chains, 1,387.
-    ops = enumerate_orbit(build_abelian([9]), cap=9)
+    # Z_9 = 6 over 60,480 candidates. The digest is that of the search
+    # before conjugacy keys, which searched 55,997 states; the keys, with the
+    # witness tree reading each conjugate's recorded scan, leave 1,437 of
+    # them, and settling the nodes worth 1 in a batch, with one verdict cache
+    # for groups and chains, 1,387.
+    ops = enumerate_orbit(build_abelian([9]))
     stats = SearchStats()
     depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
     assert (len(ops), depth) == (60480, 6)
@@ -491,7 +517,7 @@ def test_minimal_worst_case_pins_z9():
 def test_minimal_worst_case_finds_the_sorting_number_s8():
     # 40,320 candidates in 570 states; the digest is that of the tree the
     # search gave when it memoised states by candidate ids alone (about 25 s)
-    ops = enumerate_orbit(build_max_chain(8), cap=9)
+    ops = enumerate_orbit(build_max_chain(8))
     stats = SearchStats()
     depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
     v = verify_query_tree(tree, ops)
@@ -505,7 +531,7 @@ def test_minimal_worst_case_finds_the_sorting_number_s8():
 
 @pytest.mark.skipif(os.environ.get("OPQUERY_EXHAUSTIVE") != "1", reason="set OPQUERY_EXHAUSTIVE=1 to search the n = 9 chain (orbit ~1 s, search ~17 s, verification ~1 s, ~270 MB max RSS)")
 def test_minimal_worst_case_finds_the_sorting_number_s9():
-    ops = enumerate_orbit(build_max_chain(9), cap=9)
+    ops = enumerate_orbit(build_max_chain(9))
     depth, tree = minimal_worst_case(ops, budget=len(ops))
     v = verify_query_tree(tree, ops)
     assert len(ops) == 362880 and v.ok and max(v.depths.values()) == depth
@@ -520,7 +546,7 @@ def test_minimal_worst_case_finds_the_sorting_number_s9():
 def test_minimal_worst_case_pins_z10():
     # Z_10 = 8 over 907,200 candidates, two above the information floor of 6;
     # the paper's budget for an abelian group of order 10 is 10 queries
-    ops = enumerate_orbit(build_abelian([10]), cap=10)
+    ops = enumerate_orbit(build_abelian([10]))
     stats = SearchStats()
     depth, tree = minimal_worst_case(ops, budget=len(ops), stats=stats)
     assert (len(ops), depth) == (907200, 8)
@@ -578,20 +604,20 @@ def test_minimal_worst_case_stats_are_pinned(name):
 
 # The five exact_search classes of the benchmark, and Z_3 x Z_3 on 9 points.
 TRUSTED_ORBITS = [
-    ("Z_5", build_abelian([5]), None),
-    ("Z_6", build_abelian([6]), None),
-    ("Z_2xZ_2xZ_2", build_abelian([2, 2, 2]), None),
-    ("C_4", build_max_chain(4), None),
-    ("C_5", build_max_chain(5), None),
-    ("Z_3xZ_3", build_abelian([3, 3]), 9),
+    ("Z_5", build_abelian([5])),
+    ("Z_6", build_abelian([6])),
+    ("Z_2xZ_2xZ_2", build_abelian([2, 2, 2])),
+    ("C_4", build_max_chain(4)),
+    ("C_5", build_max_chain(5)),
+    ("Z_3xZ_3", build_abelian([3, 3])),
 ]
 
 
-@pytest.mark.parametrize("canonical, cap", [row[1:] for row in TRUSTED_ORBITS], ids=[row[0] for row in TRUSTED_ORBITS])
-def test_trusting_an_orbit_changes_nothing(canonical, cap):
+@pytest.mark.parametrize("canonical", [row[1] for row in TRUSTED_ORBITS], ids=[row[0] for row in TRUSTED_ORBITS])
+def test_trusting_an_orbit_changes_nothing(canonical):
     # the search uses symmetry only on the set enumerate_orbit built; a copy
     # of its stack is searched open, and must give the same value and tree
-    orbit = enumerate_orbit(canonical, cap=cap)
+    orbit = enumerate_orbit(canonical)
     runs = []
     for ops in (orbit, OperationSet(orbit.tables.copy())):
         stats = SearchStats()
@@ -604,7 +630,7 @@ def test_trusting_an_orbit_changes_nothing(canonical, cap):
 
 @pytest.mark.parametrize("canonical", [build_abelian([4]), build_abelian([2, 2, 2])], ids=["kernel", "walk"])
 def test_an_orbit_stack_cannot_be_written(canonical):
-    assert _walk_is_shorter(canonical) == (canonical.n == 8)
+    assert (_walk_automorphisms(canonical) is not None) == (canonical.n == 8)
     tables = enumerate_orbit(canonical).tables
     with pytest.raises(ValueError):
         tables[1] = tables[0]
