@@ -103,6 +103,15 @@ def _no_relabeling(monkeypatch, error):
         monkeypatch.setattr(module, name, refuse)
 
 
+def test_enumerate_orbit_cap(monkeypatch):
+    # the cap on a max table's orbit is the relabeling budget: it lies between
+    # 10! and 11!, so C_10 is built and C_11 is refused with the count it needs
+    assert math.factorial(10) < opquery.algebra.RELABELING_BUDGET < math.factorial(11)
+    _no_relabeling(monkeypatch, AssertionError("relabelled past the budget"))
+    with pytest.raises(CapabilityError, match=f"n = 11 needs at least {math.factorial(11)} relabelings, past the budget"):
+        enumerate_orbit(build_max_chain(11))
+
+
 def test_enumerate_orbit_refuses_past_the_budget_before_any_relabeling(monkeypatch):
     # each path is charged what it makes: C_11 all 11! permutations, Z_13 its
     # 13 * 11! power sequences, Z_2 x Z_6 a walk of 11 * 12! / 12 relabelings
