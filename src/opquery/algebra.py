@@ -9,7 +9,9 @@ finite commutative rings (Z_n, GF(p^r), and direct products of those).
 Cyclic group tables, GF(p^r)* included, are the exponent-sum table (i + j)
 mod n, cached per order, renamed by the powers of a generator
 (``_cyclic_table``). Renaming a table maps its values a bounded block of
-rows at a time (``_renamed``), and two tables compare by their bytes.
+rows at a time (``_renamed``), and two tables compare by their bytes. A max
+table is fixed by its ranking, so every one is built from it with one
+compare and one select (``_max_table``), not renamed.
 
 Law checks look only at generators. By Light's associativity test, a
 table is associative as soon as (x*g)*y = x*(g*y) holds for every g in a
@@ -72,7 +74,7 @@ class OpTable:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries)
-        arr = arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
+        arr = arr if arr.dtype in _UNSIGNED else arr.astype(np.int64)  # bools, floats and byte-swapped integers as int64
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"operation table must be square, got shape {arr.shape}")
         n = arr.shape[0]
@@ -80,10 +82,10 @@ class OpTable:
             raise ValidationError("operation table needs at least one element")
         # one reduction on the input, read as unsigned so negatives wrap high;
         # on the narrowed table 300 would wrap into range
-        if arr.view(arr.dtype.str.replace("i", "u")).max() >= n:
+        if np.maximum.reduce(arr.view(_UNSIGNED[arr.dtype]), None) >= n:
             raise ValidationError(f"table entries must be element indices in [0, {n})")
         arr = arr.astype(_table_dtype(n))
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -129,10 +131,12 @@ class OpTable:
         return t
 
 
+# The unsigned type of each native integer type, as which the range check reads a table.
+_UNSIGNED = {np.dtype(c): np.dtype(c.upper()) for c in "bhilqBHILQ"}
 # Tables up to this many bytes compare by their bytes, larger ones by array_equal.
 _BYTES_COMPARED = 1 << 15
 # ``take`` casts a narrow index to intp, 8 bytes an entry; past this many
-# entries ``_renamed`` and the max-chain fill go a block of rows at a time.
+# entries ``_renamed`` goes a block of rows at a time.
 _RENAME_BLOCK = 1 << 15
 
 
@@ -468,13 +472,43 @@ def _cyclic_table(powers: Sequence[int] | np.ndarray) -> np.ndarray:
     return _renamed(sums, p, p.argsort())
 
 
+# Max tables up to this order read their label differences from a cache,
+# 512 KB at n = 512; larger ones build theirs per call.
+_CACHED_CHAIN_ORDER = 512
+
+
+@lru_cache(maxsize=64)
+def _label_differences(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels 0..n-1 and the n x n table x - y of labels, read-only, in ``_table_dtype(n)``."""
+    labels = np.arange(n, dtype=_table_dtype(n))
+    differences = labels[:, None] - labels
+    labels.flags.writeable = differences.flags.writeable = False
+    return labels, differences
+
+
+def _max_table(rank: np.ndarray) -> np.ndarray:
+    """The max table of the ranking, in ``_table_dtype(n)``: x*y = x if rank[x] >= rank[y], else y.
+
+    One compare and one select, (x - y) [rank x >= rank y] + y, over the
+    label differences of ``_label_differences``: no gather and no intp index.
+    """
+    n = len(rank)
+    labels, differences = _label_differences(n) if n <= _CACHED_CHAIN_ORDER else _label_differences.__wrapped__(n)
+    rank = rank.astype(labels.dtype)  # a narrow compare is about 3 times faster at n = 512
+    # the compare writes 0 or 1 straight into the table: with a bool temporary
+    # of its own, glibc's default heap thresholds made the fill at n = 512 up
+    # to 3 times slower
+    out = np.greater_equal(rank[:, None], rank, out=np.empty_like(differences))
+    out *= differences
+    return np.add(out, labels, out=out)
+
+
 @lru_cache(maxsize=512)
 def build_max_chain(n: int) -> OpTable:
     """Canonical max table on 0 < 1 < ... < n-1."""
     if n < 1:
         raise ValidationError("max chain needs n >= 1")
-    idx = np.arange(n, dtype=_table_dtype(n))  # refuses n past int32 before any table is made
-    return OpTable(np.maximum.outer(idx, idx))
+    return OpTable(_max_table(np.arange(n, dtype=_table_dtype(n))))  # refuses n past int32 before any table is made
 
 
 # Conway polynomials for the field sizes supported here (prime powers <= 64
@@ -546,23 +580,23 @@ def ring_product(a: RingTables, b: RingTables) -> RingTables:
 
 
 def _ring_atoms(name: str) -> list[tuple[str, int]]:
+    """The (kind, size) of every factor of a ring name; a size past the table label range is refused before it is factorised."""
     if not name:
         raise ValidationError("empty ring name")
     atoms: list[tuple[str, int]] = []
     for token in name.split("x"):
         if token.startswith("gf") and token[2:].isdigit():
-            q = int(token[2:])
-            fac = _factorize(q)
-            if len(fac) != 1:
-                raise ValidationError(f"gf size must be a prime power, got {q}")
-            atoms.append(("gf", q))
+            kind, size = "gf", int(token[2:])
         elif token.startswith("z") and token[1:].isdigit():
-            n = int(token[1:])
-            if n < 2:
-                raise ValidationError(f"z ring modulus must be >= 2, got {n}")
-            atoms.append(("zn", n))
+            kind, size = "zn", int(token[1:])
         else:
             raise ValidationError(f"cannot parse ring component {token!r} in {name!r}")
+        _table_dtype(size)  # before any trial division, which runs for hours on a 20-digit prime
+        if kind == "gf" and len(_factorize(size)) != 1:
+            raise ValidationError(f"gf size must be a prime power, got {size}")
+        if kind == "zn" and size < 2:
+            raise ValidationError(f"z ring modulus must be >= 2, got {size}")
+        atoms.append((kind, size))
     return atoms
 
 
@@ -764,7 +798,7 @@ def _is_max_table(t: np.ndarray) -> bool:
     wins = (t == labels[:, None]).sum(axis=1)  # in a max table, x*y = x for y = x and the y below x
     if not (np.sort(wins) == labels + 1).all():
         return False
-    return bool((t == np.where(wins[:, None] >= wins, labels[:, None], labels)).all())
+    return bool((t == _max_table(wins)).all())
 
 
 # ---------------------------------------------------------------------------

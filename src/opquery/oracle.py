@@ -10,7 +10,10 @@ rejected query is neither charged nor recorded.
 
 Hiding a table costs little more than one gather: a valid table stays
 valid under a permutation, so neither it, nor the ring laws, nor the
-permutation ``random_permutation`` has just built is checked again.
+permutation ``random_permutation`` has just built is checked again. A max
+table needs no gather: label perm[i] has rank i, and the hidden table is
+the max table of that ranking (``algebra._max_table``), which the
+validating ``OpTable`` constructor checks.
 
 The permutation stream is an explicitly coded Fisher-Yates shuffle driven by
 ``random.Random`` (Mersenne Twister) bits, so a seed pins down the same
@@ -24,12 +27,16 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .algebra import (
+    MaxChainSpec,
     OpTable,
     RingSpec,
     RingTables,
     StructureSpec,
     _as_int,
+    _max_table,
     build_ring,
     canonical_table,
     spec_from_dict,
@@ -70,10 +77,10 @@ class Oracle:
     def __init__(self, truth: OpTable):
         self._truth = truth
         self._n = truth.n
-        # a memoryview reads the one asked entry as an int in about half the
-        # time of ``entries.item``; a cached ``tolist()`` would cost more than
-        # a whole max-chain run at n = 512
-        self._entry = memoryview(truth.entries)
+        # a flat memoryview reads the one asked entry, at x n + y, as an int
+        # faster than ``entries.item`` or a 2-D view indexed by a tuple; a
+        # cached ``tolist()`` would cost more than a whole max-chain run at n = 512
+        self._entry = memoryview(truth.entries.ravel())
         self._transcript: list[tuple[int, int, int]] = []
 
     @property
@@ -98,7 +105,7 @@ class Oracle:
         # exact ints in range, as every recovery asks, need no normalizing
         if not (x.__class__ is int and y.__class__ is int and 0 <= x < n and 0 <= y < n):
             x, y = self._coordinates(x, y)
-        z = self._entry[x, y]
+        z = self._entry[x * n + y]
         self._transcript.append((x, y, z))
         return z
 
@@ -134,7 +141,9 @@ def new_hidden(spec: StructureSpec, seed: int) -> HiddenInstance:
         raise ValidationError("ring specs hide two tables; use new_hidden_ring")
     canonical = canonical_table(spec)
     perm = random_permutation(canonical.n, seed)
-    return HiddenInstance(spec, seed, canonical, perm, canonical._relabeled(perm))
+    # a max table is built from its ranking, in which label perm[i] has rank i
+    truth = OpTable(_max_table(np.array(perm).argsort())) if isinstance(spec, MaxChainSpec) else canonical._relabeled(perm)
+    return HiddenInstance(spec, seed, canonical, perm, truth)
 
 
 def new_hidden_ring(spec: RingSpec | str, seed: int) -> HiddenRingInstance:

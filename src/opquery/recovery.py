@@ -14,7 +14,7 @@ class and returns the full table plus the number of queries spent:
   final two answers pin down the four elements the power ladder missed;
 - max tables of a total order: merge sort driven by the oracle, at most
   n*ceil(log2 n) - 2^ceil(log2 n) + 1 queries, then x*y is the element of
-  the larger rank, one gather over a block of rows at a time;
+  the larger rank, one compare and one select over the whole table;
 - ring multiplication over a known addition table: exactly |A|^2 queries
   for a greedy generating set A with |A| <= log2 n, everything else
   rebuilt by distributivity along the order the generators reached it.
@@ -46,6 +46,7 @@ from .algebra import (
     _cyclic_table,
     _distributive_on,
     _generators,
+    _max_table,
     _RENAME_BLOCK,
     _renamed,
     _table_dtype,
@@ -476,22 +477,13 @@ def recover_max_chain(oracle: Oracle) -> RecoveryResult:
 
     Each query x*y must answer x or y (the larger). A merge of m items asks
     at most m - 1, so no oracle makes merge sort ask more than
-    ``merge_sort_worst_case(n)``. The sorted order fixes the table: x*y =
-    order[max(rank x, rank y)], filled a bounded block of rows at a time so
-    the intp index of ``take`` never spans the whole table.
+    ``merge_sort_worst_case(n)``. The sorted order fixes the table: it is
+    the max table of the ranking (``_max_table``), x*y = x where x ranks at
+    least as high as y, else y.
     """
-    n = oracle.n
     start = oracle.count
-    dtype = _table_dtype(n)
-    order = np.array(_merge_sort(list(range(n)), oracle.query), dtype=dtype)
-    rank = order.argsort().astype(dtype)  # narrow, so each block's maximum is too
-    out = np.empty((n, n), dtype=dtype)
-    step = max(1, _RENAME_BLOCK // n)
-    for r in range(0, n, step):
-        rows = slice(r, r + step)
-        # every index is in range, so "clip" never clips; it only spares take a buffered copy of out
-        order.take(np.maximum(rank[rows, None], rank), out=out[rows], mode="clip")
-    return RecoveryResult(OpTable(out), oracle.count - start, "maxchain", trace=oracle.transcript_since(start))
+    rank = np.array(_merge_sort(list(range(oracle.n)), oracle.query)).argsort()
+    return RecoveryResult(OpTable(_max_table(rank)), oracle.count - start, "maxchain", trace=oracle.transcript_since(start))
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,8 @@ def _one_gib():
         ("bounds --maxchain 99999999999999999999", 3, "capability: "),  # before the sum over k <= n
         ("bounds --abelian 1000000000", 3, "capability: "),  # n! of about 2.8e10 bits, refused from lgamma
         ("bounds --maxchain 1000000000", 3, "capability: "),  # neither formed nor summed
+        ("bounds --ring z99999999999999999989", 2, "error: "),  # refused before trial division to 10^10
+        ("gen --ring gf99999999999999999989", 2, "error: "),
     ],
 )
 def test_absurd_class_sizes_end_with_an_exit_code_not_a_traceback(argv, code, prefix):

@@ -8,6 +8,7 @@ import pytest
 from opquery import (
     AbelianSpec,
     MaxChainSpec,
+    OpTable,
     Oracle,
     RingSpec,
     ValidationError,
@@ -167,6 +168,14 @@ def test_oracle_direct_construction():
     o = Oracle(t)
     assert o.n == 3
     assert o.query(1, 2) == 0
+
+
+def test_oracle_answers_by_coordinates_whatever_the_memory_order():
+    # the oracle reads a flat view at x n + y; a table kept in Fortran order is read by value
+    a = np.random.default_rng(1).integers(0, 6, size=(6, 6))
+    for t in (OpTable(a), OpTable(np.asfortranarray(a))):
+        o = Oracle(t)
+        assert [o.query(x, y) for x in range(6) for y in range(6)] == a.ravel().tolist()
 
 
 @pytest.mark.parametrize(

@@ -340,6 +340,20 @@ class TestMaxChain:
                 ok, _ = verify_recovery(o, res.table)
                 assert ok and res.queries_used <= merge_sort_worst_case(n)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 127, 128, 181, 182, 256, 511, 512])
+    def test_hidden_and_recovered_tables_are_the_relabelled_max_chain(self, n, seed):
+        # both are built from a ranking; the generic relabel is the reference,
+        # across the int8/int16 boundary and the row-block boundary of _renamed at 182
+        inst = new_hidden(MaxChainSpec(n), seed)
+        want = build_max_chain(n).relabel(inst.perm)
+        assert inst.truth.entries.dtype == want.entries.dtype and inst.truth == want
+        res = recover_max_chain(Oracle(inst.truth))
+        assert res.table.entries.dtype == want.entries.dtype and res.table == want
+        sorting = Oracle(want)
+        recovery._merge_sort(list(range(n)), sorting.query)
+        assert res.trace == sorting.transcript
+
     def test_inconsistent_oracle_raises(self):
         # oracle that answers some element outside {x, y} breaks the promise
         o = Oracle(build_abelian([5]))

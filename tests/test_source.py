@@ -261,6 +261,7 @@ CACHE_SAMPLES = {
     "algebra._build_abelian_cached": [((2, 3),)],
     "algebra._exponent_sums": [(5,)],
     "algebra.build_max_chain": [(4,)],
+    "algebra._label_differences": [(1,), (8,), (200,)],
     "algebra._build_ring_cached": [("gf4",), ("z4xgf9",)],
     "algebra._permutation_chunks": [(1,), (3,), (6,)],
     "recovery._cached_tower_positions": [(((4, 0), (2, 0)),)],

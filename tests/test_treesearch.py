@@ -745,6 +745,12 @@ def test_is_max_table():
     broken = np.maximum.outer(np.arange(3), np.arange(3))
     broken[0, 1] = 2  # every label still wins as often as in a max table
     assert not _is_max_table(broken)
+    hidden = build_max_chain(64).relabel(np.random.default_rng(5).permutation(64)).entries
+    assert _is_max_table(hidden)
+    x, y = next((x, y) for x in range(64) for y in range(64) if x != y and hidden[x, y] == y)
+    broken = hidden.copy()
+    broken[x, y] = next(z for z in range(64) if z not in (x, y))  # x wins as often as before: the table comparison decides
+    assert not _is_max_table(broken)
 
 
 def test_minimal_worst_case_leaves_no_garbage_cycles():
